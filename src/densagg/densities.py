@@ -113,17 +113,12 @@ class PiecewiseFunction:
 
     def __call__(self, x) -> np.ndarray | float:
         """Evaluate at points of ``[0, 1]`` (scalar or array)."""
-        pts = np.asarray(x, dtype=float)
-        if pts.size and (pts.min() < 0.0 or pts.max() > 1.0):
-            raise ValidationError("evaluation points must lie in [0, 1]")
-        out = self.values[self.cell_index(pts)]
-        return float(out) if np.isscalar(x) or pts.ndim == 0 else out
+        out = self.values[self.cell_index(x)]
+        return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
 
     def cell_index(self, x) -> np.ndarray:
         """Index of the cell containing each point (``x = 1`` maps to the last cell)."""
-        pts = np.asarray(x, dtype=float)
-        idx = np.searchsorted(self.breakpoints, pts, side="right") - 1
-        return np.clip(idx, 0, self.n_cells - 1)
+        return _cell_indices(self.breakpoints, x, "evaluation points")
 
     def integral(self) -> float:
         """Exact integral over ``[0, 1]``."""
@@ -147,6 +142,19 @@ class PiecewiseDensity(PiecewiseFunction):
     @classmethod
     def uniform(cls) -> "PiecewiseDensity":
         return cls(np.array([0.0, 1.0]), np.array([1.0]))
+
+
+def _cell_indices(breakpoints: np.ndarray, x, what: str) -> np.ndarray:
+    """Cell of each point on the grid ``breakpoints``; ``x = 1`` is in the last cell.
+
+    Rejects any point that is not a finite number in ``[0, 1]``: ``min`` and
+    ``max`` propagate NaN, and NaN fails both comparisons.
+    """
+    pts = np.asarray(x, dtype=float)
+    if pts.size and not (pts.min() >= 0.0 and pts.max() <= 1.0):
+        raise ValidationError(f"{what} must be finite and lie in [0, 1]")
+    # Searching the left edges only puts x = 1 in the last cell without a clip.
+    return np.searchsorted(breakpoints[:-1], pts, side="right") - 1
 
 
 def _values_on(f: PiecewiseFunction, grid: np.ndarray) -> np.ndarray:

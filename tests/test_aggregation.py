@@ -66,6 +66,32 @@ class TestCandidateSet:
         with pytest.raises(ValidationError):
             CandidateSet(np.array([0.0, 1.0]), np.array([[2.0]]))
 
+    def test_cell_indices_close_the_last_cell(self):
+        cset = two_candidates()
+        np.testing.assert_array_equal(
+            cset.cell_indices([0.0, 0.49, 0.5, 0.99, 1.0]), [0, 0, 1, 1, 1])
+
+    def test_log_table_is_cells_by_candidates(self):
+        cset = CandidateSet.from_densities([
+            PiecewiseDensity([0.0, 0.5, 1.0], [2.0, 0.0]), PiecewiseDensity.uniform(),
+        ])
+        np.testing.assert_array_equal(
+            cset.log_table, [[math.log(2.0), 0.0], [-math.inf, 0.0]])
+        np.testing.assert_array_equal(
+            cset.log_likelihood_terms([0.75, 0.25]), cset.log_table[[1, 0]])
+
+
+@pytest.mark.parametrize("consumer", [
+    CandidateSet.cell_indices, CandidateSet.log_likelihood_terms,
+    progressive_weights, aggregate, yatracos_select,
+])
+@pytest.mark.parametrize("x", [
+    [0.2, math.nan, 0.7], [math.nan], [0.3, math.inf], [-math.inf, 0.3], [0.3, 1.5], [-0.25],
+])
+def test_every_sample_consumer_rejects_bad_points(consumer, x):
+    with pytest.raises(ValidationError, match="finite and lie in"):
+        consumer(two_candidates(), x)
+
 
 class TestEmpiricalKL:
     def test_uniform_is_zero(self):
@@ -158,6 +184,11 @@ class TestProgressiveWeights:
         cset = CandidateSet.from_densities([left, left])
         with pytest.raises(ValidationError, match="zero likelihood"):
             progressive_weights(cset, [0.75])
+
+    @pytest.mark.parametrize("x", [0.25, [[0.25, 0.75]]])
+    def test_sample_must_be_one_dimensional(self, x):
+        with pytest.raises(ValidationError, match="one-dimensional"):
+            progressive_weights(two_candidates(), x)
 
     def test_rows_are_probability_vectors(self):
         rng = np.random.default_rng(4)

@@ -125,6 +125,21 @@ class TestYatracosCommand:
         assert obj == {"selected_index": 0, "M": 2, "n": 4}
 
 
+@pytest.mark.parametrize("command", ["aggregate", "yatracos"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1.5"])
+def test_sample_with_a_bad_point_exits_1(workdir, capsys, command, bad):
+    (workdir / "bad.txt").write_text(f"0.1\n{bad}\n0.7\n")
+    code = main([
+        command,
+        "--candidates", str(workdir / "candidates.json"),
+        "--sample", str(workdir / "bad.txt"),
+        "--out", str(workdir / "out.json"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: sample points must be finite")
+    assert not (workdir / "out.json").exists()
+
+
 class TestLowerboundAuditCommand:
     def test_writes_report_and_word_set(self, tmp_path):
         out = tmp_path / "audit.json"

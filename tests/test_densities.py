@@ -115,6 +115,15 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             step([0.2, 1.2])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_evaluation_at_non_finite_points_raises(self, step, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            step(bad)
+        with pytest.raises(ValidationError, match="finite"):
+            step([0.2, bad, 0.7])
+        with pytest.raises(ValidationError, match="finite"):
+            step.cell_index([bad])
+
     def test_integral(self, step):
         assert step.integral() == pytest.approx(1.0, abs=1e-15)
 
