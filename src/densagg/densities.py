@@ -67,9 +67,12 @@ def _as_readonly_float_array(x, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PiecewiseFunction:
     """A real step function on ``[0, 1]``.
+
+    Two instances are equal when they have the same type and equal
+    breakpoint and value arrays; equal instances hash alike.
 
     Parameters
     ----------
@@ -103,6 +106,12 @@ class PiecewiseFunction:
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
 
+    def __eq__(self, other):
+        return _arrays_equal(self, other, ("breakpoints", "values"))
+
+    def __hash__(self):
+        return _arrays_hash(self, ("breakpoints", "values"))
+
     @property
     def n_cells(self) -> int:
         return self.values.size
@@ -125,23 +134,45 @@ class PiecewiseFunction:
         return float(np.dot(self.values, self.cell_lengths))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PiecewiseDensity(PiecewiseFunction):
     """A nonnegative step function integrating to one within ``MASS_TOL``."""
 
     def __post_init__(self):
         super().__post_init__()
-        if np.any(self.values < 0):
-            raise ValidationError("density values must be nonnegative")
-        mass = self.integral()
-        if abs(mass - 1.0) > MASS_TOL:
-            raise ValidationError(
-                f"density must integrate to 1 within {MASS_TOL:g}; got {mass!r}"
-            )
+        _check_density_rows(self.values[None], self.cell_lengths)
 
     @classmethod
     def uniform(cls) -> "PiecewiseDensity":
         return cls(np.array([0.0, 1.0]), np.array([1.0]))
+
+
+def _arrays_equal(a, b, fields):
+    """Equality for immutable array holders: same type, equal named arrays."""
+    if type(a) is not type(b):
+        return NotImplemented
+    return all(np.array_equal(getattr(a, f), getattr(b, f)) for f in fields)
+
+
+def _arrays_hash(a, fields) -> int:
+    """Hash matching :func:`_arrays_equal`.  Adding 0.0 maps -0.0 to 0.0,
+    which compare equal but differ in their bytes."""
+    return hash((type(a),) + tuple(
+        (getattr(a, f).shape, (getattr(a, f) + 0.0).tobytes()) for f in fields
+    ))
+
+
+def _check_density_rows(values: np.ndarray, lens: np.ndarray) -> None:
+    """Each row of ``values`` (cell values on cells of lengths ``lens``) is
+    nonnegative and integrates to one within ``MASS_TOL``."""
+    if np.any(values < 0):
+        raise ValidationError("density values must be nonnegative")
+    for row in values:
+        mass = float(np.dot(row, lens))
+        if not abs(mass - 1.0) <= MASS_TOL:
+            raise ValidationError(
+                f"density must integrate to 1 within {MASS_TOL:g}; got {mass!r}"
+            )
 
 
 def _cell_indices(breakpoints: np.ndarray, x, what: str) -> np.ndarray:
@@ -162,12 +193,6 @@ def _values_on(f: PiecewiseFunction, grid: np.ndarray) -> np.ndarray:
     # refined cell is f at the cell's left edge.
     idx = np.searchsorted(f.breakpoints, grid[:-1], side="right") - 1
     return f.values[idx]
-
-
-def _common_cells(f: PiecewiseFunction, g: PiecewiseFunction):
-    """Shared refined grid plus both value vectors (internal fast path)."""
-    grid = np.union1d(f.breakpoints, g.breakpoints)
-    return np.diff(grid), _values_on(f, grid), _values_on(g, grid)
 
 
 def common_refinement(
@@ -202,9 +227,47 @@ def renormalize(f: PiecewiseFunction) -> PiecewiseDensity:
 # ---------------------------------------------------------------------------
 
 
-def _check_nonnegative(f: PiecewiseFunction, g: PiecewiseFunction, op: str) -> None:
-    if np.any(f.values < 0) or np.any(g.values < 0):
+def _loss_cells(f: PiecewiseFunction, grid: np.ndarray, rows: np.ndarray):
+    """Cell lengths of the union of ``f``'s grid and ``grid``, with ``f``'s
+    values and each row's values (cell values on ``grid``) on it."""
+    fine = np.union1d(f.breakpoints, grid)
+    idx = np.searchsorted(grid, fine[:-1], side="right") - 1
+    # take, not rows[:, idx]: the latter is column-major, and a strided
+    # row changes the summation order of the per-row dot products.
+    return np.diff(fine), _values_on(f, fine), np.take(rows, idx, axis=1)
+
+
+def _check_nonnegative(f: PiecewiseFunction, rows: np.ndarray, op: str) -> None:
+    if np.any(f.values < 0) or np.any(rows < 0):
         raise ValidationError(f"{op} requires nonnegative cell values")
+
+
+def _kl_rows(f: PiecewiseFunction, grid: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """:func:`kl_divergence` from ``f`` to each row of cell values on ``grid``."""
+    _check_nonnegative(f, rows, "kl_divergence")
+    lens, fv, gv = _loss_cells(f, grid, rows)
+    pos = fv > 0
+    escapes = np.any(pos & (gv == 0.0), axis=1)
+    terms = np.zeros_like(gv)
+    with np.errstate(divide="ignore"):
+        terms[:, pos] = fv[pos] * np.log(fv[pos] / gv[:, pos])
+    out = np.array([np.dot(lens, t) for t in terms])
+    out[escapes] = math.inf
+    return out
+
+
+def _hellinger_rows(f: PiecewiseFunction, grid: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """:func:`hellinger_distance` from ``f`` to each row of cell values on ``grid``."""
+    _check_nonnegative(f, rows, "hellinger_distance")
+    lens, fv, gv = _loss_cells(f, grid, rows)
+    diff = np.sqrt(fv) - np.sqrt(gv)
+    return np.array([math.sqrt(np.dot(lens, d * d)) for d in diff])
+
+
+def _l1_rows(f: PiecewiseFunction, grid: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """:func:`l1_distance` from ``f`` to each row of cell values on ``grid``."""
+    lens, fv, gv = _loss_cells(f, grid, rows)
+    return np.array([np.dot(lens, d) for d in np.abs(fv - gv)])
 
 
 def kl_divergence(f: PiecewiseFunction, g: PiecewiseFunction) -> float:
@@ -214,33 +277,53 @@ def kl_divergence(f: PiecewiseFunction, g: PiecewiseFunction) -> float:
     (failure of absolute continuity).  Cells where ``f = 0`` contribute 0,
     including against ``g = 0``.
     """
-    _check_nonnegative(f, g, "kl_divergence")
-    lens, fv, gv = _common_cells(f, g)
-    pos = fv > 0
-    if np.any(pos & (gv == 0.0)):
-        return math.inf
-    terms = np.zeros_like(fv)
-    terms[pos] = fv[pos] * np.log(fv[pos] / gv[pos])
-    return float(np.dot(lens, terms))
+    return float(_kl_rows(f, g.breakpoints, g.values[None])[0])
 
 
 def hellinger_distance(f: PiecewiseFunction, g: PiecewiseFunction) -> float:
     """Hellinger distance ``(∫ (√f − √g)²)^{1/2}`` between step densities."""
-    _check_nonnegative(f, g, "hellinger_distance")
-    lens, fv, gv = _common_cells(f, g)
-    diff = np.sqrt(fv) - np.sqrt(gv)
-    return float(math.sqrt(np.dot(lens, diff * diff)))
+    return float(_hellinger_rows(f, g.breakpoints, g.values[None])[0])
 
 
 def l1_distance(f: PiecewiseFunction, g: PiecewiseFunction) -> float:
     """Total ``∫ |f − g|`` distance between step functions."""
-    lens, fv, gv = _common_cells(f, g)
-    return float(np.dot(lens, np.abs(fv - gv)))
+    return float(_l1_rows(f, g.breakpoints, g.values[None])[0])
 
 
 # ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------
+
+#: Points per chunk of the CDF inversion; bounds its temporaries at ~4 MiB.
+_SAMPLE_CHUNK = 2**16
+
+
+def _sample_rows(density: PiecewiseDensity, n: int, seeds) -> np.ndarray:
+    """One row of :func:`sample` per seed, as an (R, n) array.
+
+    Each row is its own seed's stream; the inversion runs over all rows
+    together, in chunks, and writes the points over the uniform variates.
+    """
+    if n < 0:
+        raise ValidationError(f"sample size must be nonnegative, got {n}")
+    u = np.empty((len(seeds), n))
+    for row, seed in zip(u, seeds):
+        np.random.default_rng(seed).random(n, out=row)
+    masses = density.values * density.cell_lengths
+    cdf = np.concatenate(([0.0], np.cumsum(masses)))
+    flat = u.reshape(-1)
+    for start in range(0, flat.size, _SAMPLE_CHUNK):
+        v = flat[start:start + _SAMPLE_CHUNK]
+        idx = np.searchsorted(cdf, v, side="right") - 1
+        idx = np.minimum(idx, masses.size - 1)
+        # side="right" can only land on a zero-mass cell in the measure-zero
+        # float corner v == cdf[-1]; guard the division anyway.
+        m = masses[idx]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            frac = np.where(m > 0, (v - cdf[idx]) / np.where(m > 0, m, 1.0), 0.0)
+        x = density.breakpoints[idx] + frac * density.cell_lengths[idx]
+        np.clip(x, 0.0, 1.0, out=v)
+    return u
 
 
 def sample(density: PiecewiseDensity, n: int, seed) -> np.ndarray:
@@ -252,23 +335,11 @@ def sample(density: PiecewiseDensity, n: int, seed) -> np.ndarray:
     give identical output arrays.
 
     ``seed`` is anything :func:`numpy.random.default_rng` accepts (ints and
-    tuples of ints included).
+    tuples of ints included).  The inversion runs in chunks of
+    ``_SAMPLE_CHUNK`` points written over the variates, so memory is the
+    output plus a few MiB of temporaries.
     """
-    if n < 0:
-        raise ValidationError(f"sample size must be nonnegative, got {n}")
-    rng = np.random.default_rng(seed)
-    u = rng.random(n)
-    masses = density.values * density.cell_lengths
-    cdf = np.concatenate(([0.0], np.cumsum(masses)))
-    idx = np.searchsorted(cdf, u, side="right") - 1
-    idx = np.minimum(idx, masses.size - 1)
-    # side="right" can only land on a zero-mass cell in the measure-zero
-    # float corner u == cdf[-1]; guard the division anyway.
-    m = masses[idx]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        frac = np.where(m > 0, (u - cdf[idx]) / np.where(m > 0, m, 1.0), 0.0)
-    x = density.breakpoints[idx] + frac * density.cell_lengths[idx]
-    return np.clip(x, 0.0, 1.0)
+    return _sample_rows(density, n, [seed])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,21 @@ truth index ``t`` where applicable) draws from a generator seeded with the
 tuple ``(seed, n, r)`` / ``(seed, M, n, t, r)``, so reports — and the CSV
 files written from them — are identical across runs and machines with the
 same numpy series.  Every row's ``pass`` flag applies the uniform rule
-``excess <= bound + 3 * se``.
+``excess <= bound + 3 * se`` (the rate study instead flags rows whose
+excess is unusable for the fit).
+
+One engine, :func:`_replication_risks`, runs every harness cell: it draws
+the samples of all replications of a (family, truth, n) cell, one
+generator stream per replication, estimates them together and scores them
+row by row.  The progressive mixture runs the block kernel of
+:mod:`densagg.aggregation` on (rows, R, M) blocks; the selector runs once
+per row.  Each replication's arithmetic is that of ``sample``,
+``aggregate``/``yatracos_select`` and the loss called on it alone, in the
+same order, so reports are bit-identical to a loop over replications.
+Replications are grouped so that one group holds at most ``_GROUP_POINTS``
+(2^20) sample points, which bounds memory for any n × replications; the
+criterion-7 rate study (n <= 1600, 40 replications) runs each cell as one
+group.
 """
 
 from __future__ import annotations
@@ -23,21 +37,27 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .aggregation import CandidateSet, aggregate, yatracos_select
+# ``aggregate`` is not called here, but perfbench's tracer test looks it up
+# by this name; the harnesses reach the same code through ``_aggregate_rows``.
+from .aggregation import CandidateSet, _aggregate_rows, aggregate, yatracos_select  # noqa: F401
 from .densities import (
     PiecewiseDensity,
     ValidationError,
     _density_from_obj,
+    _hellinger_rows,
+    _kl_rows,
+    _l1_rows,
+    _sample_rows,
     hellinger_distance,
     kl_divergence,
     l1_distance,
     load_density,
-    sample,
 )
 from .lowerbound import (
     AuditReport,
@@ -69,6 +89,35 @@ LOSSES = {
     "H": hellinger_distance,
     "L1": l1_distance,
 }
+
+#: The losses of ``LOSSES`` from one density to each row of a batch of
+#: cell-value rows; the functions of ``LOSSES`` are their one-row case.
+_LOSS_ROWS = {
+    "KL": _kl_rows,
+    "H": _hellinger_rows,
+    "L1": _l1_rows,
+}
+
+#: Largest number of sample points (replications × n) drawn and aggregated
+#: together; replications of larger cells run in several groups.
+_GROUP_POINTS = 2**20
+
+#: Keys each descriptor kind takes, with their types; all are required
+#: except ``n_ref``.
+_SPEC_KEYS = {
+    "truth_spec": {
+        "candidate": {"index": int},
+        "uniform": {},
+        "file": {"path": str},
+        "inline": {"breakpoints": list, "values": list},
+    },
+    "candidate_spec": {
+        "perturbation": {"n_ref": int},
+        "files": {"paths": list},
+        "inline": {"densities": list},
+    },
+}
+_OPTIONAL_KEYS = {"n_ref"}
 
 #: Acceptable fitted slope for the rate study's log-log regression.  The
 #: theoretical excess scales linearly in log(M)/n, i.e. slope 1; the range
@@ -107,6 +156,12 @@ class ExperimentConfig:
     q:             power applied to the rate study's per-replication loss.
     M_values:      family sizes for the rate study (>= 2 distinct values);
                    other harnesses ignore it.
+
+    Types are strict: the integer fields (``seed``, ``M``,
+    ``replications``, the entries of ``n_values`` and ``M_values``,
+    ``truth_spec.index`` and ``candidate_spec.n_ref``) take ints, never
+    bools, floats or strings; ``A`` and ``q`` take finite numbers; and each
+    descriptor takes exactly the keys of its kind (``n_ref`` is optional).
     """
 
     seed: int
@@ -121,11 +176,17 @@ class ExperimentConfig:
     M_values: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
+        for name in ("seed", "M", "replications"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        for name in ("A", "q"):
+            object.__setattr__(self, name, _finite_real(getattr(self, name), name))
+        object.__setattr__(self, "n_values", _integers(self.n_values, "n_values"))
         if self.M_values is not None:
-            object.__setattr__(self, "M_values", tuple(int(m) for m in self.M_values))
-        object.__setattr__(self, "truth_spec", dict(self.truth_spec))
-        object.__setattr__(self, "candidate_spec", dict(self.candidate_spec))
+            object.__setattr__(self, "M_values", _integers(self.M_values, "M_values"))
+        for name in ("truth_spec", "candidate_spec"):
+            object.__setattr__(self, name, _spec(getattr(self, name), name))
+        if self.candidate_spec.get("n_ref", 1) < 1:
+            raise ValidationError("candidate_spec.n_ref must be at least 1")
         if self.seed < 0:
             raise ValidationError(f"seed must be nonnegative, got {self.seed}")
         if self.M < 1:
@@ -138,7 +199,7 @@ class ExperimentConfig:
             )
         if not self.A > 1.0:
             raise ValidationError(f"A must exceed 1, got {self.A!r}")
-        if self.loss not in LOSSES:
+        if not isinstance(self.loss, str) or self.loss not in LOSSES:
             raise ValidationError(
                 f"loss must be one of {sorted(LOSSES)}, got {self.loss!r}"
             )
@@ -182,6 +243,50 @@ class ExperimentConfig:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int; rejects bools, floats and strings."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _integers(values, name: str) -> tuple[int, ...]:
+    if not isinstance(values, (list, tuple)):
+        raise ValidationError(f"{name} must be a list of integers, got {values!r}")
+    return tuple(_integer(v, f"{name} entry") for v in values)
+
+
+def _finite_real(value, name: str) -> float:
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ValidationError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _spec(spec, name: str) -> dict:
+    """A copy of a descriptor whose keys and value types are those its kind takes."""
+    if not isinstance(spec, dict):
+        raise ValidationError(f"{name} must be an object, got {spec!r}")
+    kinds = _SPEC_KEYS[name]
+    kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ValidationError(f"{name}.kind must be one of {sorted(kinds)}, got {kind!r}")
+    types = kinds[kind]
+    keys = set(spec) - {"kind"}
+    if not set(types) - _OPTIONAL_KEYS <= keys <= set(types):
+        raise ValidationError(
+            f"{name} of kind {kind!r} takes keys {sorted(types)}, got {sorted(keys)}"
+        )
+    out = dict(spec)
+    for key in keys:
+        where, want = f"{name}.{key}", types[key]
+        if want is int:
+            out[key] = _integer(spec[key], where)
+        elif not isinstance(spec[key], (list, tuple) if want is list else want):
+            raise ValidationError(f"{where} must be a {want.__name__}, got {spec[key]!r}")
+    return out
+
+
 def load_config(path) -> ExperimentConfig:
     try:
         obj = json.loads(Path(path).read_text())
@@ -201,22 +306,16 @@ def _perturbation_candidates(M: int, n_ref: int, bound: float) -> list[Piecewise
 def build_candidates(config: ExperimentConfig) -> list[PiecewiseDensity]:
     """Materialise the candidate family a config describes."""
     spec = config.candidate_spec
-    kind = spec.get("kind")
-    if kind == "perturbation":
-        n_ref = int(spec.get("n_ref", max(config.n_values)))
+    if spec["kind"] == "perturbation":
+        n_ref = spec.get("n_ref", max(config.n_values))
         return _perturbation_candidates(config.M, n_ref, config.A)
-    if kind == "files":
-        densities = [load_density(p) for p in spec.get("paths", [])]
-    elif kind == "inline":
+    if spec["kind"] == "files":
+        densities = [load_density(p) for p in spec["paths"]]
+    else:
         densities = [
             _density_from_obj(o, f"candidate_spec.densities[{i}]")
-            for i, o in enumerate(spec.get("densities", []))
+            for i, o in enumerate(spec["densities"])
         ]
-    else:
-        raise ValidationError(
-            f"candidate_spec.kind must be 'perturbation', 'files' or 'inline', "
-            f"got {kind!r}"
-        )
     if len(densities) != config.M:
         raise ValidationError(
             f"candidate_spec supplies {len(densities)} densities but M = {config.M}"
@@ -227,25 +326,19 @@ def build_candidates(config: ExperimentConfig) -> list[PiecewiseDensity]:
 def build_truth(config: ExperimentConfig, candidates) -> PiecewiseDensity:
     """Materialise the sampling density a config describes."""
     spec = config.truth_spec
-    kind = spec.get("kind")
-    if kind == "candidate":
-        index = spec.get("index")
-        if not isinstance(index, int) or not 0 <= index < len(candidates):
+    if spec["kind"] == "candidate":
+        index = spec["index"]
+        if not 0 <= index < len(candidates):
             raise ValidationError(
                 f"truth_spec.index must be in 0..{len(candidates) - 1}, got {index!r}"
             )
         return candidates[index]
-    if kind == "uniform":
+    if spec["kind"] == "uniform":
         return PiecewiseDensity.uniform()
-    if kind == "file":
+    if spec["kind"] == "file":
         return load_density(spec["path"])
-    if kind == "inline":
-        body = {k: v for k, v in spec.items() if k != "kind"}
-        return _density_from_obj(body, "truth_spec")
-    raise ValidationError(
-        f"truth_spec.kind must be 'candidate', 'uniform', 'file' or 'inline', "
-        f"got {kind!r}"
-    )
+    body = {k: v for k, v in spec.items() if k != "kind"}
+    return _density_from_obj(body, "truth_spec")
 
 
 @dataclass(frozen=True)
@@ -297,11 +390,55 @@ class RiskReport:
                 ])
 
 
+def _select_rows(candidates: CandidateSet, x: np.ndarray, first_replication: int) -> np.ndarray:
+    """Cell values of the candidate :func:`yatracos_select` picks for each row of ``x``."""
+    return candidates.values[[yatracos_select(candidates, row) for row in x]]
+
+
+def _replication_risks(
+    candidates: CandidateSet, truth: PiecewiseDensity, n: int, seeds, estimator, loss: str
+) -> np.ndarray:
+    """Loss ``loss`` from ``truth`` to the estimate of each replication.
+
+    Replication ``r`` estimates from ``sample(truth, n, seeds[r])``.
+    ``estimator(candidates, x, first_replication)`` maps a batch of
+    samples ``x`` (R, n) to the estimates' cell values on the candidates'
+    grid (R, cells).  Replications run in groups of at most
+    ``_GROUP_POINTS`` sample points.
+    """
+    group = max(1, _GROUP_POINTS // n)
+    risks = []
+    for start in range(0, len(seeds), group):
+        x = _sample_rows(truth, n, seeds[start:start + group])
+        values = estimator(candidates, x, start)
+        risks.append(_LOSS_ROWS[loss](truth, candidates.grid, values))
+    return np.concatenate(risks)
+
+
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
     mean = float(np.mean(values))
     if values.size < 2 or not np.all(np.isfinite(values)):
         return mean, 0.0
     return mean, float(np.std(values, ddof=1) / math.sqrt(values.size))
+
+
+def _risk_row(experiment: str, config: ExperimentConfig, m: int, n: int,
+              mean: float, se: float, oracle: float, bound: float,
+              passed: bool | None = None) -> RiskRow:
+    """A report row; it passes by the uniform rule ``excess <= bound + 3 * se``
+    unless ``passed`` says otherwise."""
+    excess = mean - oracle
+    if passed is None:
+        passed = excess <= bound + 3 * se
+    return RiskRow(experiment=experiment, M=m, n=n, replications=config.replications,
+                   mean_risk=mean, se=se, oracle_risk=oracle, excess=excess,
+                   bound=bound, passed=passed)
+
+
+def _family_and_truth(config: ExperimentConfig) -> tuple[CandidateSet, PiecewiseDensity]:
+    candidates = build_candidates(config)
+    return (CandidateSet.from_densities(candidates, bound=config.A),
+            build_truth(config, candidates))
 
 
 def run_oracle_experiment(config: ExperimentConfig) -> RiskReport:
@@ -314,9 +451,7 @@ def run_oracle_experiment(config: ExperimentConfig) -> RiskReport:
     since then no bound is meaningful.  Loss is KL by definition here
     (``config.loss``/``q`` only steer the rate study).
     """
-    candidates = build_candidates(config)
-    cset = CandidateSet.from_densities(candidates, bound=config.A)
-    truth = build_truth(config, candidates)
+    cset, truth = _family_and_truth(config)
     oracle = min(kl_divergence(truth, cset.candidate(j)) for j in range(cset.size))
     if not math.isfinite(oracle):
         raise ValidationError(
@@ -325,27 +460,10 @@ def run_oracle_experiment(config: ExperimentConfig) -> RiskReport:
         )
     rows = []
     for n in config.n_values:
-        risks = np.array([
-            kl_divergence(
-                truth,
-                aggregate(cset, sample(truth, n, seed=(config.seed, n, r))),
-            )
-            for r in range(config.replications)
-        ])
-        mean, se = _mean_se(risks)
-        bound = math.log(cset.size) / (n + 1)
-        rows.append(RiskRow(
-            experiment="oracle",
-            M=cset.size,
-            n=n,
-            replications=config.replications,
-            mean_risk=mean,
-            se=se,
-            oracle_risk=oracle,
-            excess=mean - oracle,
-            bound=bound,
-            passed=mean - oracle <= bound + 3 * se,
-        ))
+        seeds = [(config.seed, n, r) for r in range(config.replications)]
+        risks = _replication_risks(cset, truth, n, seeds, _aggregate_rows, "KL")
+        rows.append(_risk_row("oracle", config, cset.size, n, *_mean_se(risks),
+                              oracle, math.log(cset.size) / (n + 1)))
     return RiskReport(tuple(rows))
 
 
@@ -357,35 +475,14 @@ def run_yatracos_experiment(config: ExperimentConfig) -> RiskReport:
     ``2 * min_j + sqrt(log(M)/n)`` so the uniform ``excess <= bound + 3*se``
     comparison applies.
     """
-    candidates = build_candidates(config)
-    cset = CandidateSet.from_densities(candidates, bound=config.A)
-    truth = build_truth(config, candidates)
+    cset, truth = _family_and_truth(config)
     oracle = min(l1_distance(truth, cset.candidate(j)) for j in range(cset.size))
     rows = []
     for n in config.n_values:
-        risks = np.array([
-            l1_distance(
-                truth,
-                cset.candidate(
-                    yatracos_select(cset, sample(truth, n, seed=(config.seed, n, r)))
-                ),
-            )
-            for r in range(config.replications)
-        ])
-        mean, se = _mean_se(risks)
-        bound = 2.0 * oracle + math.sqrt(math.log(cset.size) / n)
-        rows.append(RiskRow(
-            experiment="yatracos",
-            M=cset.size,
-            n=n,
-            replications=config.replications,
-            mean_risk=mean,
-            se=se,
-            oracle_risk=oracle,
-            excess=mean - oracle,
-            bound=bound,
-            passed=mean - oracle <= bound + 3 * se,
-        ))
+        seeds = [(config.seed, n, r) for r in range(config.replications)]
+        risks = _replication_risks(cset, truth, n, seeds, _select_rows, "L1")
+        rows.append(_risk_row("yatracos", config, cset.size, n, *_mean_se(risks),
+                              oracle, 2.0 * oracle + math.sqrt(math.log(cset.size) / n)))
     return RiskReport(tuple(rows))
 
 
@@ -442,7 +539,6 @@ def run_rate_study(config: ExperimentConfig) -> RateStudyResult:
         raise ValidationError(
             "the rate study needs at least three distinct sample sizes in n_values"
         )
-    loss = LOSSES[config.loss]
     rows = []
     xs, ys = [], []
     dropped = 0
@@ -452,33 +548,17 @@ def run_rate_study(config: ExperimentConfig) -> RateStudyResult:
             cset = CandidateSet.from_densities(candidates, bound=config.A)
             worst_mean, worst_se = -math.inf, 0.0
             for t in range(cset.size):
-                truth = cset.candidate(t)
-                risks = np.array([
-                    loss(
-                        truth,
-                        aggregate(
-                            cset, sample(truth, n, seed=(config.seed, m, n, t, r))
-                        ),
-                    ) ** config.q
-                    for r in range(config.replications)
-                ])
-                mean, se = _mean_se(risks)
+                seeds = [(config.seed, m, n, t, r) for r in range(config.replications)]
+                losses = _replication_risks(
+                    cset, cset.candidate(t), n, seeds, _aggregate_rows, config.loss)
+                mean, se = _mean_se(np.array([v ** config.q for v in losses.tolist()]))
                 if mean > worst_mean:
                     worst_mean, worst_se = mean, se
             psi = math.log(m) / n
             valid = worst_mean > 0 and math.isfinite(worst_mean)
-            rows.append(RiskRow(
-                experiment="rate",
-                M=m,
-                n=n,
-                replications=config.replications,
-                mean_risk=worst_mean,
-                se=worst_se,
-                oracle_risk=0.0,  # truth is a family member
-                excess=worst_mean,
-                bound=psi,
-                passed=valid,
-            ))
+            # the truth is a family member, so the oracle risk is 0
+            rows.append(_risk_row("rate", config, m, n, worst_mean, worst_se,
+                                  0.0, psi, passed=valid))
             if valid:
                 xs.append(math.log(psi))
                 ys.append(math.log(worst_mean))

@@ -71,6 +71,13 @@ class TestCandidateSet:
         np.testing.assert_array_equal(
             cset.cell_indices([0.0, 0.49, 0.5, 0.99, 1.0]), [0, 0, 1, 1, 1])
 
+    def test_equality_and_hash(self):
+        u = PiecewiseDensity.uniform()
+        a, b = CandidateSet.from_densities([u, u]), CandidateSet.from_densities([u, u])
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != two_candidates() and a != CandidateSet.from_densities([u])
+        assert a != (a.grid, a.values)
+
     def test_log_table_is_cells_by_candidates(self):
         cset = CandidateSet.from_densities([
             PiecewiseDensity([0.0, 0.5, 1.0], [2.0, 0.0]), PiecewiseDensity.uniform(),

@@ -220,6 +220,22 @@ class TestExperimentCommands:
         assert "missing" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"M": "2"},
+            {"M": 4.5, "candidate_spec": {"kind": "perturbation"}},
+            {"n_values": [50.7, "60"]},
+            {"M": 4, "candidate_spec": {"kind": "perturbation", "n_reff": 10}},
+        ],
+    )
+    def test_mistyped_config_exits_1(self, tmp_path, capsys, bad):
+        code = main(["oracle-exp", "--config", str(oracle_config(tmp_path, **bad)),
+                     "--out", str(tmp_path / "r.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+
 class TestRateStudyCommand:
     def rate_config(self, tmp_path, **overrides):
         return oracle_config(

@@ -124,6 +124,23 @@ class TestConstruction:
         with pytest.raises(ValidationError, match="finite"):
             step.cell_index([bad])
 
+    def test_equality_compares_arrays(self, step):
+        same = PiecewiseDensity([0.0, 0.5, 1.0], [1.5, 0.5])
+        assert step == same and not step != same
+        assert step != PiecewiseDensity([0.0, 0.5, 1.0], [0.5, 1.5])
+        assert step != PiecewiseDensity([0.0, 0.25, 1.0], [1.5, 5.0 / 6.0])
+        assert step != PiecewiseDensity.uniform()
+        assert step != PiecewiseFunction(step.breakpoints, step.values)
+        assert step != "step"
+
+    def test_hash_agrees_with_equality(self, step):
+        same = PiecewiseDensity([0.0, 0.5, 1.0], [1.5, 0.5])
+        assert hash(step) == hash(same) and len({step, same}) == 1
+        # -0.0 == 0.0, so the two must hash alike although their bytes differ
+        pos = PiecewiseDensity([0.0, 0.5, 1.0], [2.0, 0.0])
+        neg = PiecewiseDensity([-0.0, 0.5, 1.0], [2.0, -0.0])
+        assert pos == neg and hash(pos) == hash(neg)
+
     def test_integral(self, step):
         assert step.integral() == pytest.approx(1.0, abs=1e-15)
 

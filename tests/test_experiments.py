@@ -81,11 +81,48 @@ class TestConfig:
             {"loss": "TV"},
             {"q": 0.0},
             {"M_values": (1, 4)},
+            # integer fields take ints only: no bool, float or str
+            {"seed": True},
+            {"seed": 1.0},
+            {"M": "3"},
+            {"M": 3.0},
+            {"M": 4.5},
+            {"replications": 2.0},
+            {"n_values": (50.7, "60")},
+            {"n_values": (25, True)},
+            {"n_values": 25},
+            {"M_values": (4, 8.0)},
+            # A and q are finite real numbers
+            {"A": "3"},
+            {"A": math.inf},
+            {"A": math.nan},
+            {"q": math.inf},
+            {"q": True},
+            {"loss": ["KL"]},
+            # spec keys are checked per kind
+            {"truth_spec": "uniform"},
+            {"truth_spec": {"kind": "candidate", "index": 1.0}},
+            {"truth_spec": {"kind": "candidate", "index": True}},
+            {"truth_spec": {"kind": "candidate"}},
+            {"truth_spec": {"kind": "uniform", "index": 0}},
+            {"truth_spec": {"kind": "file"}},
+            {"truth_spec": {"kind": "inline", "breakpoints": [0, 1]}},
+            {"candidate_spec": {"kind": "perturbation", "n_reff": 10}},
+            {"candidate_spec": {"kind": "perturbation", "n_ref": 10.5}},
+            {"candidate_spec": {"kind": "perturbation", "n_ref": 0}},
+            {"candidate_spec": {"kind": "files"}},
+            {"candidate_spec": {**THREE_INLINE, "paths": []}},
         ],
     )
     def test_field_validation(self, bad):
         with pytest.raises(ValidationError):
             quick_config(**bad)
+
+
+    def test_integral_reals_are_accepted(self):
+        cfg = quick_config(A=3, q=2, seed=np.int64(4242))
+        assert cfg.A == 3.0 and cfg.q == 2.0 and cfg.seed == 4242
+        assert type(cfg.seed) is int
 
 
 class TestDescriptors:
