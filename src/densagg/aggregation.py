@@ -235,27 +235,23 @@ def empirical_kl(f: PiecewiseDensity, x) -> float:
     return float(-np.mean(np.log(vals)))
 
 
-def _normalize_log_rows(
-    log_w: np.ndarray, first_row: int = 0, first_replication: int | None = None
-) -> np.ndarray:
+def _normalize_log_rows(log_w: np.ndarray, first_row: int = 0) -> np.ndarray:
     """Softmax over the last axis that is exact about zeros.
 
     ``log_w`` is (rows, M) or (rows, R, M).  Each row is shifted by its max
     before exponentiation; ``-inf`` entries come out as exactly 0.  A row
     whose max is ``-inf`` (every candidate at zero likelihood) has no
     normalizer and is an error; ``first_row`` is the trajectory row index of
-    ``log_w[0]``, for the message, which also names the replication when
-    ``first_replication`` (the index of replication 0 of the block) is
-    given.  Every output row is checked to be a probability vector.
+    ``log_w[0]``, for the message.  Every output row is checked to be a
+    probability vector.
     """
     row_max = log_w.max(axis=-1)
     dead = ~np.isfinite(row_max)
     if np.any(dead):
-        k, r = divmod(int(np.argmax(dead)), dead[0].size)
-        where = "" if first_replication is None else f"replication {first_replication + r}: "
+        k = first_row + int(np.nonzero(dead)[0][0])
         raise ValidationError(
-            f"{where}every candidate has zero likelihood on the first "
-            f"{first_row + k} sample points; weights are undefined"
+            f"every candidate has zero likelihood on the first {k} sample points; "
+            "weights are undefined"
         )
     # Out of place on purpose: an in-place exp may take a different
     # (scalar) numpy kernel and change the last bit.
@@ -269,9 +265,7 @@ def _normalize_log_rows(
     return w
 
 
-def _weight_blocks(
-    candidates: CandidateSet, cells: np.ndarray, first_replication: int | None = None
-):
+def _weight_blocks(candidates: CandidateSet, cells: np.ndarray):
     """Yield ``(k, rows)``: consecutive blocks of weight rows, ``rows[0]`` being row ``k``.
 
     ``cells`` is (R, n): the cell indices of R samples of one size.  Blocks
@@ -286,7 +280,7 @@ def _weight_blocks(
     width = cells.shape[0] * candidates.size
     step = max(1, _BLOCK_ELEMENTS // width)
     log_w = np.zeros((1, cells.shape[0], candidates.size))
-    yield 0, _normalize_log_rows(log_w, 0, first_replication)
+    yield 0, _normalize_log_rows(log_w)
     for start in range(0, cells.shape[1], step):
         terms = candidates.log_table[cells[:, start:start + step].T]
         terms[0] += log_w[-1]
@@ -296,12 +290,10 @@ def _weight_blocks(
             log_w = terms
         else:
             log_w = np.cumsum(terms, axis=0, out=terms)
-        yield start + 1, _normalize_log_rows(log_w, start + 1, first_replication)
+        yield start + 1, _normalize_log_rows(log_w, start + 1)
 
 
-def _averaged_weights(
-    candidates: CandidateSet, cells: np.ndarray, first_replication: int | None = None
-) -> np.ndarray:
+def _averaged_weights(candidates: CandidateSet, cells: np.ndarray) -> np.ndarray:
     """Column means of the weight rows, (R, M), for cell indices ``cells`` (R, n).
 
     The running sum of weight rows is added into each block's first row
@@ -309,7 +301,7 @@ def _averaged_weights(
     trajectory, in order.
     """
     total = None
-    for _, block in _weight_blocks(candidates, cells, first_replication):
+    for _, block in _weight_blocks(candidates, cells):
         if total is not None:
             block[0] += total
         total = block.sum(axis=0)
@@ -378,17 +370,14 @@ def aggregate(candidates: CandidateSet, x) -> PiecewiseDensity:
     return mixture(candidates, progressive_weights(candidates, x).averaged)
 
 
-def _aggregate_rows(
-    candidates: CandidateSet, x: np.ndarray, first_replication: int = 0
-) -> np.ndarray:
+def _aggregate_rows(candidates: CandidateSet, x: np.ndarray) -> np.ndarray:
     """:func:`aggregate` for each row of ``x`` (R, n), as (R, cells) values on the grid.
 
     The same operations as R calls of :func:`aggregate`, on (rows, R, M)
     blocks; every row is checked as :func:`aggregate` checks its result.
-    ``first_replication`` numbers row 0 in error messages.
     """
     _check_aggregable(candidates)
-    averaged = _averaged_weights(candidates, candidates.cell_indices(x), first_replication)
+    averaged = _averaged_weights(candidates, candidates.cell_indices(x))
     values = _mixture_values(candidates, averaged)
     _check_density_rows(values, candidates.cell_lengths)
     return values

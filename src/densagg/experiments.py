@@ -92,6 +92,7 @@ LOSSES = {
 
 #: The losses of ``LOSSES`` from one density to each row of a batch of
 #: cell-value rows; the functions of ``LOSSES`` are their one-row case.
+#: Configs are checked against these names, the ones the harnesses run.
 _LOSS_ROWS = {
     "KL": _kl_rows,
     "H": _hellinger_rows,
@@ -199,9 +200,9 @@ class ExperimentConfig:
             )
         if not self.A > 1.0:
             raise ValidationError(f"A must exceed 1, got {self.A!r}")
-        if not isinstance(self.loss, str) or self.loss not in LOSSES:
+        if not isinstance(self.loss, str) or self.loss not in _LOSS_ROWS:
             raise ValidationError(
-                f"loss must be one of {sorted(LOSSES)}, got {self.loss!r}"
+                f"loss must be one of {sorted(_LOSS_ROWS)}, got {self.loss!r}"
             )
         if not self.q > 0:
             raise ValidationError(f"q must be positive, got {self.q!r}")
@@ -390,7 +391,7 @@ class RiskReport:
                 ])
 
 
-def _select_rows(candidates: CandidateSet, x: np.ndarray, first_replication: int) -> np.ndarray:
+def _select_rows(candidates: CandidateSet, x: np.ndarray) -> np.ndarray:
     """Cell values of the candidate :func:`yatracos_select` picks for each row of ``x``."""
     return candidates.values[[yatracos_select(candidates, row) for row in x]]
 
@@ -401,16 +402,27 @@ def _replication_risks(
     """Loss ``loss`` from ``truth`` to the estimate of each replication.
 
     Replication ``r`` estimates from ``sample(truth, n, seeds[r])``.
-    ``estimator(candidates, x, first_replication)`` maps a batch of
-    samples ``x`` (R, n) to the estimates' cell values on the candidates'
-    grid (R, cells).  Replications run in groups of at most
-    ``_GROUP_POINTS`` sample points.
+    ``estimator(candidates, x)`` maps a batch of samples ``x`` (R, n) to
+    the estimates' cell values on the candidates' grid (R, cells).
+    Replications run in groups of at most ``_GROUP_POINTS`` sample points.
+    When a group fails, the error names the first of its replications that
+    fails alone: the one a loop over replications would have stopped at.
     """
     group = max(1, _GROUP_POINTS // n)
     risks = []
     for start in range(0, len(seeds), group):
         x = _sample_rows(truth, n, seeds[start:start + group])
-        values = estimator(candidates, x, start)
+        try:
+            values = estimator(candidates, x)
+        except ValidationError:
+            # Each row's arithmetic is the same alone as in the batch, so
+            # some row fails alone too.
+            for r in range(x.shape[0]):
+                try:
+                    estimator(candidates, x[r:r + 1])
+                except ValidationError as exc:
+                    raise ValidationError(f"replication {start + r}: {exc}") from None
+            raise
         risks.append(_LOSS_ROWS[loss](truth, candidates.grid, values))
     return np.concatenate(risks)
 
