@@ -10,7 +10,9 @@ procedures are provided:
   risk is within ``log(M)/(n+1)`` of the best candidate's risk.
 * :func:`yatracos_select` — picks the candidate whose cell-set integrals
   best match empirical frequencies over all comparison sets
-  ``{f_i > f_j}``, which controls total-variation-type risk.
+  ``{f_i > f_j}``, which controls total-variation-type risk.  The sets are
+  rows of a (sets × cells) bool mask (:func:`yatracos_class`), built once
+  per call of the scorer, which takes R samples at once.
 
 Weight arithmetic is carried out in the log domain throughout, so long
 samples and vanishing likelihoods are handled without under/overflow: a
@@ -40,7 +42,8 @@ and :func:`aggregate` are the R = 1 case.  The cumulative sum is
 ``np.cumsum(axis=0)``, a strided serial chain per column, for rows narrower
 than ``_ROW_LOOP_WIDTH`` entries, and one vector ``np.add`` per row from
 there on; the additions are the same either way.  The experiment harnesses
-batch the replications of a cell through :func:`_aggregate_rows`.
+batch the replications of a cell through :func:`_aggregate_rows`, and
+those of the selector through :func:`_select_cells`.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ from .densities import (
     _arrays_equal,
     _arrays_hash,
     _cell_indices,
+    _check_breakpoints,
     _check_density_rows,
     _values_on,
     validate_class,
@@ -113,12 +117,11 @@ class CandidateSet:
             raise ValidationError("candidate values must be (M, len(grid) - 1)")
         if vals.shape[0] < 1:
             raise ValidationError("need at least one candidate")
-        # Constructing each row as a density enforces nonnegativity and mass.
-        for j in range(vals.shape[0]):
-            try:
-                PiecewiseDensity(grid, vals[j])
-            except ValidationError as exc:
-                raise ValidationError(f"candidate {j}: {exc}") from None
+        _check_breakpoints(grid)
+        finite = np.all(np.isfinite(vals), axis=1)
+        if not finite.all():
+            raise ValidationError(f"candidate {np.argmin(finite)}: cell values must be finite")
+        _check_density_rows(vals, np.diff(grid), "candidate")
         with np.errstate(divide="ignore"):
             log_table = np.ascontiguousarray(np.log(vals).T)
         for arr in (grid, vals, log_table):
@@ -308,6 +311,14 @@ def _averaged_weights(candidates: CandidateSet, cells: np.ndarray) -> np.ndarray
     return total / (cells.shape[1] + 1)
 
 
+def _sample_cells(candidates: CandidateSet, x) -> np.ndarray:
+    """Shared-grid cells of a one-dimensional sample."""
+    cells = candidates.cell_indices(x)
+    if cells.ndim != 1:
+        raise ValidationError(f"the sample must be one-dimensional, got shape {cells.shape}")
+    return cells
+
+
 def progressive_weights(candidates: CandidateSet, x) -> WeightTrajectory:
     """Likelihood-proportional weight vectors after every sample prefix.
 
@@ -319,9 +330,7 @@ def progressive_weights(candidates: CandidateSet, x) -> WeightTrajectory:
     Only ``averaged`` is computed here, streamed in O(block) memory as the
     module docstring describes.
     """
-    cells = candidates.cell_indices(x)
-    if cells.ndim != 1:
-        raise ValidationError(f"the sample must be one-dimensional, got shape {cells.shape}")
+    cells = _sample_cells(candidates, x)
     averaged = _averaged_weights(candidates, cells[None])[0]
     for arr in (cells, averaged):
         arr.setflags(write=False)
@@ -388,22 +397,62 @@ def _aggregate_rows(candidates: CandidateSet, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def yatracos_class(candidates: CandidateSet) -> list[frozenset[int]]:
+def yatracos_class(candidates: CandidateSet) -> np.ndarray:
     """The comparison sets ``{x : f_i(x) > f_j(x)}`` over all ordered pairs.
 
-    Each set is exactly a union of shared-grid cells and is returned as a
-    frozenset of cell indices; duplicates are removed and the list is
-    sorted (by size, then lexicographically) so the output is deterministic.
-    With a single candidate the only set is the empty one.
+    Each set is exactly a union of shared-grid cells and is returned as one
+    row of a read-only (sets × cells) bool mask.  Duplicates are removed,
+    and the rows are ordered by size, then by descending mask bits: among
+    sets of one size, the one whose sorted cells compare first
+    lexicographically comes first.  The pairs ``i = j`` give the empty set,
+    which the class always holds; with a single candidate it is the only
+    set.
     """
     vals = candidates.values
-    sets = {frozenset()}
-    for i in range(vals.shape[0]):
-        gt = vals[i] > vals
-        for j in range(vals.shape[0]):
-            if i != j:
-                sets.add(frozenset(np.flatnonzero(gt[j]).tolist()))
-    return sorted(sets, key=lambda s: (len(s), sorted(s)))
+    above = (vals[:, None, :] > vals[None, :, :]).reshape(-1, vals.shape[1])
+    # Packed big-endian, the rows compare bytewise as their bits do.
+    packed = np.packbits(above, axis=1)
+    order = np.lexsort((*(~packed).T[::-1], above.sum(axis=1)))
+    packed = packed[order]
+    distinct = np.ones(packed.shape[0], dtype=bool)
+    distinct[1:] = np.any(packed[1:] != packed[:-1], axis=1)
+    masks = np.unpackbits(packed[distinct], axis=1, count=vals.shape[1]).astype(bool)
+    masks.setflags(write=False)
+    return masks
+
+
+def _select_cells(candidates: CandidateSet, cells: np.ndarray) -> np.ndarray:
+    """:func:`yatracos_select` for each row of ``cells`` (R, n), as R indices.
+
+    The class is built once for all rows.  Each row's empirical set masses
+    are sums of cell counts, exact in floating point at any n that fits in
+    memory, so a BLAS product gives the integers an integer product would.
+    Scores are running maxima over chunks of about ``_BLOCK_ELEMENTS``
+    (row, candidate, set) deviations, so memory stays bounded for any R;
+    max is exact, so every score is the one a whole (M, sets) matrix per
+    row gives.
+    """
+    masks = yatracos_class(candidates)
+    cell_masses = candidates.values * candidates.cell_lengths  # (M, cells)
+    set_integrals = cell_masses @ masks.T  # (M, sets)
+    rows, n = cells.shape
+    m, (sets, width) = candidates.size, masks.shape
+    members = masks.T.astype(float)  # (cells, sets)
+    set_step = min(sets, max(1, _BLOCK_ELEMENTS // m))
+    row_step = max(1, _BLOCK_ELEMENTS // (m * set_step))
+    scores = np.zeros((rows, m))
+    for r in range(0, rows, row_step):
+        block = cells[r:r + row_step]
+        k = block.shape[0]
+        counts = np.bincount((block + width * np.arange(k)[:, None]).ravel(),
+                             minlength=k * width).reshape(k, width)
+        empirical = (counts @ members) / n  # (k, sets)
+        best = scores[r:r + row_step]
+        for s in range(0, sets, set_step):
+            gaps = set_integrals[:, s:s + set_step] - empirical[:, None, s:s + set_step]
+            np.abs(gaps, out=gaps)
+            np.maximum(best, gaps.max(axis=2), out=best)
+    return np.argmin(scores, axis=1)  # the first minimum: smallest index
 
 
 def yatracos_select(candidates: CandidateSet, x) -> int:
@@ -412,20 +461,9 @@ def yatracos_select(candidates: CandidateSet, x) -> int:
     Score of candidate ``i`` is ``sup_A |∫_A f_i - P_n(A)|`` over the
     comparison sets ``A`` of :func:`yatracos_class`, with ``P_n`` the
     empirical measure; the smallest index attaining the minimal score wins.
+    The sample must be one-dimensional and nonempty.
     """
-    pts = np.asarray(x, dtype=float)
-    if pts.size == 0:
+    cells = _sample_cells(candidates, x)
+    if cells.size == 0:
         raise ValidationError("yatracos_select needs at least one sample point")
-    counts = np.bincount(candidates.cell_indices(pts), minlength=candidates.values.shape[1])
-    sets = yatracos_class(candidates)
-    masks = np.zeros((len(sets), candidates.values.shape[1]), dtype=bool)
-    for s, cells in enumerate(sets):
-        masks[s, list(cells)] = True
-
-    cell_masses = candidates.values * candidates.cell_lengths  # (M, cells)
-    set_integrals = cell_masses @ masks.T  # (M, sets)
-
-    empirical = (counts @ masks.T) / pts.size  # (sets,)
-
-    scores = np.max(np.abs(set_integrals - empirical), axis=1)
-    return int(np.argmin(scores))  # argmin takes the first minimum: smallest index
+    return int(_select_cells(candidates, cells[None])[0])

@@ -59,7 +59,10 @@ class ValidationError(ValueError):
 
 
 def _as_readonly_float_array(x, name: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
+    try:
+        arr = np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} must be a list of numbers ({exc})") from None
     if arr.ndim != 1:
         raise ValidationError(f"{name} must be one-dimensional, got shape {arr.shape}")
     arr = arr.copy()
@@ -90,17 +93,12 @@ class PiecewiseFunction:
     def __post_init__(self):
         bp = _as_readonly_float_array(self.breakpoints, "breakpoints")
         vals = _as_readonly_float_array(self.values, "values")
-        if bp.size < 2:
-            raise ValidationError("need at least two breakpoints")
+        _check_breakpoints(bp)
         if bp.size != vals.size + 1:
             raise ValidationError(
                 f"breakpoints/values length mismatch: {bp.size} breakpoints "
                 f"requires {bp.size - 1} values, got {vals.size}"
             )
-        if bp[0] != 0.0 or bp[-1] != 1.0:
-            raise ValidationError("breakpoints must start at 0.0 and end at 1.0")
-        if not np.all(np.diff(bp) > 0):
-            raise ValidationError("breakpoints must be strictly increasing")
         if not np.all(np.isfinite(vals)):
             raise ValidationError("cell values must be finite")
         object.__setattr__(self, "breakpoints", bp)
@@ -162,17 +160,30 @@ def _arrays_hash(a, fields) -> int:
     ))
 
 
-def _check_density_rows(values: np.ndarray, lens: np.ndarray) -> None:
+def _check_breakpoints(bp: np.ndarray) -> None:
+    """``bp`` is a grid of at least two points rising strictly from 0 to 1."""
+    if bp.size < 2:
+        raise ValidationError("need at least two breakpoints")
+    if bp[0] != 0.0 or bp[-1] != 1.0:
+        raise ValidationError("breakpoints must start at 0.0 and end at 1.0")
+    if not np.all(np.diff(bp) > 0):
+        raise ValidationError("breakpoints must be strictly increasing")
+
+
+def _check_density_rows(values: np.ndarray, lens: np.ndarray, label: str | None = None) -> None:
     """Each row of ``values`` (cell values on cells of lengths ``lens``) is
-    nonnegative and integrates to one within ``MASS_TOL``."""
-    if np.any(values < 0):
-        raise ValidationError("density values must be nonnegative")
-    for row in values:
+    nonnegative and integrates to one within ``MASS_TOL``.
+
+    The error describes the first failing row; with ``label`` it starts
+    ``"{label} {j}: "``, naming that row.
+    """
+    negative = np.any(values < 0, axis=1).tolist()
+    for j, row in enumerate(values):
         mass = float(np.dot(row, lens))
-        if not abs(mass - 1.0) <= MASS_TOL:
-            raise ValidationError(
-                f"density must integrate to 1 within {MASS_TOL:g}; got {mass!r}"
-            )
+        if negative[j] or not abs(mass - 1.0) <= MASS_TOL:
+            msg = ("density values must be nonnegative" if negative[j] else
+                   f"density must integrate to 1 within {MASS_TOL:g}; got {mass!r}")
+            raise ValidationError(msg if label is None else f"{label} {j}: {msg}")
 
 
 def _cell_indices(breakpoints: np.ndarray, x, what: str) -> np.ndarray:
@@ -400,7 +411,7 @@ def _density_from_obj(obj, where: str) -> PiecewiseDensity:
         raise ValidationError(
             f"{where}: expected an object with keys 'breakpoints' and 'values'"
         )
-    return PiecewiseDensity(np.asarray(obj["breakpoints"]), np.asarray(obj["values"]))
+    return PiecewiseDensity(obj["breakpoints"], obj["values"])
 
 
 def _load_json(path):

@@ -22,8 +22,9 @@ One engine, :func:`_replication_risks`, runs every harness cell: it draws
 the samples of all replications of a (family, truth, n) cell, one
 generator stream per replication, estimates them together and scores them
 row by row.  The progressive mixture runs the block kernel of
-:mod:`densagg.aggregation` on (rows, R, M) blocks; the selector runs once
-per row.  Each replication's arithmetic is that of ``sample``,
+:mod:`densagg.aggregation` on (rows, R, M) blocks; the selector builds its
+comparison-set masks once per group and scores every row against them.
+Each replication's arithmetic is that of ``sample``,
 ``aggregate``/``yatracos_select`` and the loss called on it alone, in the
 same order, so reports are bit-identical to a loop over replications.
 Replications are grouped so that one group holds at most ``_GROUP_POINTS``
@@ -45,7 +46,7 @@ import numpy as np
 
 # ``aggregate`` is not called here, but perfbench's tracer test looks it up
 # by this name; the harnesses reach the same code through ``_aggregate_rows``.
-from .aggregation import CandidateSet, _aggregate_rows, aggregate, yatracos_select  # noqa: F401
+from .aggregation import CandidateSet, _aggregate_rows, _select_cells, aggregate  # noqa: F401
 from .densities import (
     PiecewiseDensity,
     ValidationError,
@@ -392,8 +393,8 @@ class RiskReport:
 
 
 def _select_rows(candidates: CandidateSet, x: np.ndarray) -> np.ndarray:
-    """Cell values of the candidate :func:`yatracos_select` picks for each row of ``x``."""
-    return candidates.values[[yatracos_select(candidates, row) for row in x]]
+    """Cell values of the candidate ``yatracos_select`` picks for each row of ``x``."""
+    return candidates.values[_select_cells(candidates, candidates.cell_indices(x))]
 
 
 def _replication_risks(

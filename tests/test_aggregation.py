@@ -276,22 +276,28 @@ class TestAggregate:
         assert risk <= worst + 1e-12
 
 
+def _assert_masks(masks, expected):
+    """``masks`` is the read-only bool mask array with rows ``expected``."""
+    assert masks.dtype == bool and not masks.flags.writeable
+    np.testing.assert_array_equal(masks, np.array(expected, dtype=bool))
+
+
 class TestYatracosClass:
     def test_single_candidate_gives_empty_set_only(self):
         cset = CandidateSet.from_densities([PiecewiseDensity.uniform()])
-        assert yatracos_class(cset) == [frozenset()]
+        _assert_masks(yatracos_class(cset), [[False]])
 
     def test_two_candidates(self):
         sets = yatracos_class(two_candidates())
-        assert sets == [frozenset(), frozenset({0}), frozenset({1})]
+        _assert_masks(sets, [[False, False], [True, False], [False, True]])
 
     def test_deduplication_and_determinism(self):
         rng = np.random.default_rng(15)
         cands = [random_positive_density(rng) for _ in range(5)]
         cset = CandidateSet.from_densities(cands)
         sets = yatracos_class(cset)
-        assert len(sets) == len(set(sets))
-        assert sets == yatracos_class(cset)
+        assert len(np.unique(sets, axis=0)) == len(sets)
+        _assert_masks(sets, yatracos_class(cset))
         # ordered pairs of distinct candidates, plus the empty set
         assert len(sets) <= 5 * 4 + 1
 

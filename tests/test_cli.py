@@ -140,6 +140,34 @@ def test_sample_with_a_bad_point_exits_1(workdir, capsys, command, bad):
     assert not (workdir / "out.json").exists()
 
 
+@pytest.mark.parametrize("density", [
+    {"breakpoints": "ab", "values": [1.0]},
+    {"breakpoints": [0.0, 0.5, 1.0], "values": [1.0, [1.0]]},
+    {"breakpoints": [0.0, 0.5, 1.0], "values": [1.0, "x"]},
+])
+def test_non_numeric_candidate_file_exits_1(workdir, capsys, density):
+    (workdir / "bad.json").write_text(json.dumps([TWO_STEPS[0], density]))
+    code = main([
+        "aggregate",
+        "--candidates", str(workdir / "bad.json"),
+        "--sample", str(workdir / "sample.txt"),
+        "--out", str(workdir / "agg.json"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("spec", ["candidate_spec", "truth_spec"])
+def test_non_numeric_inline_density_exits_1(tmp_path, capsys, spec):
+    bad = {"breakpoints": [0.0, 0.5, 1.0], "values": [1.0, "x"]}
+    override = ({"candidate_spec": {"kind": "inline", "densities": [TWO_STEPS[0], bad]}}
+                if spec == "candidate_spec" else {"truth_spec": {"kind": "inline", **bad}})
+    code = main(["oracle-exp", "--config", str(oracle_config(tmp_path, **override)),
+                 "--out", str(tmp_path / "r.csv")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestLowerboundAuditCommand:
     def test_writes_report_and_word_set(self, tmp_path):
         out = tmp_path / "audit.json"
