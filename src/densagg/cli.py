@@ -36,16 +36,12 @@ from .densities import (
 )
 from .experiments import (
     load_config,
+    run_lowerbound_audit,
     run_oracle_experiment,
     run_rate_study,
     run_yatracos_experiment,
 )
-from .lowerbound import (
-    audit_hypotheses,
-    build_separated_set,
-    choose_parameters,
-    save_separated_set,
-)
+from .lowerbound import save_separated_set
 
 __all__ = ["main"]
 
@@ -138,9 +134,7 @@ def _cmd_yatracos(ns) -> int:
 
 
 def _cmd_lowerbound_audit(ns) -> int:
-    family = choose_parameters(ns.M, ns.n, ns.A)
-    words = build_separated_set(family.n_bumps, ns.M)
-    report = audit_hypotheses(family, words, ns.n)
+    words, report = run_lowerbound_audit(ns.M, ns.n, ns.A)
     report.save(ns.out)
     if ns.set_out:
         save_separated_set(words, ns.set_out)

@@ -62,6 +62,7 @@ from .densities import (
 )
 from .lowerbound import (
     AuditReport,
+    SeparatedSet,
     audit_hypotheses,
     build_separated_set,
     choose_parameters,
@@ -591,8 +592,11 @@ def run_rate_study(config: ExperimentConfig) -> RateStudyResult:
     )
 
 
-def run_lowerbound_audit(family_size: int, sample_size: int, bound: float) -> AuditReport:
-    """Tune the worst-case family for ``(M, n, A)`` and audit its hypotheses."""
+def run_lowerbound_audit(
+    family_size: int, sample_size: int, bound: float
+) -> tuple[SeparatedSet, AuditReport]:
+    """Tune the worst-case family for ``(M, n, A)``, audit its hypotheses,
+    and return the separated word set with the report."""
     family = choose_parameters(family_size, sample_size, bound)
     words = build_separated_set(family.n_bumps, family_size)
-    return audit_hypotheses(family, words, sample_size)
+    return words, audit_hypotheses(family, words, sample_size)

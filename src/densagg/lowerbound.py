@@ -11,16 +11,20 @@ The pieces:
 
 * :func:`choose_parameters` — bump count and amplitude tuned to a target
   family size ``M``, sample size ``n``, and sup bound ``A``.
-* :func:`build_separated_set` — a greedy (first-fit, lexicographic) packing
-  of binary words with pairwise Hamming distance at least ``D/8``, always
-  containing the all-zeros word.  Deterministic: bit-for-bit reproducible.
+* :func:`build_separated_set` — the greedy (first-fit, lexicographic)
+  packing of binary words with pairwise Hamming distance at least ``D/8``,
+  always containing the all-zeros word.  That packing is the binary
+  lexicode, a linear code (Conway & Sloane 1986), so only ``ceil(log2 M)``
+  basis words are searched, each of at most 64 bits, and the rest are
+  their XORs.  Deterministic: bit-for-bit reproducible.
 * :func:`perturbed_density` — the density for one word.
 * ``analytic_*`` — closed forms for the pairwise distances and the
   sample-size-``n`` product KL, each of which the exact cell-wise
   integrators of :mod:`densagg.densities` must reproduce.
 * :func:`audit_hypotheses` — checks every hypothesis the lower-bound
   argument needs (KL budget per word, Hellinger separation per pair) and
-  reports each check with its margin.
+  reports each check with its margin.  Pair distances come from packed
+  rows and popcounts, one row against all later rows at a time.
 
 Closed forms (``a = amplitude / D`` is the bump height, ``ρ`` the Hamming
 distance, ``s`` the number of active bumps):
@@ -222,6 +226,17 @@ def hamming_distance(word1, word2) -> int:
     return int(np.count_nonzero(w1 != w2))
 
 
+def _pair_distances(words: np.ndarray):
+    """Hamming distances of the 0/1 rows ``i < j``, in row-major order.
+
+    Yields, for each row ``i``, the distances to rows ``i+1..m-1`` (empty for
+    the last row), from packed rows and popcounts.
+    """
+    packed = np.packbits(words, axis=1)
+    for i in range(packed.shape[0]):
+        yield np.bitwise_count(packed[i + 1:] ^ packed[i]).sum(axis=1, dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class SeparatedSet:
     """Binary words with pairwise Hamming distance at least ``D/8``.
@@ -242,10 +257,9 @@ class SeparatedSet:
         w = w.astype(np.uint8)
         if np.any(w[0] != 0):
             raise ValidationError("the first word must be all zeros")
-        dist = (w[:, None, :] != w[None, :, :]).sum(axis=2)
-        off = ~np.eye(w.shape[0], dtype=bool)
-        # real-valued threshold D/8, checked exactly in integers as 8*dist >= D
-        if np.any(8 * dist[off] < w.shape[1]):
+        # real-valued threshold D/8, checked exactly in integers as 8*dist >= D;
+        # loaded sets need not be linear, so every pair is checked
+        if any(np.any(8 * d < w.shape[1]) for d in _pair_distances(w)):
             raise ValidationError(
                 f"words are not pairwise {w.shape[1]}/8-separated"
             )
@@ -266,63 +280,29 @@ class SeparatedSet:
         return self.words.shape[1] / 8.0
 
 
-def _greedy_scan_u64(n_bits: int, n_words: int) -> list[int]:
-    """First-fit scan in lexicographic (= integer) order, vectorised.
-
-    Chunks of candidate integers are filtered against all previously
-    accepted words with hardware popcounts; survivors are then checked
-    against each other in order.
-    """
-    thr = (n_bits + 7) // 8  # 8*d >= n_bits  <=>  d >= ceil(n_bits/8) for integer d
-    accepted: list[int] = [0]
-    total = 1 << n_bits
-    start = 1
-    chunk = 1 << 14
-    while len(accepted) < n_words and start < total:
-        stop = min(start + chunk, total)
-        cand = np.arange(start, stop, dtype=np.uint64)
-        for a in np.array(accepted, dtype=np.uint64):
-            if cand.size == 0:
-                break
-            cand = cand[np.bitwise_count(cand ^ a) >= thr]
-        new: list[int] = []
-        for w in cand.tolist():
-            if all((w ^ v).bit_count() >= thr for v in new):
-                new.append(w)
-                if len(accepted) + len(new) == n_words:
-                    break
-        accepted.extend(new)
-        start = stop
-    return accepted
-
-
-def _greedy_scan_int(n_bits: int, n_words: int) -> list[int]:
-    """Plain-integer fallback for word lengths beyond 64 bits."""
-    thr = (n_bits + 7) // 8
-    accepted = [0]
-    w = 1
-    total = 1 << n_bits
-    while len(accepted) < n_words and w < total:
-        if all((w ^ v).bit_count() >= thr for v in accepted):
-            accepted.append(w)
-        w += 1
-    return accepted
-
-
-def _int_to_bits(value: int, n_bits: int) -> np.ndarray:
-    return np.array([(value >> (n_bits - 1 - c)) & 1 for c in range(n_bits)], dtype=np.uint8)
-
-
 def build_separated_set(n_bits: int, n_words: int) -> SeparatedSet:
     """Greedily pack ``n_words`` binary words of length ``n_bits`` at pairwise
     Hamming distance ``n_bits/8`` or more.
 
-    The scan starts from the all-zeros word and visits candidates in
-    lexicographic order, accepting any word compatible with everything
-    accepted so far (first-fit).  A counting argument guarantees the scan
-    finds at least ``2^(n_bits/8)`` words, so the feasibility gate
-    ``2^(n_bits/8) >= n_words`` (checked exactly in integers) makes
-    exhaustion unreachable.  The output is deterministic, bit for bit.
+    The greedy packing starts from the all-zeros word and visits candidates
+    in lexicographic (= integer) order, accepting any word compatible with
+    everything accepted so far (first-fit).  Its output is the binary
+    lexicode, which is linear: word ``i`` is the XOR of the basis words
+    ``g_b`` (the words at positions ``2^b``) for the set bits of ``i``
+    (Conway & Sloane 1986, "Lexicographic codes"; Brualdi & Pless 1993,
+    "Greedy codes").  So only the ``ceil(log2 n_words)`` basis words are
+    searched.  ``g_b`` is the first integer above every word of the current
+    span at distance ``ceil(n_bits/8)`` or more from all of them, found by
+    filtering chunks of candidates with hardware popcounts; the span then
+    doubles to ``span ∪ (span ⊕ g_b)``.  Basis words are held in 64 bits,
+    and a request that would need a wider one fails with a
+    ``ValidationError``.  None up to ``n_words = 512`` comes near: the
+    widest basis word there has 26 bits.
+
+    A counting argument guarantees the greedy packing finds at least
+    ``2^(n_bits/8)`` words, so the feasibility gate ``2^(n_bits/8) >=
+    n_words`` (checked exactly in integers) makes exhaustion unreachable.
+    The output is deterministic, bit for bit.
     """
     if n_bits < 1:
         raise ValidationError(f"word length must be positive, got {n_bits}")
@@ -333,14 +313,35 @@ def build_separated_set(n_bits: int, n_words: int) -> SeparatedSet:
             f"infeasible request: need 2^({n_bits}/8) >= {n_words} "
             f"(exactly: 2^{n_bits} >= {n_words}^8) to pack the set"
         )
-    scan = _greedy_scan_u64 if n_bits <= 64 else _greedy_scan_int
-    accepted = scan(n_bits, n_words)
-    if len(accepted) < n_words:
+    thr = (n_bits + 7) // 8  # 8*d >= n_bits  <=>  d >= ceil(n_bits/8) for integer d
+    limit = min(1 << n_bits, 1 << 64)
+    chunk = 1 << 14
+    span = np.zeros(1, dtype=np.uint64)
+    start = 1
+    while span.size < n_words and start < limit:
+        cand = np.arange(start, min(start + chunk, limit), dtype=np.uint64)
+        for v in span:
+            cand = cand[np.bitwise_count(cand ^ v) >= thr]
+            if cand.size == 0:
+                break
+        if cand.size:
+            span = np.concatenate((span, span ^ cand[0]))
+            start = int(span.max()) + 1
+        else:
+            start += chunk
+    if span.size < n_words:
+        if limit < 1 << n_bits:
+            raise ValidationError(
+                f"a separated set of {n_words} words of length {n_bits} needs a "
+                f"lexicode basis word wider than 64 bits"
+            )
         raise RuntimeError(
             f"greedy scan exhausted all 2^{n_bits} words after finding only "
-            f"{len(accepted)} of {n_words}"
+            f"{span.size} of {n_words}"
         )
-    return SeparatedSet(np.stack([_int_to_bits(v, n_bits) for v in accepted]))
+    # right-aligned, most significant bit first; bits above 64 are zero
+    bits = np.unpackbits(span[:n_words].astype(">u8").view(np.uint8).reshape(-1, 8), axis=1)
+    return SeparatedSet(np.pad(bits, ((0, 0), (max(0, n_bits - 64), 0)))[:, -n_bits:])
 
 
 def save_separated_set(words: SeparatedSet, path) -> None:
@@ -352,8 +353,8 @@ def save_separated_set(words: SeparatedSet, path) -> None:
 
 def load_separated_set(path) -> SeparatedSet:
     lines = [ln.strip() for ln in Path(path).read_text().splitlines() if ln.strip()]
-    if not lines or any(set(ln) - {"0", "1"} for ln in lines):
-        raise ValidationError(f"{path}: expected lines of 0/1 strings")
+    if not lines or any(set(ln) - {"0", "1"} or len(ln) != len(lines[0]) for ln in lines):
+        raise ValidationError(f"{path}: expected lines of 0/1 strings of one length")
     return SeparatedSet(np.array([[int(c) for c in ln] for ln in lines], dtype=np.uint8))
 
 
@@ -362,21 +363,34 @@ def load_separated_set(path) -> SeparatedSet:
 # ---------------------------------------------------------------------------
 
 
-def analytic_hellinger_sq(family: PerturbationFamily, word1, word2) -> float:
-    """Exact squared Hellinger distance between two family members."""
-    rho = hamming_distance(
-        _check_word(word1, family.n_bumps), _check_word(word2, family.n_bumps)
-    )
+def _hellinger_sq(family: PerturbationFamily, rho):
+    """Squared Hellinger distance at Hamming distance ``rho`` (scalar or array)."""
     a = family.bump_height
     return (rho / family.n_bumps) * (2.0 - math.sqrt(1.0 + a) - math.sqrt(1.0 - a))
 
 
+def _kl_product(family: PerturbationFamily, active, n: int):
+    """Product KL of a member with ``active`` bumps (scalar or array) vs. uniform."""
+    a = family.bump_height
+    per_bump = (1.0 + a) * math.log1p(a)
+    if a < 1.0:
+        per_bump += (1.0 - a) * math.log1p(-a)
+    return n * active * per_bump / (2.0 * family.n_bumps)
+
+
+def _word_distance(family: PerturbationFamily, word1, word2) -> int:
+    w1 = _check_word(word1, family.n_bumps)
+    return int(np.count_nonzero(w1 != _check_word(word2, family.n_bumps)))
+
+
+def analytic_hellinger_sq(family: PerturbationFamily, word1, word2) -> float:
+    """Exact squared Hellinger distance between two family members."""
+    return _hellinger_sq(family, _word_distance(family, word1, word2))
+
+
 def analytic_l1(family: PerturbationFamily, word1, word2) -> float:
     """Exact L1 distance between two family members."""
-    rho = hamming_distance(
-        _check_word(word1, family.n_bumps), _check_word(word2, family.n_bumps)
-    )
-    return family.amplitude * rho / (family.n_bumps ** 2)
+    return family.amplitude * _word_distance(family, word1, word2) / (family.n_bumps ** 2)
 
 
 def analytic_kl_product(family: PerturbationFamily, word, n: int) -> float:
@@ -389,13 +403,8 @@ def analytic_kl_product(family: PerturbationFamily, word, n: int) -> float:
     """
     if n < 0:
         raise ValidationError(f"sample size must be nonnegative, got {n}")
-    w = _check_word(word, family.n_bumps)
-    active = int(np.count_nonzero(w))
-    a = family.bump_height
-    per_bump = (1.0 + a) * math.log1p(a)
-    if a < 1.0:
-        per_bump += (1.0 - a) * math.log1p(-a)
-    return n * active * per_bump / (2.0 * family.n_bumps)
+    active = int(np.count_nonzero(_check_word(word, family.n_bumps)))
+    return _kl_product(family, active, n)
 
 
 @dataclass(frozen=True)
@@ -469,28 +478,18 @@ def audit_hypotheses(
     kl_budget = log_m / 16.0
     sep_floor = (HELLINGER_CURVATURE / 64.0) * log_m / n
 
-    checks = []
-    for i in range(words.size):
-        achieved = analytic_kl_product(family, words.words[i], n)
-        checks.append(
-            AuditCheck(
-                name=f"kl_budget[word={i}]",
-                bound=kl_budget,
-                achieved=achieved,
-                passed=achieved <= kl_budget,
-            )
-        )
-    for i in range(words.size):
-        for j in range(i + 1, words.size):
-            achieved = analytic_hellinger_sq(family, words.words[i], words.words[j])
-            checks.append(
-                AuditCheck(
-                    name=f"hellinger_separation[pair=({i},{j})]",
-                    bound=sep_floor,
-                    achieved=achieved,
-                    passed=achieved >= sep_floor,
-                )
-            )
+    # object dtype keeps n * active an exact Python int, as in analytic_kl_product
+    active = np.count_nonzero(words.words, axis=1).astype(object)
+    kl = _kl_product(family, active, n).tolist()
+    sep = _hellinger_sq(family, np.concatenate(list(_pair_distances(words.words)))).tolist()
+    rows, cols = np.triu_indices(words.size, 1)
+    checks = [
+        AuditCheck(f"kl_budget[word={i}]", kl_budget, v, v <= kl_budget)
+        for i, v in enumerate(kl)
+    ] + [
+        AuditCheck(f"hellinger_separation[pair=({i},{j})]", sep_floor, v, v >= sep_floor)
+        for i, j, v in zip(rows.tolist(), cols.tolist(), sep)
+    ]
     return AuditReport(
         family_size=family.family_size,
         sample_size=n,

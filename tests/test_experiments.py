@@ -322,9 +322,10 @@ class TestRateStudy:
 
 class TestLowerboundAuditRunner:
     def test_tuned_audit_passes(self):
-        report = run_lowerbound_audit(16, 1000, 2.0)
+        words, report = run_lowerbound_audit(16, 1000, 2.0)
         assert report.all_pass
         assert report.family_size == 16 and report.sample_size == 1000
+        assert words.size == 16 and words.word_length == report.n_bumps
 
     def test_infeasible_parameters_error(self):
         with pytest.raises(ValidationError):

@@ -1,0 +1,271 @@
+"""The separated set as a linear lexicode, and the vectorised audit.
+
+``build_separated_set`` searches only the basis words of the lexicode and
+XORs the rest; ``audit_hypotheses`` takes every pair distance from packed
+rows and evaluates the closed forms on arrays.  Both are checked here
+against frozen copies of the code they replaced: the chunked first-fit
+scanner (``_old_greedy_scan``) and the per-word, per-pair audit loop
+(``_old_audit``).
+"""
+
+import json
+import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import densagg
+from densagg import (
+    HELLINGER_CURVATURE,
+    AuditCheck,
+    AuditReport,
+    SeparatedSet,
+    ValidationError,
+    audit_hypotheses,
+    build_separated_set,
+    choose_parameters,
+    load_separated_set,
+    min_bump_count,
+    save_separated_set,
+)
+from densagg.lowerbound import _pair_distances
+
+# ---------------------------------------------------------------------------
+# Frozen copies of the replaced code
+# ---------------------------------------------------------------------------
+
+
+def _old_greedy_scan(n_bits, n_words):
+    thr = (n_bits + 7) // 8
+    accepted = [0]
+    total = 1 << n_bits
+    start = 1
+    chunk = 1 << 14
+    while len(accepted) < n_words and start < total:
+        stop = min(start + chunk, total)
+        cand = np.arange(start, stop, dtype=np.uint64)
+        for a in np.array(accepted, dtype=np.uint64):
+            if cand.size == 0:
+                break
+            cand = cand[np.bitwise_count(cand ^ a) >= thr]
+        new = []
+        for w in cand.tolist():
+            if all((w ^ v).bit_count() >= thr for v in new):
+                new.append(w)
+                if len(accepted) + len(new) == n_words:
+                    break
+        accepted.extend(new)
+        start = stop
+    return accepted
+
+
+def _old_int_scan(n_bits, n_words):
+    thr = (n_bits + 7) // 8
+    accepted = [0]
+    w = 1
+    while len(accepted) < n_words and w < 1 << n_bits:
+        if all((w ^ v).bit_count() >= thr for v in accepted):
+            accepted.append(w)
+        w += 1
+    return accepted
+
+
+def _old_bits(values, n_bits):
+    return np.array(
+        [[(v >> (n_bits - 1 - c)) & 1 for c in range(n_bits)] for v in values], dtype=np.uint8
+    )
+
+
+def _old_audit(family, words, n):
+    D, a = family.n_bumps, family.bump_height
+    log_m = math.log(family.family_size)
+    kl_budget = log_m / 16.0
+    sep_floor = (HELLINGER_CURVATURE / 64.0) * log_m / n
+    per_bump = (1.0 + a) * math.log1p(a)
+    if a < 1.0:
+        per_bump += (1.0 - a) * math.log1p(-a)
+    checks = []
+    for i in range(words.size):
+        achieved = n * int(np.count_nonzero(words.words[i])) * per_bump / (2.0 * D)
+        checks.append(AuditCheck(f"kl_budget[word={i}]", kl_budget, achieved, achieved <= kl_budget))
+    for i in range(words.size):
+        for j in range(i + 1, words.size):
+            rho = int(np.count_nonzero(words.words[i] != words.words[j]))
+            achieved = (rho / D) * (2.0 - math.sqrt(1.0 + a) - math.sqrt(1.0 - a))
+            checks.append(
+                AuditCheck(
+                    f"hellinger_separation[pair=({i},{j})]", sep_floor, achieved,
+                    achieved >= sep_floor,
+                )
+            )
+    return AuditReport(
+        family_size=family.family_size,
+        sample_size=n,
+        sup_bound=family.bound,
+        n_bumps=family.n_bumps,
+        amplitude=family.amplitude,
+        checks=tuple(checks),
+    )
+
+
+def _max_words(n_bits):
+    """Largest ``m`` with ``m^8 <= 2^n_bits``."""
+    m = 1
+    while (m + 1) ** 8 <= 1 << n_bits:
+        m += 1
+    return m
+
+
+def _dump(report):
+    return json.dumps(report.to_dict(), indent=2) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Construction
+# ---------------------------------------------------------------------------
+
+
+class TestLexicode:
+    def test_family_words_match_the_old_scan_for_every_m_to_256(self):
+        by_bits = {}
+        for m in range(2, 257):
+            by_bits.setdefault(min_bump_count(m), []).append(m)
+        for n_bits, sizes in by_bits.items():
+            oracle = _old_bits(_old_greedy_scan(n_bits, max(sizes)), n_bits)
+            for m in sizes:
+                assert np.array_equal(build_separated_set(n_bits, m).words, oracle[:m]), m
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 64), st.data())
+    def test_words_match_the_old_scan_off_the_family_curve(self, n_bits, data):
+        n_words = data.draw(st.integers(1, _max_words(n_bits)))
+        assume(n_words == 1 or n_bits != min_bump_count(n_words))
+        sep = build_separated_set(n_bits, n_words)
+        assert np.array_equal(sep.words, _old_bits(_old_greedy_scan(n_bits, n_words), n_bits))
+
+    @pytest.mark.parametrize("n_bits,n_words", [(65, 2), (65, 16), (72, 8), (80, 4)])
+    def test_wide_words_match_the_plain_integer_scan(self, n_bits, n_words):
+        sep = build_separated_set(n_bits, n_words)
+        assert np.array_equal(sep.words, _old_bits(_old_int_scan(n_bits, n_words), n_bits))
+
+    def test_set_of_one_is_the_zero_word(self):
+        assert np.array_equal(build_separated_set(5, 1).words, [[0] * 5])
+
+
+# ---------------------------------------------------------------------------
+# Pair distances and the certificate of loaded sets
+# ---------------------------------------------------------------------------
+
+
+class TestPairDistances:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 30), st.integers(1, 80), st.integers(0, 2**32 - 1))
+    def test_match_brute_force_in_row_major_order(self, m, n_bits, seed):
+        words = np.random.default_rng(seed).integers(0, 2, size=(m, n_bits), dtype=np.uint8)
+        expected = [
+            int(np.count_nonzero(words[i] != words[j]))
+            for i in range(m)
+            for j in range(i + 1, m)
+        ]
+        got = np.concatenate(list(_pair_distances(words)))
+        assert got.tolist() == expected
+
+    def test_accepts_a_separated_nonlinear_set(self):
+        # 0, 3, 12, 48 in 16 bits: 3 ^ 12 = 15 is not in the set
+        words = [[0] * 16, [0] * 14 + [1] * 2, [0] * 12 + [1] * 2 + [0] * 2,
+                 [0] * 10 + [1] * 2 + [0] * 4]
+        assert SeparatedSet(np.array(words)).size == 4
+
+    def test_rejects_a_nonlinear_set_that_fails_only_between_nonzero_words(self, tmp_path):
+        # every word has weight >= 2, but the last two are at distance 1
+        p = tmp_path / "words.txt"
+        p.write_text("0" * 16 + "\n" + "0" * 14 + "11\n" + "0" * 12 + "1100\n"
+                     + "0" * 12 + "1110\n")
+        with pytest.raises(ValidationError, match="separated"):
+            load_separated_set(p)
+
+    def test_loaded_set_certifies_in_bounded_memory(self, tmp_path):
+        rng = np.random.default_rng(11)
+        words = rng.integers(0, 2, size=(1024, 80), dtype=np.uint8)
+        words[0] = 0
+        p = tmp_path / "words.txt"
+        save_separated_set(SeparatedSet(words), p)
+        tracemalloc.start()
+        try:
+            loaded = load_separated_set(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded.words, words)
+        # one (m, m, D) bool tensor of all pairs would take 84 MB
+        assert 1024 * 1024 * 80 > 64 * 2**20
+        assert peak < 16 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# The audit
+# ---------------------------------------------------------------------------
+
+
+class TestVectorisedAudit:
+    @pytest.mark.parametrize("m", [16, 64, 256])
+    def test_report_json_is_byte_identical_to_the_old_audit(self, m, tmp_path):
+        family = choose_parameters(m, 1000, 2.0)
+        words = build_separated_set(family.n_bumps, m)
+        report = audit_hypotheses(family, words, 1000)
+        report.save(tmp_path / "audit.json")
+        assert (tmp_path / "audit.json").read_text() == _dump(_old_audit(family, words, 1000))
+        assert report == _old_audit(family, words, 1000)
+
+    def test_failing_checks_match_the_old_audit(self):
+        family = choose_parameters(16, 1000, 2.0)
+        words = build_separated_set(family.n_bumps, 16)
+        for fam, n in ((replace(family, amplitude=6 * family.amplitude), 1000), (family, 3)):
+            report = audit_hypotheses(fam, words, n)
+            assert not report.all_pass
+            assert report == _old_audit(fam, words, n)
+
+    def test_nonlinear_set_matches_the_old_audit(self):
+        family = choose_parameters(16, 1000, 2.0)
+        kept = [np.zeros(family.n_bumps, dtype=np.uint8)]
+        for w in np.random.default_rng(5).integers(0, 2, size=(60, family.n_bumps), dtype=np.uint8):
+            if all(8 * np.count_nonzero(w != v) >= family.n_bumps for v in kept):
+                kept.append(w)
+        words = SeparatedSet(np.array(kept))
+        assert words.size > 16
+        assert audit_hypotheses(family, words, 1000) == _old_audit(family, words, 1000)
+
+    def test_large_sample_size_stays_exact(self):
+        family = choose_parameters(16, 10**19, 2.0)
+        words = build_separated_set(family.n_bumps, 16)
+        assert audit_hypotheses(family, words, 10**19) == _old_audit(family, words, 10**19)
+
+    def test_check_fields_are_python_scalars(self):
+        family = choose_parameters(8, 100, 2.0)
+        report = audit_hypotheses(family, build_separated_set(family.n_bumps, 8), 100)
+        for check in report.checks:
+            assert type(check.bound) is float and type(check.achieved) is float
+            assert type(check.passed) is bool
+
+
+def test_audit_past_256_words_finishes(tmp_path):
+    src = str(Path(densagg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "audit.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "densagg.cli", "lowerbound-audit", "--M", "257", "--n", "1000",
+         "--A", "2", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(out.read_text())
+    assert report["D"] == 65 and report["all_pass"] is True
+    assert len(report["checks"]) == 257 + 257 * 256 // 2

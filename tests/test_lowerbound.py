@@ -244,8 +244,8 @@ class TestSeparatedSet:
         with pytest.raises(ValidationError, match="2\\^"):
             build_separated_set(8, 3)  # needs 2^(8/8) >= 3
 
-    def test_wide_words_use_plain_integers(self):
-        # above 64 bits the scan falls back to python ints
+    def test_words_wider_than_64_bits(self):
+        # basis words are searched in 64 bits; the leading columns stay zero
         sep = build_separated_set(72, 2)
         assert sep.size == 2
         assert np.all(sep.words[1][:63] == 0) and np.all(sep.words[1][63:] == 1)
@@ -268,6 +268,12 @@ class TestSeparatedSet:
         p = tmp_path / "bad.txt"
         p.write_text("0101\n01x1\n")
         with pytest.raises(ValidationError):
+            load_separated_set(p)
+
+    def test_load_rejects_ragged_words(self, tmp_path):
+        p = tmp_path / "ragged.txt"
+        p.write_text("0000\n011\n")
+        with pytest.raises(ValidationError, match="ragged.txt"):
             load_separated_set(p)
 
 
