@@ -23,8 +23,10 @@ The pieces:
   integrators of :mod:`densagg.densities` must reproduce.
 * :func:`audit_hypotheses` — checks every hypothesis the lower-bound
   argument needs (KL budget per word, Hellinger separation per pair) and
-  reports each check with its margin.  Pair distances come from packed
-  rows and popcounts, one row against all later rows at a time.
+  reports each check with its margin.  Each check depends only on its
+  class (active bumps, or Hamming distance), so the closed forms run once
+  per class; pair distances come from packed rows and popcounts, one row
+  against all later rows at a time, whenever the report is read or saved.
 
 Closed forms (``a = amplitude / D`` is the bump height, ``ρ`` the Hamming
 distance, ``s`` the number of active bumps):
@@ -39,12 +41,20 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .densities import PiecewiseDensity, PiecewiseFunction, ValidationError
+from .densities import (
+    PiecewiseDensity,
+    PiecewiseFunction,
+    ValidationError,
+    _arrays_equal,
+    _arrays_hash,
+)
 
 __all__ = [
     "HELLINGER_CURVATURE",
@@ -128,6 +138,18 @@ class PerturbationFamily:
         return self.amplitude / self.n_bumps
 
 
+def _check_sample_size(n: int, n_bumps: int) -> None:
+    """``n`` is positive, and small enough that ``n * D``, the largest
+    product-KL numerator, converts to a finite float."""
+    if n < 1:
+        raise ValidationError(f"sample size must be positive, got {n}")
+    if n * n_bumps > sys.float_info.max:
+        raise ValidationError(
+            f"sample size too large: n * D must be at most {sys.float_info.max!r} "
+            f"for D = {n_bumps}"
+        )
+
+
 def choose_parameters(family_size: int, sample_size: int, bound: float) -> PerturbationFamily:
     """Tune a perturbation family to ``(M, n, A)``.
 
@@ -141,8 +163,8 @@ def choose_parameters(family_size: int, sample_size: int, bound: float) -> Pertu
     """
     if family_size < 2:
         raise ValidationError(f"family size must be at least 2, got {family_size}")
-    if sample_size < 1:
-        raise ValidationError(f"sample size must be positive, got {sample_size}")
+    n_bumps = min_bump_count(family_size)
+    _check_sample_size(sample_size, n_bumps)
     if not bound > 1.0:
         raise ValidationError(f"sup bound must exceed 1, got {bound!r}")
     margin = min(1.0, bound - 1.0)
@@ -152,7 +174,6 @@ def choose_parameters(family_size: int, sample_size: int, bound: float) -> Pertu
             f"but log({family_size}) = {math.log(family_size):.6g} > "
             f"{16.0 * margin * margin * sample_size:.6g}"
         )
-    n_bumps = min_bump_count(family_size)
     amplitude = (n_bumps / 4.0) * math.sqrt(math.log(family_size) / sample_size)
     return PerturbationFamily(
         n_bumps=n_bumps,
@@ -237,13 +258,13 @@ def _pair_distances(words: np.ndarray):
         yield np.bitwise_count(packed[i + 1:] ^ packed[i]).sum(axis=1, dtype=np.int64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeparatedSet:
     """Binary words with pairwise Hamming distance at least ``D/8``.
 
     ``words`` is an ``(m, D)`` 0/1 matrix whose first row is the all-zeros
     word.  The separation property is re-verified on construction, so any
-    instance in hand is certified.
+    instance in hand is certified.  Two sets are equal when their words are.
     """
 
     words: np.ndarray
@@ -265,6 +286,12 @@ class SeparatedSet:
             )
         w.setflags(write=False)
         object.__setattr__(self, "words", w)
+
+    def __eq__(self, other):
+        return _arrays_equal(self, other, ("words",))
+
+    def __hash__(self):
+        return _arrays_hash(self, ("words",))
 
     @property
     def size(self) -> int:
@@ -419,20 +446,73 @@ class AuditCheck:
 
 @dataclass(frozen=True)
 class AuditReport:
-    """Every hypothesis the lower-bound argument rests on, with margins."""
+    """Every hypothesis the lower-bound argument rests on, with margins.
 
-    family_size: int
+    A check's value, verdict and JSON record depend only on its class: the
+    number of active bumps of a word (KL checks) or the Hamming distance of
+    a pair (separation checks), each in ``0..D``.  So the report keeps the
+    family, the sample size, the words and one ``(bound, achieved, passed)``
+    entry per class and kind.  :attr:`checks` names every check on first
+    read; :meth:`save` streams the JSON one row of words at a time, in
+    memory linear in ``M``.  Two reports are equal when their family,
+    sample size, words and class tables are; ``SeparatedSet`` compares its
+    words by value, so the generated ``==`` and ``hash`` hold.
+    """
+
+    family: PerturbationFamily
     sample_size: int
-    sup_bound: float
-    n_bumps: int
-    amplitude: float
-    checks: tuple[AuditCheck, ...]
+    words: SeparatedSet
+    kl_classes: tuple[tuple[float, float, bool], ...]
+    sep_classes: tuple[tuple[float, float, bool], ...]
 
     @property
-    def all_pass(self) -> bool:
-        return all(c.passed for c in self.checks)
+    def family_size(self) -> int:
+        return self.family.family_size
 
-    def to_dict(self) -> dict:
+    @property
+    def sup_bound(self) -> float:
+        return self.family.bound
+
+    @property
+    def n_bumps(self) -> int:
+        return self.family.n_bumps
+
+    @property
+    def amplitude(self) -> float:
+        return self.family.amplitude
+
+    def _rows(self, kl, sep):
+        """Yield the checks in report order, one row at a time, as
+        ``(prefix, suffixes, entries)``: check ``k`` of a row is named
+        ``prefix + suffixes[k]``, and ``entries[k]`` is its class's entry of
+        ``kl`` (indexed by active bumps) or ``sep`` (indexed by Hamming
+        distance).  The first row holds every word's KL check; then each
+        word's row holds its separation checks against the later words.
+        """
+        w = self.words.words
+        m = w.shape[0]
+        active = np.count_nonzero(w, axis=1).tolist()
+        yield "kl_budget[word=", [f"{j}]" for j in range(m)], list(map(kl.__getitem__, active))
+        later = [f"{j})]" for j in range(m)]
+        for i, dist in enumerate(_pair_distances(w)):
+            yield (f"hellinger_separation[pair=({i},", later[i + 1:],
+                   list(map(sep.__getitem__, dist.tolist())))
+
+    @cached_property
+    def checks(self) -> tuple[AuditCheck, ...]:
+        return tuple(
+            AuditCheck(prefix + suffix, *entry)
+            for prefix, suffixes, entries in self._rows(self.kl_classes, self.sep_classes)
+            for suffix, entry in zip(suffixes, entries)
+        )
+
+    @cached_property
+    def all_pass(self) -> bool:
+        """Whether the check of every class that occurs passes."""
+        verdicts = [[e[2] for e in t] for t in (self.kl_classes, self.sep_classes)]
+        return all(all(entries) for _, _, entries in self._rows(*verdicts))
+
+    def _header(self) -> dict:
         return {
             "M": self.family_size,
             "n": self.sample_size,
@@ -440,6 +520,11 @@ class AuditReport:
             "D": self.n_bumps,
             "L": self.amplitude,
             "curvature_const": HELLINGER_CURVATURE,
+        }
+
+    def to_dict(self) -> dict:
+        return {
+            **self._header(),
             "checks": [
                 {
                     "name": c.name,
@@ -453,7 +538,30 @@ class AuditReport:
         }
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
+        """Write ``json.dumps(self.to_dict(), indent=2) + "\\n"``, byte for
+        byte, without building it: each class's record tail is rendered once
+        by ``json.dumps`` and the records go out one row at a time."""
+        tails = [
+            [
+                f'",\n      "bound": {json.dumps(bound)},\n      "achieved": '
+                f'{json.dumps(achieved)},\n      "pass": {json.dumps(passed)}\n    }}'
+                for bound, achieved, passed in table
+            ]
+            for table in (self.kl_classes, self.sep_classes)
+        ]
+        head = ',\n    {\n      "name": "'
+        chunks = (
+            head + prefix + (head + prefix).join(map(str.__add__, suffixes, entries))
+            for prefix, suffixes, entries in self._rows(*tails)
+            if entries
+        )
+        with open(path, "w") as fh:
+            # the header's closing "\n}" gives way to the checks; the first
+            # record (a KL check: there is always one word) drops its comma
+            fh.write(json.dumps(self._header(), indent=2)[:-2] + ',\n  "checks": [')
+            fh.write(next(chunks)[1:])
+            fh.writelines(chunks)
+            fh.write(f'\n  ],\n  "all_pass": {json.dumps(self.all_pass)}\n}}\n')
 
 
 def audit_hypotheses(
@@ -466,9 +574,11 @@ def audit_hypotheses(
     pair, the squared Hellinger separation must reach
     ``(c/64) * log(M)/n`` with ``c = HELLINGER_CURVATURE``.  Each check is
     reported individually, so a violation points at the exact word or pair.
+    The closed forms are evaluated once per class (active bumps, Hamming
+    distance), elementwise, so each value is the one a per-check
+    evaluation gives.
     """
-    if n < 1:
-        raise ValidationError(f"sample size must be positive, got {n}")
+    _check_sample_size(n, family.n_bumps)
     if words.word_length != family.n_bumps:
         raise ValidationError(
             f"word length {words.word_length} does not match the family's "
@@ -478,23 +588,14 @@ def audit_hypotheses(
     kl_budget = log_m / 16.0
     sep_floor = (HELLINGER_CURVATURE / 64.0) * log_m / n
 
+    classes = np.arange(family.n_bumps + 1)
     # object dtype keeps n * active an exact Python int, as in analytic_kl_product
-    active = np.count_nonzero(words.words, axis=1).astype(object)
-    kl = _kl_product(family, active, n).tolist()
-    sep = _hellinger_sq(family, np.concatenate(list(_pair_distances(words.words)))).tolist()
-    rows, cols = np.triu_indices(words.size, 1)
-    checks = [
-        AuditCheck(f"kl_budget[word={i}]", kl_budget, v, v <= kl_budget)
-        for i, v in enumerate(kl)
-    ] + [
-        AuditCheck(f"hellinger_separation[pair=({i},{j})]", sep_floor, v, v >= sep_floor)
-        for i, j, v in zip(rows.tolist(), cols.tolist(), sep)
-    ]
+    kl = _kl_product(family, classes.astype(object), n).tolist()
+    sep = _hellinger_sq(family, classes).tolist()
     return AuditReport(
-        family_size=family.family_size,
+        family=family,
         sample_size=n,
-        sup_bound=family.bound,
-        n_bumps=family.n_bumps,
-        amplitude=family.amplitude,
-        checks=tuple(checks),
+        words=words,
+        kl_classes=tuple((kl_budget, v, v <= kl_budget) for v in kl),
+        sep_classes=tuple((sep_floor, v, v >= sep_floor) for v in sep),
     )

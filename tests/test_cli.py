@@ -192,6 +192,26 @@ class TestLowerboundAuditCommand:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", [10**308, 10**309], ids=["1e308", "1e309"])
+    def test_huge_sample_size_exits_1(self, tmp_path, capsys, n):
+        # 10^309 overflowed the feasibility gate; 10^308 passed it and
+        # overflowed the audit's n * D
+        code = main([
+            "lowerbound-audit", "--M", "16", "--n", str(n), "--A", "2",
+            "--out", str(tmp_path / "audit.json"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: sample size too large")
+
+    def test_sample_size_of_ten_to_the_nineteen_stays_exact(self, tmp_path):
+        out = tmp_path / "audit.json"
+        code = main([
+            "lowerbound-audit", "--M", "16", "--n", str(10**19), "--A", "2",
+            "--out", str(out),
+        ])
+        assert code == 0
+        assert json.loads(out.read_text())["n"] == 10**19
+
 
 class TestExperimentCommands:
     def test_oracle_exp_writes_passing_report(self, tmp_path):

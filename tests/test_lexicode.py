@@ -1,11 +1,12 @@
-"""The separated set as a linear lexicode, and the vectorised audit.
+"""The separated set as a linear lexicode, and the audit by distance class.
 
 ``build_separated_set`` searches only the basis words of the lexicode and
-XORs the rest; ``audit_hypotheses`` takes every pair distance from packed
-rows and evaluates the closed forms on arrays.  Both are checked here
-against frozen copies of the code they replaced: the chunked first-fit
-scanner (``_old_greedy_scan``) and the per-word, per-pair audit loop
-(``_old_audit``).
+XORs the rest; ``audit_hypotheses`` evaluates the closed forms once per
+class (active bumps, Hamming distance), and ``AuditReport.save`` streams
+the JSON row by row.  They are checked here against frozen copies of the
+code they replaced: the chunked first-fit scanner (``_old_greedy_scan``),
+the per-word, per-pair audit loop (``_old_audit``) and the whole-report
+``json.dumps`` writer (``_old_save``).
 """
 
 import json
@@ -26,7 +27,6 @@ import densagg
 from densagg import (
     HELLINGER_CURVATURE,
     AuditCheck,
-    AuditReport,
     SeparatedSet,
     ValidationError,
     audit_hypotheses,
@@ -106,14 +106,76 @@ def _old_audit(family, words, n):
                     achieved >= sep_floor,
                 )
             )
-    return AuditReport(
-        family_size=family.family_size,
-        sample_size=n,
-        sup_bound=family.bound,
-        n_bumps=family.n_bumps,
-        amplitude=family.amplitude,
-        checks=tuple(checks),
-    )
+    header = {
+        "M": family.family_size,
+        "n": n,
+        "A": family.bound,
+        "D": family.n_bumps,
+        "L": family.amplitude,
+        "curvature_const": HELLINGER_CURVATURE,
+    }
+    return header, tuple(checks)
+
+
+def _old_save(header, checks):
+    """The bytes the whole-report writer produced for ``_old_audit``'s output."""
+    return json.dumps(
+        {
+            **header,
+            "checks": [
+                {"name": c.name, "bound": c.bound, "achieved": c.achieved, "pass": c.passed}
+                for c in checks
+            ],
+            "all_pass": all(c.passed for c in checks),
+        },
+        indent=2,
+    ) + "\n"
+
+
+def _assert_matches_old_audit(report, family, words, n, path):
+    header, checks = _old_audit(family, words, n)
+    assert report.checks == checks
+    assert report.all_pass == all(c.passed for c in checks)
+    assert report.to_dict() == json.loads(_old_save(header, checks))
+    assert [report.family_size, report.sample_size, report.sup_bound, report.n_bumps,
+            report.amplitude] == [header[k] for k in ("M", "n", "A", "D", "L")]
+    report.save(path)
+    expected = _old_save(header, checks).encode()
+    assert path.read_bytes() == expected
+    assert _dump(report).encode() == expected
+
+
+def _random_separated_set(n_bits, m, seed):
+    """A separated set that is not a lexicode: the zero word, then random
+    words kept first-fit."""
+    rng = np.random.default_rng(seed)
+    kept = [np.zeros(n_bits, dtype=np.uint8)]
+    while len(kept) < m:
+        w = rng.integers(0, 2, n_bits, dtype=np.uint8)
+        if all(8 * np.count_nonzero(w != v) >= n_bits for v in kept):
+            kept.append(w)
+    return SeparatedSet(np.array(kept))
+
+
+@st.composite
+def _audit_cases(draw):
+    """``(family, words, n)``: tuned families, six-fold amplitudes (failing
+    KL checks) and too few samples (failing separations), on the lexicode
+    or on a random separated set."""
+    m = draw(st.integers(2, 80))
+    case = draw(st.sampled_from(["tuned", "loud", "undersampled"]))
+    if case == "undersampled":
+        family, n = choose_parameters(m, 1000, 2.0), draw(st.sampled_from([1, 3]))
+    else:
+        n = draw(st.sampled_from([1, 3, 1000, 10**19] if case == "tuned" else [1000, 10**19]))
+        family = choose_parameters(m, n, 2.0)
+        if case == "loud":
+            family = replace(family, amplitude=6 * family.amplitude)
+    if draw(st.booleans()):
+        words = build_separated_set(family.n_bumps, m)
+    else:
+        words = _random_separated_set(family.n_bumps, m, draw(st.integers(0, 2**32 - 1)))
+    return family, words, n
 
 
 def _max_words(n_bits):
@@ -221,19 +283,17 @@ class TestVectorisedAudit:
         family = choose_parameters(m, 1000, 2.0)
         words = build_separated_set(family.n_bumps, m)
         report = audit_hypotheses(family, words, 1000)
-        report.save(tmp_path / "audit.json")
-        assert (tmp_path / "audit.json").read_text() == _dump(_old_audit(family, words, 1000))
-        assert report == _old_audit(family, words, 1000)
+        _assert_matches_old_audit(report, family, words, 1000, tmp_path / "audit.json")
 
-    def test_failing_checks_match_the_old_audit(self):
+    def test_failing_checks_match_the_old_audit(self, tmp_path):
         family = choose_parameters(16, 1000, 2.0)
         words = build_separated_set(family.n_bumps, 16)
         for fam, n in ((replace(family, amplitude=6 * family.amplitude), 1000), (family, 3)):
             report = audit_hypotheses(fam, words, n)
             assert not report.all_pass
-            assert report == _old_audit(fam, words, n)
+            _assert_matches_old_audit(report, fam, words, n, tmp_path / "audit.json")
 
-    def test_nonlinear_set_matches_the_old_audit(self):
+    def test_nonlinear_set_matches_the_old_audit(self, tmp_path):
         family = choose_parameters(16, 1000, 2.0)
         kept = [np.zeros(family.n_bumps, dtype=np.uint8)]
         for w in np.random.default_rng(5).integers(0, 2, size=(60, family.n_bumps), dtype=np.uint8):
@@ -241,12 +301,22 @@ class TestVectorisedAudit:
                 kept.append(w)
         words = SeparatedSet(np.array(kept))
         assert words.size > 16
-        assert audit_hypotheses(family, words, 1000) == _old_audit(family, words, 1000)
+        report = audit_hypotheses(family, words, 1000)
+        _assert_matches_old_audit(report, family, words, 1000, tmp_path / "audit.json")
 
-    def test_large_sample_size_stays_exact(self):
+    def test_large_sample_size_stays_exact(self, tmp_path):
         family = choose_parameters(16, 10**19, 2.0)
         words = build_separated_set(family.n_bumps, 16)
-        assert audit_hypotheses(family, words, 10**19) == _old_audit(family, words, 10**19)
+        report = audit_hypotheses(family, words, 10**19)
+        _assert_matches_old_audit(report, family, words, 10**19, tmp_path / "audit.json")
+
+    @settings(max_examples=60, deadline=None)
+    @given(_audit_cases())
+    def test_reports_match_the_old_audit_and_writer(self, tmp_path_factory, case):
+        family, words, n = case
+        report = audit_hypotheses(family, words, n)
+        path = tmp_path_factory.getbasetemp() / "hypothesis-audit.json"
+        _assert_matches_old_audit(report, family, words, n, path)
 
     def test_check_fields_are_python_scalars(self):
         family = choose_parameters(8, 100, 2.0)
@@ -254,6 +324,39 @@ class TestVectorisedAudit:
         for check in report.checks:
             assert type(check.bound) is float and type(check.achieved) is float
             assert type(check.passed) is bool
+
+    def test_checks_are_built_once_on_first_read(self):
+        family = choose_parameters(256, 1000, 2.0)
+        report = audit_hypotheses(family, build_separated_set(family.n_bumps, 256), 1000)
+        checks = report.checks
+        assert len(checks) == 256 + 256 * 255 // 2 == 32_896
+        assert report.checks is checks
+
+    def test_audit_and_save_stream_in_bounded_memory(self, tmp_path):
+        family = choose_parameters(512, 1000, 2.0)
+        words = build_separated_set(family.n_bumps, 512)
+        path = tmp_path / "audit.json"
+        tracemalloc.start()
+        try:
+            audit_hypotheses(family, words, 1000).save(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the whole-report writer peaked at 171 MiB here
+        assert peak < 16 * 2**20
+        assert path.read_text().count('"name": ') == 512 + 512 * 511 // 2
+
+    def test_reports_and_sets_compare_by_value(self):
+        family = choose_parameters(16, 1000, 2.0)
+        words = build_separated_set(family.n_bumps, 16)
+        again = build_separated_set(family.n_bumps, 16)
+        assert words == again and hash(words) == hash(again)
+        assert words != build_separated_set(family.n_bumps, 15)
+        first = audit_hypotheses(family, words, 1000)
+        second = audit_hypotheses(family, again, 1000)
+        assert first == second and hash(first) == hash(second)
+        assert first != audit_hypotheses(family, words, 999)
+        assert len({first, second}) == 1
 
 
 def test_audit_past_256_words_finishes(tmp_path):
