@@ -11,97 +11,20 @@ The package has four layers:
 * :mod:`densagg.experiments` — seeded Monte Carlo harnesses checking the
   oracle inequality, the selector bound, and the excess-risk rate.
 
-``densagg.cli`` exposes all of it as the ``densagg`` command.
+Each layer's ``__all__`` lists its public names; the package re-exports
+them all.  ``densagg.cli`` exposes all of it as the ``densagg`` command.
 """
 
-from .densities import (
-    MASS_TOL,
-    FunctionClass,
-    PiecewiseDensity,
-    PiecewiseFunction,
-    ValidationError,
-    common_refinement,
-    hellinger_distance,
-    kl_divergence,
-    l1_distance,
-    load_densities,
-    load_density,
-    load_sample,
-    renormalize,
-    sample,
-    save_densities,
-    save_density,
-    save_sample,
-    validate_class,
-)
-from .aggregation import (
-    CandidateSet,
-    WeightTrajectory,
-    aggregate,
-    empirical_kl,
-    mixture,
-    progressive_weights,
-    yatracos_class,
-    yatracos_select,
-)
-from .lowerbound import (
-    HELLINGER_CURVATURE,
-    AuditCheck,
-    AuditReport,
-    PerturbationFamily,
-    SeparatedSet,
-    analytic_hellinger_sq,
-    analytic_kl_product,
-    analytic_l1,
-    audit_hypotheses,
-    build_separated_set,
-    bump,
-    choose_parameters,
-    hamming_distance,
-    load_separated_set,
-    min_bump_count,
-    perturbed_density,
-    save_separated_set,
-)
-from .experiments import (
-    CSV_HEADER,
-    LOSSES,
-    SLOPE_RANGE,
-    ExperimentConfig,
-    RateStudyResult,
-    RiskReport,
-    RiskRow,
-    build_candidates,
-    build_truth,
-    load_config,
-    run_lowerbound_audit,
-    run_oracle_experiment,
-    run_rate_study,
-    run_yatracos_experiment,
-)
+from . import densities, aggregation, lowerbound, experiments
+from .densities import *
+from .aggregation import *
+from .lowerbound import *
+from .experiments import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # densities
-    "MASS_TOL", "FunctionClass", "PiecewiseDensity", "PiecewiseFunction",
-    "ValidationError", "common_refinement", "hellinger_distance",
-    "kl_divergence", "l1_distance", "load_densities", "load_density",
-    "load_sample", "renormalize", "sample", "save_densities", "save_density",
-    "save_sample", "validate_class",
-    # aggregation
-    "CandidateSet", "WeightTrajectory", "aggregate", "empirical_kl",
-    "mixture", "progressive_weights", "yatracos_class", "yatracos_select",
-    # lower bound
-    "HELLINGER_CURVATURE", "AuditCheck", "AuditReport", "PerturbationFamily",
-    "SeparatedSet", "analytic_hellinger_sq", "analytic_kl_product",
-    "analytic_l1", "audit_hypotheses", "build_separated_set", "bump",
-    "choose_parameters", "hamming_distance", "load_separated_set",
-    "min_bump_count", "perturbed_density", "save_separated_set",
-    # experiments
-    "CSV_HEADER", "LOSSES", "SLOPE_RANGE", "ExperimentConfig",
-    "RateStudyResult", "RiskReport", "RiskRow", "build_candidates",
-    "build_truth", "load_config", "run_lowerbound_audit",
-    "run_oracle_experiment", "run_rate_study", "run_yatracos_experiment",
-]
+__all__ = ["__version__"]
+__all__ += densities.__all__
+__all__ += aggregation.__all__
+__all__ += lowerbound.__all__
+__all__ += experiments.__all__

@@ -35,6 +35,7 @@ from .densities import (
     save_density,
 )
 from .experiments import (
+    SLOPE_RANGE,
     load_config,
     run_lowerbound_audit,
     run_oracle_experiment,
@@ -88,14 +89,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_lowerbound_audit)
 
     for name, runner in (
-        ("oracle-exp", _cmd_oracle_exp),
-        ("yatracos-exp", _cmd_yatracos_exp),
+        ("oracle-exp", run_oracle_experiment),
+        ("yatracos-exp", run_yatracos_experiment),
     ):
         p = sub.add_parser(name, help=f"run the {name.replace('-exp', '')} experiment")
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--out", required=True, help="output report CSV")
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.set_defaults(func=runner)
+        p.set_defaults(func=_cmd_experiment, runner=runner)
 
     p = sub.add_parser("rate-study", help="fit the excess-risk rate across (M, n)")
     p.add_argument("--config", required=True, help="experiment config JSON")
@@ -134,10 +135,10 @@ def _cmd_yatracos(ns) -> int:
 
 
 def _cmd_lowerbound_audit(ns) -> int:
-    words, report = run_lowerbound_audit(ns.M, ns.n, ns.A)
+    report = run_lowerbound_audit(ns.M, ns.n, ns.A)
     report.save(ns.out)
     if ns.set_out:
-        save_separated_set(words, ns.set_out)
+        save_separated_set(report.words, ns.set_out)
     if not report.all_pass:
         failed = sum(not c.passed for c in report.checks)
         print(f"audit failed: {failed} of {len(report.checks)} checks", file=sys.stderr)
@@ -160,14 +161,8 @@ def _report_exit(report) -> int:
     return 0
 
 
-def _cmd_oracle_exp(ns) -> int:
-    report = run_oracle_experiment(_config_from(ns))
-    report.to_csv(ns.out)
-    return _report_exit(report)
-
-
-def _cmd_yatracos_exp(ns) -> int:
-    report = run_yatracos_experiment(_config_from(ns))
+def _cmd_experiment(ns) -> int:
+    report = ns.runner(_config_from(ns))
     report.to_csv(ns.out)
     return _report_exit(report)
 
@@ -178,11 +173,8 @@ def _cmd_rate_study(ns) -> int:
     Path(ns.fit_out).write_text(json.dumps(result.fit_dict(), indent=2) + "\n")
     code = _report_exit(result.report)
     if not result.slope_in_range:
-        print(
-            f"fitted slope {result.slope:.4f} outside "
-            f"[{result.fit_dict()['slope_range'][0]}, {result.fit_dict()['slope_range'][1]}]",
-            file=sys.stderr,
-        )
+        print(f"fitted slope {result.slope:.4f} outside "
+              f"[{SLOPE_RANGE[0]}, {SLOPE_RANGE[1]}]", file=sys.stderr)
         return 2
     return code
 

@@ -377,11 +377,11 @@ def validate_class(f: PiecewiseFunction, cls: FunctionClass, bound: float) -> bo
     """True iff ``f`` belongs to the class: the bound check plus the class's
     shape constraint (density / nonnegative / none).
 
-    ``bound`` must exceed 1 — otherwise no density can satisfy the sup bound
-    and the classes are empty.
+    ``bound`` must be finite, and it must exceed 1 — otherwise no density
+    can satisfy the sup bound and the classes are empty.
     """
-    if not bound > 1.0:
-        raise ValidationError(f"class bound must exceed 1, got {bound!r}")
+    if not 1.0 < bound < math.inf:
+        raise ValidationError(f"class bound must exceed 1 and be finite, got {bound!r}")
     if float(np.max(np.abs(f.values), initial=0.0)) > bound:
         return False
     if cls in (FunctionClass.DENSITY, FunctionClass.KL_CANDIDATE):

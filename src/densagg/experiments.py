@@ -39,7 +39,7 @@ import csv
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +62,6 @@ from .densities import (
 )
 from .lowerbound import (
     AuditReport,
-    SeparatedSet,
     audit_hypotheses,
     build_separated_set,
     choose_parameters,
@@ -213,34 +212,20 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
-        known = {
-            "seed", "M", "n_values", "replications", "A",
-            "truth_spec", "candidate_spec", "loss", "q", "M_values",
-        }
-        unknown = set(obj) - known
+        unknown = set(obj) - {f.name for f in fields(cls)}
         if unknown:
             raise ValidationError(f"unknown config fields: {sorted(unknown)}")
-        missing = {"seed", "M", "n_values", "replications", "A",
-                   "truth_spec", "candidate_spec"} - set(obj)
+        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(obj)
         if missing:
             raise ValidationError(f"missing config fields: {sorted(missing)}")
         return cls(**obj)
 
     def to_dict(self) -> dict:
-        out = {
-            "seed": self.seed,
-            "M": self.M,
-            "n_values": list(self.n_values),
-            "replications": self.replications,
-            "A": self.A,
-            "truth_spec": self.truth_spec,
-            "candidate_spec": self.candidate_spec,
-            "loss": self.loss,
-            "q": self.q,
-        }
-        if self.M_values is not None:
-            out["M_values"] = list(self.M_values)
-        return out
+        """The fields in order, tuples as lists; ``M_values`` only when set."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        if self.M_values is None:
+            del out["M_values"]
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in out.items()}
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
@@ -592,11 +577,9 @@ def run_rate_study(config: ExperimentConfig) -> RateStudyResult:
     )
 
 
-def run_lowerbound_audit(
-    family_size: int, sample_size: int, bound: float
-) -> tuple[SeparatedSet, AuditReport]:
-    """Tune the worst-case family for ``(M, n, A)``, audit its hypotheses,
-    and return the separated word set with the report."""
+def run_lowerbound_audit(family_size: int, sample_size: int, bound: float) -> AuditReport:
+    """Tune the worst-case family for ``(M, n, A)`` and audit its hypotheses;
+    the report's ``words`` is the separated word set audited."""
     family = choose_parameters(family_size, sample_size, bound)
     words = build_separated_set(family.n_bumps, family_size)
-    return words, audit_hypotheses(family, words, sample_size)
+    return audit_hypotheses(family, words, sample_size)

@@ -115,8 +115,8 @@ class PerturbationFamily:
     def __post_init__(self):
         if self.family_size < 2:
             raise ValidationError(f"family size must be at least 2, got {self.family_size}")
-        if not self.bound > 1.0:
-            raise ValidationError(f"sup bound must exceed 1, got {self.bound!r}")
+        if not 1.0 < self.bound < math.inf:
+            raise ValidationError(f"sup bound must exceed 1 and be finite, got {self.bound!r}")
         if self.sample_size < 1:
             raise ValidationError(f"sample size must be positive, got {self.sample_size}")
         required = min_bump_count(self.family_size)
@@ -161,12 +161,10 @@ def choose_parameters(family_size: int, sample_size: int, bound: float) -> Pertu
     ``(D/4) * sqrt(log(M)/n)``, which saturates the KL budget the
     lower-bound argument allows.
     """
-    if family_size < 2:
-        raise ValidationError(f"family size must be at least 2, got {family_size}")
     n_bumps = min_bump_count(family_size)
     _check_sample_size(sample_size, n_bumps)
-    if not bound > 1.0:
-        raise ValidationError(f"sup bound must exceed 1, got {bound!r}")
+    if not 1.0 < bound < math.inf:
+        raise ValidationError(f"sup bound must exceed 1 and be finite, got {bound!r}")
     margin = min(1.0, bound - 1.0)
     if math.log(family_size) > 16.0 * margin * margin * sample_size:
         raise ValidationError(

@@ -79,6 +79,19 @@ class TestAggregateCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("bound", ["inf", "-inf", "nan"])
+    def test_non_finite_sup_bound_exits_1(self, workdir, capsys, bound):
+        code = main([
+            "aggregate",
+            "--candidates", str(workdir / "candidates.json"),
+            "--sample", str(workdir / "sample.txt"),
+            "--out", str(workdir / "agg.json"),
+            f"--A={bound}",
+        ])
+        assert code == 1
+        assert "must exceed 1" in capsys.readouterr().err
+        assert not (workdir / "agg.json").exists()
+
     def test_single_candidate_is_rejected(self, workdir):
         (workdir / "one.json").write_text(json.dumps(TWO_STEPS[:1]))
         code = main([
@@ -191,6 +204,17 @@ class TestLowerboundAuditCommand:
         ])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bound", ["inf", "-inf", "nan"])
+    def test_non_finite_sup_bound_exits_1(self, tmp_path, capsys, bound):
+        out = tmp_path / "audit.json"
+        code = main([
+            "lowerbound-audit", "--M", "16", "--n", "1000", f"--A={bound}",
+            "--out", str(out),
+        ])
+        assert code == 1
+        assert "must exceed 1" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("n", [10**308, 10**309], ids=["1e308", "1e309"])
     def test_huge_sample_size_exits_1(self, tmp_path, capsys, n):

@@ -57,6 +57,29 @@ class TestConfig:
         cfg.save(p)
         assert load_config(p) == cfg
 
+    @pytest.mark.parametrize("with_m_values", [True, False])
+    def test_save_writes_fixed_bytes(self, tmp_path, with_m_values):
+        # keys in field order, tuples as lists, M_values only when set
+        extra = dict(M_values=(4, 8), loss="H", q=2) if with_m_values else {}
+        cfg = ExperimentConfig(
+            seed=7, M=4, n_values=(100, 200), replications=3, A=2,
+            truth_spec={"kind": "candidate", "index": 0},
+            candidate_spec={"kind": "perturbation", "n_ref": 200}, **extra,
+        )
+        p = tmp_path / "cfg.json"
+        cfg.save(p)
+        head = (
+            '{\n  "seed": 7,\n  "M": 4,\n  "n_values": [\n    100,\n    200\n  ],\n'
+            '  "replications": 3,\n  "A": 2.0,\n'
+            '  "truth_spec": {\n    "kind": "candidate",\n    "index": 0\n  },\n'
+            '  "candidate_spec": {\n    "kind": "perturbation",\n    "n_ref": 200\n  },\n'
+        )
+        if with_m_values:
+            tail = '  "loss": "H",\n  "q": 2.0,\n  "M_values": [\n    4,\n    8\n  ]\n}\n'
+        else:
+            tail = '  "loss": "KL",\n  "q": 1.0\n}\n'
+        assert p.read_bytes() == (head + tail).encode()
+
     def test_unknown_and_missing_fields(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"seed": 1, "M": 2, "bogus": True}))
@@ -322,10 +345,10 @@ class TestRateStudy:
 
 class TestLowerboundAuditRunner:
     def test_tuned_audit_passes(self):
-        words, report = run_lowerbound_audit(16, 1000, 2.0)
+        report = run_lowerbound_audit(16, 1000, 2.0)
         assert report.all_pass
         assert report.family_size == 16 and report.sample_size == 1000
-        assert words.size == 16 and words.word_length == report.n_bumps
+        assert report.words.size == 16 and report.words.word_length == report.n_bumps
 
     def test_infeasible_parameters_error(self):
         with pytest.raises(ValidationError):
