@@ -379,14 +379,15 @@ def aggregate(candidates: CandidateSet, x) -> PiecewiseDensity:
     return mixture(candidates, progressive_weights(candidates, x).averaged)
 
 
-def _aggregate_rows(candidates: CandidateSet, x: np.ndarray) -> np.ndarray:
-    """:func:`aggregate` for each row of ``x`` (R, n), as (R, cells) values on the grid.
+def _aggregate_rows(candidates: CandidateSet, cells: np.ndarray) -> np.ndarray:
+    """:func:`aggregate` for each row of ``cells`` (R, n), the shared-grid
+    cells of R samples, as (R, cells) values on the grid.
 
     The same operations as R calls of :func:`aggregate`, on (rows, R, M)
     blocks; every row is checked as :func:`aggregate` checks its result.
     """
     _check_aggregable(candidates)
-    averaged = _averaged_weights(candidates, candidates.cell_indices(x))
+    averaged = _averaged_weights(candidates, cells)
     values = _mixture_values(candidates, averaged)
     _check_density_rows(values, candidates.cell_lengths)
     return values

@@ -14,9 +14,9 @@ Subcommands
 
 Contract: results go to files only; diagnostics are single lines on
 stderr.  Exit codes: 0 success, 1 invalid input (bad flags, malformed
-files, violated preconditions), 2 a reported check failed (a ``pass=false``
-row, a failed audit, or a rate slope outside the certified range),
-3 unexpected internal error.
+files, violated preconditions, a request larger than memory), 2 a reported
+check failed (a ``pass=false`` row, a failed audit, or a rate slope outside
+the certified range), 3 unexpected internal error.
 """
 
 from __future__ import annotations
@@ -188,10 +188,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return ns.func(ns)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValidationError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # anything else is a bug, not bad input

@@ -195,15 +195,19 @@ def _cell_indices(breakpoints: np.ndarray, x, what: str) -> np.ndarray:
     pts = np.asarray(x, dtype=float)
     if pts.size and not (pts.min() >= 0.0 and pts.max() <= 1.0):
         raise ValidationError(f"{what} must be finite and lie in [0, 1]")
-    # Searching the left edges only puts x = 1 in the last cell without a clip.
-    return np.searchsorted(breakpoints[:-1], pts, side="right") - 1
+    return _cell_lookup(breakpoints, pts)
+
+
+def _cell_lookup(edges: np.ndarray, x) -> np.ndarray:
+    """Cell of each point on the nondecreasing ``edges``; searching the left
+    edges puts points at or past the last edge in the last cell."""
+    return np.searchsorted(edges[:-1], x, side="right") - 1
 
 
 def _values_on(f: PiecewiseFunction, grid: np.ndarray) -> np.ndarray:
     # Re-express f on a grid that refines f.breakpoints: the value on each
     # refined cell is f at the cell's left edge.
-    idx = np.searchsorted(f.breakpoints, grid[:-1], side="right") - 1
-    return f.values[idx]
+    return f.values[_cell_lookup(f.breakpoints, grid[:-1])]
 
 
 def common_refinement(
@@ -242,7 +246,7 @@ def _loss_cells(f: PiecewiseFunction, grid: np.ndarray, rows: np.ndarray):
     """Cell lengths of the union of ``f``'s grid and ``grid``, with ``f``'s
     values and each row's values (cell values on ``grid``) on it."""
     fine = np.union1d(f.breakpoints, grid)
-    idx = np.searchsorted(grid, fine[:-1], side="right") - 1
+    idx = _cell_lookup(grid, fine[:-1])
     # take, not rows[:, idx]: the latter is column-major, and a strided
     # row changes the summation order of the per-row dot products.
     return np.diff(fine), _values_on(f, fine), np.take(rows, idx, axis=1)
@@ -317,6 +321,9 @@ def _sample_rows(density: PiecewiseDensity, n: int, seeds) -> np.ndarray:
     """
     if n < 0:
         raise ValidationError(f"sample size must be nonnegative, got {n}")
+    if len(seeds) * n * 8 > np.iinfo(np.intp).max:  # bytes of float64 points
+        raise ValidationError(
+            f"sample too large: {len(seeds)} x {n} points exceed the largest numpy array")
     u = np.empty((len(seeds), n))
     for row, seed in zip(u, seeds):
         np.random.default_rng(seed).random(n, out=row)
@@ -325,10 +332,9 @@ def _sample_rows(density: PiecewiseDensity, n: int, seeds) -> np.ndarray:
     flat = u.reshape(-1)
     for start in range(0, flat.size, _SAMPLE_CHUNK):
         v = flat[start:start + _SAMPLE_CHUNK]
-        idx = np.searchsorted(cdf, v, side="right") - 1
-        idx = np.minimum(idx, masses.size - 1)
-        # side="right" can only land on a zero-mass cell in the measure-zero
-        # float corner v == cdf[-1]; guard the division anyway.
+        idx = _cell_lookup(cdf, v)
+        # The lookup can only land on a zero-mass cell in the float corner
+        # v >= cdf[-1]; guard the division anyway.
         m = masses[idx]
         with np.errstate(divide="ignore", invalid="ignore"):
             frac = np.where(m > 0, (v - cdf[idx]) / np.where(m > 0, m, 1.0), 0.0)
@@ -414,9 +420,16 @@ def _density_from_obj(obj, where: str) -> PiecewiseDensity:
     return PiecewiseDensity(obj["breakpoints"], obj["values"])
 
 
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not a text file ({exc})") from None
+
+
 def _load_json(path):
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON ({exc})") from None
 
@@ -446,7 +459,7 @@ def save_densities(densities, path) -> None:
 
 def load_sample(path) -> np.ndarray:
     """Read a sample file: one float per line (blank lines ignored)."""
-    lines = [ln.strip() for ln in Path(path).read_text().splitlines()]
+    lines = [ln.strip() for ln in _read_text(path).splitlines()]
     try:
         return np.array([float(ln) for ln in lines if ln], dtype=float)
     except ValueError as exc:

@@ -20,8 +20,10 @@ excess is unusable for the fit).
 
 One engine, :func:`_replication_risks`, runs every harness cell: it draws
 the samples of all replications of a (family, truth, n) cell, one
-generator stream per replication, estimates them together and scores them
-row by row.  The progressive mixture runs the block kernel of
+generator stream per replication, maps them to the candidates' grid cells
+once, estimates from the cells together and scores them row by row; the
+oracle and selector harnesses share one loop over sample sizes.  The
+progressive mixture runs the block kernel of
 :mod:`densagg.aggregation` on (rows, R, M) blocks; the selector builds its
 comparison-set masks once per group and scores every row against them.
 Each replication's arithmetic is that of ``sample``,
@@ -54,6 +56,7 @@ from .densities import (
     _hellinger_rows,
     _kl_rows,
     _l1_rows,
+    _load_json,
     _sample_rows,
     hellinger_distance,
     kl_divergence,
@@ -276,10 +279,7 @@ def _spec(spec, name: str) -> dict:
 
 
 def load_config(path) -> ExperimentConfig:
-    try:
-        obj = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid JSON ({exc})") from None
+    obj = _load_json(path)
     if not isinstance(obj, dict):
         raise ValidationError(f"{path}: config must be a JSON object")
     return ExperimentConfig.from_dict(obj)
@@ -378,35 +378,31 @@ class RiskReport:
                 ])
 
 
-def _select_rows(candidates: CandidateSet, x: np.ndarray) -> np.ndarray:
-    """Cell values of the candidate ``yatracos_select`` picks for each row of ``x``."""
-    return candidates.values[_select_cells(candidates, candidates.cell_indices(x))]
-
-
 def _replication_risks(
     candidates: CandidateSet, truth: PiecewiseDensity, n: int, seeds, estimator, loss: str
 ) -> np.ndarray:
     """Loss ``loss`` from ``truth`` to the estimate of each replication.
 
-    Replication ``r`` estimates from ``sample(truth, n, seeds[r])``.
-    ``estimator(candidates, x)`` maps a batch of samples ``x`` (R, n) to
-    the estimates' cell values on the candidates' grid (R, cells).
-    Replications run in groups of at most ``_GROUP_POINTS`` sample points.
-    When a group fails, the error names the first of its replications that
-    fails alone: the one a loop over replications would have stopped at.
+    Replication ``r`` estimates from ``sample(truth, n, seeds[r])``, mapped
+    once to the candidates' shared-grid cells.  ``estimator(candidates,
+    cells)`` maps a batch of such cells (R, n) to the estimates' cell values
+    on the candidates' grid (R, cells).  Replications run in groups of at
+    most ``_GROUP_POINTS`` sample points.  When a group fails, the error
+    names the first of its replications that fails alone: the one a loop
+    over replications would have stopped at.
     """
     group = max(1, _GROUP_POINTS // n)
     risks = []
     for start in range(0, len(seeds), group):
-        x = _sample_rows(truth, n, seeds[start:start + group])
+        cells = candidates.cell_indices(_sample_rows(truth, n, seeds[start:start + group]))
         try:
-            values = estimator(candidates, x)
+            values = estimator(candidates, cells)
         except ValidationError:
             # Each row's arithmetic is the same alone as in the batch, so
             # some row fails alone too.
-            for r in range(x.shape[0]):
+            for r in range(cells.shape[0]):
                 try:
-                    estimator(candidates, x[r:r + 1])
+                    estimator(candidates, cells[r:r + 1])
                 except ValidationError as exc:
                     raise ValidationError(f"replication {start + r}: {exc}") from None
             raise
@@ -434,10 +430,26 @@ def _risk_row(experiment: str, config: ExperimentConfig, m: int, n: int,
                    bound=bound, passed=passed)
 
 
-def _family_and_truth(config: ExperimentConfig) -> tuple[CandidateSet, PiecewiseDensity]:
+def _fixed_family_report(config: ExperimentConfig, experiment: str, estimator,
+                         loss: str, row_bound) -> RiskReport:
+    """One row per sample size for a harness that estimates one truth with the
+    config's candidate family; ``row_bound(oracle, M, n)`` is a row's bound."""
     candidates = build_candidates(config)
-    return (CandidateSet.from_densities(candidates, bound=config.A),
-            build_truth(config, candidates))
+    cset = CandidateSet.from_densities(candidates, bound=config.A)
+    truth = build_truth(config, candidates)
+    oracle = min(_LOSS_ROWS[loss](truth, cset.grid, cset.values).tolist())
+    if not math.isfinite(oracle):  # only KL can be infinite
+        raise ValidationError(
+            "every candidate is at infinite KL divergence from the truth; "
+            "the oracle bound is vacuous"
+        )
+    rows = []
+    for n in config.n_values:
+        seeds = [(config.seed, n, r) for r in range(config.replications)]
+        risks = _replication_risks(cset, truth, n, seeds, estimator, loss)
+        rows.append(_risk_row(experiment, config, cset.size, n, *_mean_se(risks),
+                              oracle, row_bound(oracle, cset.size, n)))
+    return RiskReport(tuple(rows))
 
 
 def run_oracle_experiment(config: ExperimentConfig) -> RiskReport:
@@ -450,20 +462,8 @@ def run_oracle_experiment(config: ExperimentConfig) -> RiskReport:
     since then no bound is meaningful.  Loss is KL by definition here
     (``config.loss``/``q`` only steer the rate study).
     """
-    cset, truth = _family_and_truth(config)
-    oracle = min(kl_divergence(truth, cset.candidate(j)) for j in range(cset.size))
-    if not math.isfinite(oracle):
-        raise ValidationError(
-            "every candidate is at infinite KL divergence from the truth; "
-            "the oracle bound is vacuous"
-        )
-    rows = []
-    for n in config.n_values:
-        seeds = [(config.seed, n, r) for r in range(config.replications)]
-        risks = _replication_risks(cset, truth, n, seeds, _aggregate_rows, "KL")
-        rows.append(_risk_row("oracle", config, cset.size, n, *_mean_se(risks),
-                              oracle, math.log(cset.size) / (n + 1)))
-    return RiskReport(tuple(rows))
+    return _fixed_family_report(config, "oracle", _aggregate_rows, "KL",
+                                lambda oracle, m, n: math.log(m) / (n + 1))
 
 
 def run_yatracos_experiment(config: ExperimentConfig) -> RiskReport:
@@ -474,15 +474,9 @@ def run_yatracos_experiment(config: ExperimentConfig) -> RiskReport:
     ``2 * min_j + sqrt(log(M)/n)`` so the uniform ``excess <= bound + 3*se``
     comparison applies.
     """
-    cset, truth = _family_and_truth(config)
-    oracle = min(l1_distance(truth, cset.candidate(j)) for j in range(cset.size))
-    rows = []
-    for n in config.n_values:
-        seeds = [(config.seed, n, r) for r in range(config.replications)]
-        risks = _replication_risks(cset, truth, n, seeds, _select_rows, "L1")
-        rows.append(_risk_row("yatracos", config, cset.size, n, *_mean_se(risks),
-                              oracle, 2.0 * oracle + math.sqrt(math.log(cset.size) / n)))
-    return RiskReport(tuple(rows))
+    return _fixed_family_report(
+        config, "yatracos", lambda cset, cells: cset.values[_select_cells(cset, cells)],
+        "L1", lambda oracle, m, n: 2.0 * oracle + math.sqrt(math.log(m) / n))
 
 
 @dataclass(frozen=True)
@@ -529,8 +523,7 @@ def run_rate_study(config: ExperimentConfig) -> RateStudyResult:
         raise ValidationError(
             "the rate study requires candidate_spec.kind = 'perturbation'"
         )
-    m_values = config.M_values if config.M_values is not None else (config.M,)
-    if len(set(m_values)) < 2:
+    if config.M_values is None or len(set(config.M_values)) < 2:
         raise ValidationError(
             "the rate study needs at least two distinct family sizes in M_values"
         )
@@ -541,7 +534,7 @@ def run_rate_study(config: ExperimentConfig) -> RateStudyResult:
     rows = []
     xs, ys = [], []
     dropped = 0
-    for m in m_values:
+    for m in config.M_values:
         for n in config.n_values:
             candidates = _perturbation_candidates(m, n, config.A)
             cset = CandidateSet.from_densities(candidates, bound=config.A)

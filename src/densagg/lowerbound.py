@@ -29,12 +29,19 @@ The pieces:
   against all later rows at a time, whenever the report is read or saved.
 
 Closed forms (``a = amplitude / D`` is the bump height, ``ρ`` the Hamming
-distance, ``s`` the number of active bumps):
+distance, ``s`` the number of active bumps, ``u, v = sqrt(1 ± a)``):
 
-* squared Hellinger: ``(ρ / D) * (2 - sqrt(1 + a) - sqrt(1 - a))``
-* L1: ``amplitude * ρ / D²``
+* squared Hellinger: ``(ρ / D) * (2 - u - v)``, computed as
+  ``(ρ / D) * 2a² / ((u + v)(1 + u)(1 + v))``;
+* L1: ``amplitude * ρ / D²``;
 * KL of the n-fold product vs. uniform:
-  ``n * s * ((1+a) log(1+a) + (1-a) log(1-a)) / (2 D)``
+  ``n * s * ((1+a) log(1+a) + (1-a) log(1-a)) / (2 D)``, the bracket
+  computed as ``log1p(-a²) + a (log1p(a) - log1p(-a))`` (with
+  ``log1p(a) + log1p(-a)`` for ``log1p(-a²)`` once ``a >= 0.5``), and as
+  ``2 log 2`` at ``a = 1``.
+
+The direct brackets sum terms of size 1 or ``a`` to about ``a²``, which
+cancels as ``n`` grows; the computed forms stay near machine precision.
 """
 
 from __future__ import annotations
@@ -54,6 +61,7 @@ from .densities import (
     ValidationError,
     _arrays_equal,
     _arrays_hash,
+    _read_text,
 )
 
 __all__ = [
@@ -113,8 +121,6 @@ class PerturbationFamily:
     family_size: int
 
     def __post_init__(self):
-        if self.family_size < 2:
-            raise ValidationError(f"family size must be at least 2, got {self.family_size}")
         if not 1.0 < self.bound < math.inf:
             raise ValidationError(f"sup bound must exceed 1 and be finite, got {self.bound!r}")
         if self.sample_size < 1:
@@ -377,7 +383,7 @@ def save_separated_set(words: SeparatedSet, path) -> None:
 
 
 def load_separated_set(path) -> SeparatedSet:
-    lines = [ln.strip() for ln in Path(path).read_text().splitlines() if ln.strip()]
+    lines = [ln.strip() for ln in _read_text(path).splitlines() if ln.strip()]
     if not lines or any(set(ln) - {"0", "1"} or len(ln) != len(lines[0]) for ln in lines):
         raise ValidationError(f"{path}: expected lines of 0/1 strings of one length")
     return SeparatedSet(np.array([[int(c) for c in ln] for ln in lines], dtype=np.uint8))
@@ -391,15 +397,18 @@ def load_separated_set(path) -> SeparatedSet:
 def _hellinger_sq(family: PerturbationFamily, rho):
     """Squared Hellinger distance at Hamming distance ``rho`` (scalar or array)."""
     a = family.bump_height
-    return (rho / family.n_bumps) * (2.0 - math.sqrt(1.0 + a) - math.sqrt(1.0 - a))
+    up, down = math.sqrt(1.0 + a), math.sqrt(1.0 - a)
+    return (rho / family.n_bumps) * (2.0 * a * a / ((up + down) * (1.0 + up) * (1.0 + down)))
 
 
 def _kl_product(family: PerturbationFamily, active, n: int):
     """Product KL of a member with ``active`` bumps (scalar or array) vs. uniform."""
     a = family.bump_height
-    per_bump = (1.0 + a) * math.log1p(a)
     if a < 1.0:
-        per_bump += (1.0 - a) * math.log1p(-a)
+        both = math.log1p(-a * a) if a < 0.5 else math.log1p(a) + math.log1p(-a)
+        per_bump = both + a * (math.log1p(a) - math.log1p(-a))
+    else:
+        per_bump = 2.0 * math.log(2.0)
     return n * active * per_bump / (2.0 * family.n_bumps)
 
 

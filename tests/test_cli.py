@@ -3,6 +3,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,6 +231,15 @@ class TestLowerboundAuditCommand:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: sample size too large")
 
+    def test_tuned_family_at_large_n_passes(self, tmp_path):
+        # Every check holds here; the direct closed forms cancelled and
+        # failed 120 of the 136 checks.
+        code = main([
+            "lowerbound-audit", "--M", "16", "--n", str(4 * 10**14), "--A", "2",
+            "--out", str(tmp_path / "audit.json"),
+        ])
+        assert code == 0
+
     def test_sample_size_of_ten_to_the_nineteen_stays_exact(self, tmp_path):
         out = tmp_path / "audit.json"
         code = main([
@@ -352,6 +365,51 @@ class TestRateStudyCommand:
                      "--out", str(tmp_path / "r.csv"),
                      "--fit-out", str(tmp_path / "f.json")])
         assert code == 1
+
+
+class TestBadInputExits1:
+    @pytest.mark.parametrize("n", [10**20, 2**61], ids=["1e20", "2^61"])
+    def test_sample_larger_than_numpy_can_hold(self, tmp_path, capsys, n):
+        # 10^20 points exceed numpy's largest dimension; 2^61 points fit
+        # it, but their 2^64 bytes do not fit a signed machine word
+        code = main(["oracle-exp", "--config", str(oracle_config(tmp_path, n_values=[n])),
+                     "--out", str(tmp_path / "r.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_sample_that_does_not_fit_in_memory(self, tmp_path):
+        pytest.importorskip("resource")
+        if not sys.platform.startswith("linux"):
+            pytest.skip("RLIMIT_AS is enforced on Linux only")
+        cfg = oracle_config(tmp_path, n_values=[10**11])  # 745 GiB of points
+        # the address-space limit acts on the child process only
+        child = (f"import resource; resource.setrlimit(resource.RLIMIT_AS, ({2**31}, {2**31}))\n"
+                 "from densagg.cli import main\n"
+                 f"raise SystemExit(main(['oracle-exp', '--config', {str(cfg)!r}, "
+                 f"'--out', {str(tmp_path / 'r.csv')!r}]))\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run([sys.executable, "-c", child], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error: Unable to allocate")
+        assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("which", ["config", "candidates", "sample"])
+    def test_file_that_is_not_utf8(self, workdir, capsys, which):
+        bad = workdir / f"{which}.bin"
+        bad.write_bytes(b"\xff\xfe0.5\n")
+        if which == "config":
+            argv = ["oracle-exp", "--config", str(bad), "--out", str(workdir / "r.csv")]
+        else:
+            files = {"candidates": str(workdir / "candidates.json"),
+                     "sample": str(workdir / "sample.txt"), which: str(bad)}
+            argv = ["aggregate", "--candidates", files["candidates"],
+                    "--sample", files["sample"], "--out", str(workdir / "agg.json")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}") and err.count("\n") == 1
 
 
 class TestUsageErrors:

@@ -33,6 +33,7 @@ from densagg import (
     save_sample,
     validate_class,
 )
+from densagg.densities import _cell_lookup
 
 # Oracle values, fixed by adaptive quadrature of the integrands
 # (quad of f log(f/g) resp. (sqrt f - sqrt g)^2 with a breakpoint at 0.5).
@@ -265,6 +266,35 @@ def test_loss_relations_hold_for_arbitrary_densities(f, g):
     assert l1_distance(f, g) <= 2.0 + 1e-12
     assert h <= math.sqrt(2.0) + 1e-12
     assert kl_divergence(f, g) >= h**2 - 1e-12
+
+
+@st.composite
+def lookup_cases(draw):
+    """Nondecreasing edges from 0 with repeated values (zero-mass cells of a
+    CDF), and points on, beside and past them."""
+    levels = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5))
+    rest = draw(st.lists(st.sampled_from(levels + [1.0]), min_size=1, max_size=12))
+    edges = np.array([0.0] + sorted(rest))
+    extra = draw(st.lists(st.floats(-0.5, 2.0), max_size=8))
+    x = np.concatenate((edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                        [0.0, 1.0, 2.0], extra))
+    return edges, x
+
+
+@settings(max_examples=300, deadline=None)
+@given(lookup_cases())
+def test_cell_lookup_matches_the_searches_it_replaced(case):
+    edges, x = case
+    got = _cell_lookup(edges, x)
+    # the sample-point lookup
+    assert np.array_equal(got, np.searchsorted(edges[:-1], x, side="right") - 1)
+    # the CDF inversion, with its clamp onto the last cell
+    clamped = np.minimum(np.searchsorted(edges, x, side="right") - 1, edges.size - 2)
+    assert np.array_equal(got, clamped)
+    # refinement and loss cells: their points are left edges of a finer
+    # grid, so they lie below the last edge
+    below = x < edges[-1]
+    assert np.array_equal(got[below], np.searchsorted(edges, x[below], side="right") - 1)
 
 
 class TestSampling:

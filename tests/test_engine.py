@@ -263,12 +263,12 @@ class TestBatchedKernel:
         seeds = [(5, r) for r in range(r_count)]
         x = _sample_rows(cands[1], 400, seeds)
         expected = np.stack([aggregate(cset, row).values for row in x])
-        assert np.array_equal(_aggregate_rows(cset, x), expected)
+        assert np.array_equal(_aggregate_rows(cset, cset.cell_indices(x)), expected)
 
     def test_aggregate_rows_needs_two_candidates(self):
         cset = CandidateSet.from_densities([PiecewiseDensity.uniform()])
         with pytest.raises(ValidationError, match="two candidates"):
-            _aggregate_rows(cset, np.full((2, 3), 0.5))
+            _aggregate_rows(cset, cset.cell_indices(np.full((2, 3), 0.5)))
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +443,7 @@ class TestHarnessesMatchTheReplicationLoops:
         assert "first 18 sample points" in expected
         batch = np.stack([sample(truth, 20, seed=s) for s in seeds[2:4]])
         with pytest.raises(ValidationError, match="^every candidate .* first 3 sample points"):
-            _aggregate_rows(cset, batch)
+            _aggregate_rows(cset, cset.cell_indices(batch))
         with pytest.raises(ValidationError) as info:
             _replication_risks(cset, truth, 20, seeds, _aggregate_rows, "KL")
         assert str(info.value) == f"replication 2: {expected}"

@@ -89,9 +89,11 @@ def _old_audit(family, words, n):
     log_m = math.log(family.family_size)
     kl_budget = log_m / 16.0
     sep_floor = (HELLINGER_CURVATURE / 64.0) * log_m / n
-    per_bump = (1.0 + a) * math.log1p(a)
     if a < 1.0:
-        per_bump += (1.0 - a) * math.log1p(-a)
+        both = math.log1p(-a * a) if a < 0.5 else math.log1p(a) + math.log1p(-a)
+        per_bump = both + a * (math.log1p(a) - math.log1p(-a))
+    else:
+        per_bump = 2.0 * math.log(2.0)
     checks = []
     for i in range(words.size):
         achieved = n * int(np.count_nonzero(words.words[i])) * per_bump / (2.0 * D)
@@ -99,7 +101,9 @@ def _old_audit(family, words, n):
     for i in range(words.size):
         for j in range(i + 1, words.size):
             rho = int(np.count_nonzero(words.words[i] != words.words[j]))
-            achieved = (rho / D) * (2.0 - math.sqrt(1.0 + a) - math.sqrt(1.0 - a))
+            achieved = (rho / D) * (2.0 * a * a / (
+                (math.sqrt(1.0 + a) + math.sqrt(1.0 - a))
+                * (1.0 + math.sqrt(1.0 + a)) * (1.0 + math.sqrt(1.0 - a))))
             checks.append(
                 AuditCheck(
                     f"hellinger_separation[pair=({i},{j})]", sep_floor, achieved,

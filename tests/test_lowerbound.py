@@ -8,6 +8,7 @@ integrators on the actual perturbed densities.
 import json
 import math
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -342,6 +343,28 @@ class TestClosedForms:
         for i in range(sep.size):
             for j in range(i + 1, sep.size):
                 assert analytic_l1(fam, sep.words[i], sep.words[j]) >= floor - 1e-15
+
+    def test_per_bump_forms_match_a_200_digit_reference(self):
+        # M = 2 gives D = 8 bumps, so amplitude 8a has bump height exactly a,
+        # and the Hamming distance 8 (resp. 16 active bump-samples over 2D)
+        # scales the per-bump values by exactly 1.
+        heights = np.concatenate((np.geomspace(1e-12, 1.0, 400), [
+            np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0), np.nextafter(1.0, 0.0), 1.0,
+            np.nextafter(1e-12, 1.0), 3e-9, 1e-6, 0.01, 0.25, 0.75, 0.999]))
+        zeros, ones = np.zeros(8, dtype=int), np.ones(8, dtype=int)
+        with localcontext() as ctx:
+            ctx.prec = 210
+            for a in heights.tolist():
+                fam = PerturbationFamily(n_bumps=8, amplitude=8.0 * a, bound=2.0,
+                                         sample_size=1, family_size=2)
+                assert fam.bump_height == a
+                d = Decimal(a)
+                up, down = (1 + d).sqrt(), (1 - d).sqrt()
+                hellinger = 2 - up - down
+                kl = (1 + d) * (1 + d).ln() + ((1 - d) * (1 - d).ln() if d < 1 else 0)
+                for got, want in ((analytic_hellinger_sq(fam, zeros, ones), hellinger),
+                                  (analytic_kl_product(fam, ones, 2), kl)):
+                    assert abs((Decimal(got) - want) / want) <= Decimal("1e-14"), a
 
     def test_kl_validates_inputs(self, family_16_1000):
         with pytest.raises(ValidationError):
