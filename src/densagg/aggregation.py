@@ -52,7 +52,6 @@ import csv
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from pathlib import Path
 
 import numpy as np
 
@@ -245,8 +244,7 @@ def _normalize_log_rows(log_w: np.ndarray, first_row: int = 0) -> np.ndarray:
     before exponentiation; ``-inf`` entries come out as exactly 0.  A row
     whose max is ``-inf`` (every candidate at zero likelihood) has no
     normalizer and is an error; ``first_row`` is the trajectory row index of
-    ``log_w[0]``, for the message.  Every output row is checked to be a
-    probability vector.
+    ``log_w[0]``, for the message.
     """
     row_max = log_w.max(axis=-1)
     dead = ~np.isfinite(row_max)
@@ -258,13 +256,8 @@ def _normalize_log_rows(log_w: np.ndarray, first_row: int = 0) -> np.ndarray:
         )
     # Out of place on purpose: an in-place exp may take a different
     # (scalar) numpy kernel and change the last bit.
-    with np.errstate(invalid="ignore"):
-        w = np.exp(log_w - row_max[..., None])
+    w = np.exp(log_w - row_max[..., None])
     w /= w.sum(axis=-1, keepdims=True)
-    if np.any(w < 0) or np.any(np.abs(w.sum(axis=-1) - 1.0) > _ROW_SUM_TOL):
-        raise ValidationError(
-            f"every weight row must be a probability vector (tolerance {_ROW_SUM_TOL:g})"
-        )
     return w
 
 
@@ -340,11 +333,9 @@ def progressive_weights(candidates: CandidateSet, x) -> WeightTrajectory:
 def _mixture_values(candidates: CandidateSet, weights: np.ndarray) -> np.ndarray:
     """Cell values of the mixture under each row of ``weights`` (R, M).
 
-    Every row must be a probability vector.  The product is taken row by
-    row: one (R, M) @ (M, cells) product would round differently.
+    The product is taken row by row: one (R, M) @ (M, cells) product would
+    round differently.
     """
-    if np.any(weights < 0) or np.any(np.abs(weights.sum(axis=1) - 1.0) > _ROW_SUM_TOL):
-        raise ValidationError("mixing weights must be a probability vector")
     values = np.empty((weights.shape[0], candidates.values.shape[1]))
     for out, w in zip(values, weights):
         out[:] = w @ candidates.values
@@ -352,12 +343,14 @@ def _mixture_values(candidates: CandidateSet, weights: np.ndarray) -> np.ndarray
 
 
 def mixture(candidates: CandidateSet, weights) -> PiecewiseDensity:
-    """Mix the candidates under one probability vector."""
+    """Mix the candidates under one probability vector, checked to ``_ROW_SUM_TOL``."""
     w = np.asarray(weights, dtype=float)
     if w.shape != (candidates.size,):
         raise ValidationError(
             f"expected {candidates.size} weights, got shape {w.shape}"
         )
+    if np.any(w < 0) or abs(w.sum() - 1.0) > _ROW_SUM_TOL:
+        raise ValidationError("mixing weights must be a probability vector")
     return PiecewiseDensity(candidates.grid, _mixture_values(candidates, w[None])[0])
 
 

@@ -13,10 +13,10 @@ Three harnesses, all driven by one JSON-serialisable :class:`ExperimentConfig`:
 Determinism: replication ``r`` at sample size ``n`` (and family size ``M``,
 truth index ``t`` where applicable) draws from a generator seeded with the
 tuple ``(seed, n, r)`` / ``(seed, M, n, t, r)``, so reports — and the CSV
-files written from them — are identical across runs and machines with the
-same numpy series.  Every row's ``pass`` flag applies the uniform rule
-``excess <= bound + 3 * se`` (the rate study instead flags rows whose
-excess is unusable for the fit).
+files written from them — are byte-identical across reruns with the same
+numpy version, BLAS kernel and SIMD target.  Every row's ``pass`` flag
+applies the uniform rule ``excess <= bound + 3 * se`` (the rate study
+instead flags rows whose excess is unusable for the fit).
 
 One engine, :func:`_replication_risks`, runs every harness cell: it draws
 the samples of all replications of a (family, truth, n) cell, one

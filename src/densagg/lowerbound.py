@@ -460,10 +460,11 @@ class AuditReport:
     a pair (separation checks), each in ``0..D``.  So the report keeps the
     family, the sample size, the words and one ``(bound, achieved, passed)``
     entry per class and kind.  :attr:`checks` names every check on first
-    read; :meth:`save` streams the JSON one row of words at a time, in
-    memory linear in ``M``.  Two reports are equal when their family,
-    sample size, words and class tables are; ``SeparatedSet`` compares its
-    words by value, so the generated ``==`` and ``hash`` hold.
+    read, and :attr:`n_failed` counts failures without naming any;
+    :meth:`save` streams the JSON one row of words at a time, in memory
+    linear in ``M``.  Two reports are equal when their family, sample size,
+    words and class tables are; ``SeparatedSet`` compares its words by
+    value, so the generated ``==`` and ``hash`` hold.
     """
 
     family: PerturbationFamily
@@ -514,10 +515,15 @@ class AuditReport:
         )
 
     @cached_property
+    def n_failed(self) -> int:
+        """How many checks fail, counted from the class verdicts in one walk."""
+        fails = [[not e[2] for e in t] for t in (self.kl_classes, self.sep_classes)]
+        return sum(sum(entries) for _, _, entries in self._rows(*fails))
+
+    @property
     def all_pass(self) -> bool:
-        """Whether the check of every class that occurs passes."""
-        verdicts = [[e[2] for e in t] for t in (self.kl_classes, self.sep_classes)]
-        return all(all(entries) for _, _, entries in self._rows(*verdicts))
+        """Whether every check passes."""
+        return self.n_failed == 0
 
     def _header(self) -> dict:
         return {

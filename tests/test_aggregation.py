@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from densagg import (
     CandidateSet,
@@ -26,7 +28,13 @@ from densagg import (
     yatracos_class,
     yatracos_select,
 )
-from densagg.aggregation import _normalize_log_rows
+from densagg.aggregation import (
+    _BLOCK_ELEMENTS,
+    _ROW_LOOP_WIDTH,
+    _ROW_SUM_TOL,
+    _averaged_weights,
+    _normalize_log_rows,
+)
 
 
 def two_candidates():
@@ -34,6 +42,29 @@ def two_candidates():
         PiecewiseDensity([0.0, 0.5, 1.0], [1.5, 0.5]),
         PiecewiseDensity([0.0, 0.5, 1.0], [0.5, 1.5]),
     ])
+
+
+@st.composite
+def weight_problems(draw):
+    """Candidates with zero cells and likelihood ratios up to 1e300, and the
+    cells of R samples that span several blocks of the weight kernel."""
+    # R * M on both sides of the kernel's switch to a per-row cumulative sum
+    w = _ROW_LOOP_WIDTH
+    m = draw(st.sampled_from([2, w // 4, w - 1, w, w + 1, 600]) | st.integers(2, 600))
+    r = draw(st.integers(1, 4))
+    cells = draw(st.integers(1, 8))
+    span = draw(st.sampled_from([0.0, 1.0, 30.0, 300.0]))
+    zeros = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    step = max(1, _BLOCK_ELEMENTS // (r * m))
+    n = draw(st.integers(step + 1, 3 * step))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = 10.0 ** rng.uniform(-span, 0.0, size=(m, cells))
+    # Candidate 0 keeps every cell, so that no weight row is undefined.
+    raw[1:][rng.random((m - 1, cells)) < zeros] = 0.0
+    raw[raw.sum(axis=1) == 0.0, 0] = 1.0
+    grid = np.linspace(0.0, 1.0, cells + 1)
+    cset = CandidateSet(grid, raw / (raw @ np.diff(grid))[:, None])
+    return cset, rng.integers(0, cells, size=(r, n))
 
 
 def random_positive_density(rng, max_cells=6):
@@ -197,13 +228,16 @@ class TestProgressiveWeights:
         with pytest.raises(ValidationError, match="one-dimensional"):
             progressive_weights(two_candidates(), x)
 
-    def test_rows_are_probability_vectors(self):
-        rng = np.random.default_rng(4)
-        cands = [random_positive_density(rng) for _ in range(11)]
-        cset = CandidateSet.from_densities(cands)
-        traj = progressive_weights(cset, sample(cands[3], 300, seed=12))
-        assert np.all(traj.weights >= 0)
-        np.testing.assert_allclose(traj.weights.sum(axis=1), 1.0, atol=1e-12)
+    @settings(max_examples=60, deadline=None)
+    @given(weight_problems())
+    def test_rows_are_probability_vectors(self, problem):
+        # The kernel does not check its rows; this is the check.
+        cset, cells = problem
+        grid = cset.grid
+        traj = progressive_weights(cset, (grid[cells[0]] + grid[cells[0] + 1]) / 2)
+        for rows in (traj.weights, traj.averaged[None], _averaged_weights(cset, cells)):
+            assert np.all(rows >= 0)
+            assert np.all(np.abs(rows.sum(axis=1) - 1.0) <= _ROW_SUM_TOL)
 
     def test_pointwise_dominant_candidate_gets_larger_weight(self):
         hi = PiecewiseDensity([0.0, 0.5, 1.0], [1.8, 0.2])

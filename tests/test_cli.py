@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,10 +15,14 @@ import pytest
 from densagg import (
     CandidateSet,
     aggregate,
+    audit_hypotheses,
+    build_separated_set,
+    choose_parameters,
     load_density,
     load_separated_set,
     load_sample,
 )
+from densagg import cli
 from densagg.cli import main
 
 TWO_STEPS = [
@@ -96,7 +101,7 @@ class TestAggregateCommand:
         assert "must exceed 1" in capsys.readouterr().err
         assert not (workdir / "agg.json").exists()
 
-    def test_single_candidate_is_rejected(self, workdir):
+    def test_single_candidate_is_rejected(self, workdir, capsys):
         (workdir / "one.json").write_text(json.dumps(TWO_STEPS[:1]))
         code = main([
             "aggregate",
@@ -105,6 +110,8 @@ class TestAggregateCommand:
             "--out", str(workdir / "agg.json"),
         ])
         assert code == 1
+        assert capsys.readouterr().err == "error: aggregation needs at least two candidates\n"
+        assert not (workdir / "agg.json").exists()
 
     @pytest.mark.parametrize("garbage", ["{not json", '{"wrong": 1}', "[]"])
     def test_malformed_candidate_file(self, workdir, garbage):
@@ -230,6 +237,21 @@ class TestLowerboundAuditCommand:
         ])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: sample size too large")
+
+    def test_failed_audit_counts_failures_without_naming_every_check(
+            self, tmp_path, capsys, monkeypatch):
+        # six-fold amplitude pushes the 15 nonzero words past the KL budget
+        family = choose_parameters(16, 1000, 2.0)
+        loud = replace(family, amplitude=6 * family.amplitude)
+        report = audit_hypotheses(loud, build_separated_set(family.n_bumps, 16), 1000)
+        monkeypatch.setattr(cli, "run_lowerbound_audit", lambda M, n, A: report)
+        code = main([
+            "lowerbound-audit", "--M", "16", "--n", "1000", "--A", "2",
+            "--out", str(tmp_path / "audit.json"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "audit failed: 15 of 136 checks\n"
+        assert "checks" not in report.__dict__
 
     def test_tuned_family_at_large_n_passes(self, tmp_path):
         # Every check holds here; the direct closed forms cancelled and

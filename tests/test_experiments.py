@@ -11,12 +11,10 @@ import pytest
 from densagg import (
     CSV_HEADER,
     ExperimentConfig,
-    PiecewiseDensity,
     RiskRow,
     ValidationError,
     build_candidates,
     build_truth,
-    kl_divergence,
     load_config,
     run_lowerbound_audit,
     run_oracle_experiment,

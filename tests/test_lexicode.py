@@ -140,6 +140,7 @@ def _assert_matches_old_audit(report, family, words, n, path):
     header, checks = _old_audit(family, words, n)
     assert report.checks == checks
     assert report.all_pass == all(c.passed for c in checks)
+    assert report.n_failed == sum(not c.passed for c in checks)
     assert report.to_dict() == json.loads(_old_save(header, checks))
     assert [report.family_size, report.sample_size, report.sup_bound, report.n_bumps,
             report.amplitude] == [header[k] for k in ("M", "n", "A", "D", "L")]
