@@ -56,6 +56,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .densities import (
+    MASS_TOL,
     FunctionClass,
     PiecewiseDensity,
     ValidationError,
@@ -78,8 +79,6 @@ __all__ = [
     "yatracos_class",
     "yatracos_select",
 ]
-
-_ROW_SUM_TOL = 1e-12
 
 #: Entries per block of weight rows: 2^15 doubles (256 KiB) stay in cache.
 _BLOCK_ELEMENTS = 2**15
@@ -343,13 +342,14 @@ def _mixture_values(candidates: CandidateSet, weights: np.ndarray) -> np.ndarray
 
 
 def mixture(candidates: CandidateSet, weights) -> PiecewiseDensity:
-    """Mix the candidates under one probability vector, checked to ``_ROW_SUM_TOL``."""
+    """Mix the candidates under one probability vector: nonnegative weights
+    summing to one within ``MASS_TOL``.  NaN weights fail that test."""
     w = np.asarray(weights, dtype=float)
     if w.shape != (candidates.size,):
         raise ValidationError(
             f"expected {candidates.size} weights, got shape {w.shape}"
         )
-    if np.any(w < 0) or abs(w.sum() - 1.0) > _ROW_SUM_TOL:
+    if not (np.all(w >= 0) and abs(w.sum() - 1.0) <= MASS_TOL):
         raise ValidationError("mixing weights must be a probability vector")
     return PiecewiseDensity(candidates.grid, _mixture_values(candidates, w[None])[0])
 

@@ -153,10 +153,13 @@ def _config_from(ns):
     return config
 
 
-def _report_exit(report) -> int:
-    if not report.all_pass:
-        failed = sum(not r.passed for r in report.rows)
-        print(f"{failed} of {len(report.rows)} report rows failed", file=sys.stderr)
+def _report_exit(report, problems=()) -> int:
+    """2, after one stderr line naming the failed rows and ``problems``; else 0."""
+    failed = sum(not r.passed for r in report.rows)
+    if failed:
+        problems = [f"{failed} of {len(report.rows)} report rows failed", *problems]
+    if problems:
+        print("; ".join(problems), file=sys.stderr)
         return 2
     return 0
 
@@ -171,12 +174,9 @@ def _cmd_rate_study(ns) -> int:
     result = run_rate_study(_config_from(ns))
     result.report.to_csv(ns.out)
     Path(ns.fit_out).write_text(json.dumps(result.fit_dict(), indent=2) + "\n")
-    code = _report_exit(result.report)
-    if not result.slope_in_range:
-        print(f"fitted slope {result.slope:.4f} outside "
-              f"[{SLOPE_RANGE[0]}, {SLOPE_RANGE[1]}]", file=sys.stderr)
-        return 2
-    return code
+    slope = () if result.slope_in_range else (
+        f"fitted slope {result.slope:.4f} outside [{SLOPE_RANGE[0]}, {SLOPE_RANGE[1]}]",)
+    return _report_exit(result.report, slope)
 
 
 def main(argv=None) -> int:

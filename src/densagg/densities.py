@@ -336,8 +336,7 @@ def _sample_rows(density: PiecewiseDensity, n: int, seeds) -> np.ndarray:
         # The lookup can only land on a zero-mass cell in the float corner
         # v >= cdf[-1]; guard the division anyway.
         m = masses[idx]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            frac = np.where(m > 0, (v - cdf[idx]) / np.where(m > 0, m, 1.0), 0.0)
+        frac = np.where(m > 0, (v - cdf[idx]) / np.where(m > 0, m, 1.0), 0.0)
         x = density.breakpoints[idx] + frac * density.cell_lengths[idx]
         np.clip(x, 0.0, 1.0, out=v)
     return u

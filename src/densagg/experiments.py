@@ -41,6 +41,7 @@ import csv
 import json
 import math
 import numbers
+import sys
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
@@ -52,6 +53,7 @@ from .aggregation import CandidateSet, _aggregate_rows, _select_cells, aggregate
 from .densities import (
     PiecewiseDensity,
     ValidationError,
+    _cell_lookup,
     _density_from_obj,
     _hellinger_rows,
     _kl_rows,
@@ -107,17 +109,17 @@ _LOSS_ROWS = {
 #: together; replications of larger cells run in several groups.
 _GROUP_POINTS = 2**20
 
-#: Keys each descriptor kind takes, with their types; all are required
-#: except ``n_ref``.
+#: Keys each descriptor kind takes, each with its type or, for an integer
+#: key, its least value; all are required except ``n_ref``.
 _SPEC_KEYS = {
     "truth_spec": {
-        "candidate": {"index": int},
+        "candidate": {"index": 0},
         "uniform": {},
         "file": {"path": str},
         "inline": {"breakpoints": list, "values": list},
     },
     "candidate_spec": {
-        "perturbation": {"n_ref": int},
+        "perturbation": {"n_ref": 1},
         "files": {"paths": list},
         "inline": {"densities": list},
     },
@@ -141,32 +143,33 @@ class ExperimentConfig:
 
     Fields
     ------
-    seed:          nonnegative root seed; all replication seeds derive from it.
-    M:             number of candidates.
-    n_values:      sample sizes to run (each >= 1).
+    seed:          root seed (>= 0); all replication seeds derive from it.
+    M:             number of candidates (>= 1).
+    n_values:      sample sizes to run (nonempty, each >= 1).
     replications:  Monte Carlo replications per sample size (>= 1).
     A:             sup bound defining the candidate class (> 1).
     truth_spec:    descriptor of the sampling density, one of
-                   ``{"kind": "candidate", "index": i}``,
+                   ``{"kind": "candidate", "index": i}`` (i >= 0),
                    ``{"kind": "uniform"}``,
                    ``{"kind": "file", "path": ...}``,
                    ``{"kind": "inline", "breakpoints": [...], "values": [...]}``.
     candidate_spec: descriptor of the candidate family, one of
                    ``{"kind": "perturbation"}`` (worst-case bump family,
-                   tuned at ``n_ref`` if given, else at max(n_values)),
+                   tuned at ``n_ref`` (>= 1) if given, else at max(n_values)),
                    ``{"kind": "files", "paths": [...]}``,
                    ``{"kind": "inline", "densities": [{...}, ...]}``.
     loss:          "KL", "H" or "L1" — used by the rate study; the oracle
                    experiment always measures KL and the selector always L1.
-    q:             power applied to the rate study's per-replication loss.
-    M_values:      family sizes for the rate study (>= 2 distinct values);
-                   other harnesses ignore it.
+    q:             power applied to the rate study's per-replication loss (> 0).
+    M_values:      family sizes for the rate study (each >= 2, at least two
+                   distinct); other harnesses ignore it.
 
-    Types are strict: the integer fields (``seed``, ``M``,
-    ``replications``, the entries of ``n_values`` and ``M_values``,
-    ``truth_spec.index`` and ``candidate_spec.n_ref``) take ints, never
-    bools, floats or strings; ``A`` and ``q`` take finite numbers; and each
-    descriptor takes exactly the keys of its kind (``n_ref`` is optional).
+    Types are strict, and each field's type and floor are checked together
+    as it is coerced: integer fields take ints, never bools, floats or
+    strings; ``A`` and ``q`` take finite numbers; each descriptor takes
+    exactly the keys of its kind (``n_ref`` is optional).  :func:`build_truth`
+    checks the upper end of ``truth_spec.index``, which depends on the
+    candidates.
     """
 
     seed: int
@@ -181,37 +184,21 @@ class ExperimentConfig:
     M_values: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        for name in ("seed", "M", "replications"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
-        for name in ("A", "q"):
-            object.__setattr__(self, name, _finite_real(getattr(self, name), name))
-        object.__setattr__(self, "n_values", _integers(self.n_values, "n_values"))
+        for name, least in (("seed", 0), ("M", 1), ("replications", 1)):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, least))
+        for name, above in (("A", 1), ("q", 0)):
+            object.__setattr__(self, name, _finite_real(getattr(self, name), name, above))
+        object.__setattr__(self, "n_values", _integers(self.n_values, "n_values", 1))
         if self.M_values is not None:
-            object.__setattr__(self, "M_values", _integers(self.M_values, "M_values"))
+            object.__setattr__(self, "M_values", _integers(self.M_values, "M_values", 2))
         for name in ("truth_spec", "candidate_spec"):
             object.__setattr__(self, name, _spec(getattr(self, name), name))
-        if self.candidate_spec.get("n_ref", 1) < 1:
-            raise ValidationError("candidate_spec.n_ref must be at least 1")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be nonnegative, got {self.seed}")
-        if self.M < 1:
-            raise ValidationError(f"M must be at least 1, got {self.M}")
-        if not self.n_values or any(n < 1 for n in self.n_values):
-            raise ValidationError("n_values must be a nonempty list of sizes >= 1")
-        if self.replications < 1:
-            raise ValidationError(
-                f"replications must be at least 1, got {self.replications}"
-            )
-        if not self.A > 1.0:
-            raise ValidationError(f"A must exceed 1, got {self.A!r}")
+        if not self.n_values:
+            raise ValidationError("n_values must be a nonempty list")
         if not isinstance(self.loss, str) or self.loss not in _LOSS_ROWS:
             raise ValidationError(
                 f"loss must be one of {sorted(_LOSS_ROWS)}, got {self.loss!r}"
             )
-        if not self.q > 0:
-            raise ValidationError(f"q must be positive, got {self.q!r}")
-        if self.M_values is not None and any(m < 2 for m in self.M_values):
-            raise ValidationError("every entry of M_values must be at least 2")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
@@ -234,28 +221,33 @@ class ExperimentConfig:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as an int; rejects bools, floats and strings."""
+def _integer(value, name: str, least: int) -> int:
+    """``value`` as an int of at least ``least``; rejects bools, floats and strings."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValidationError(f"{name} must be at least {least}, got {value!r}")
     return int(value)
 
 
-def _integers(values, name: str) -> tuple[int, ...]:
+def _integers(values, name: str, least: int) -> tuple[int, ...]:
     if not isinstance(values, (list, tuple)):
         raise ValidationError(f"{name} must be a list of integers, got {values!r}")
-    return tuple(_integer(v, f"{name} entry") for v in values)
+    return tuple(_integer(v, f"{name} entry", least) for v in values)
 
 
-def _finite_real(value, name: str) -> float:
+def _finite_real(value, name: str, above: float) -> float:
+    """``value`` as a finite float above ``above``; rejects bools and strings."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value)):
+            or not abs(value) <= sys.float_info.max):
         raise ValidationError(f"{name} must be a finite number, got {value!r}")
+    if not value > above:
+        raise ValidationError(f"{name} must exceed {above}, got {float(value)!r}")
     return float(value)
 
 
 def _spec(spec, name: str) -> dict:
-    """A copy of a descriptor whose keys and value types are those its kind takes."""
+    """A copy of a descriptor whose keys and values are those its kind takes."""
     if not isinstance(spec, dict):
         raise ValidationError(f"{name} must be an object, got {spec!r}")
     kinds = _SPEC_KEYS[name]
@@ -271,8 +263,8 @@ def _spec(spec, name: str) -> dict:
     out = dict(spec)
     for key in keys:
         where, want = f"{name}.{key}", types[key]
-        if want is int:
-            out[key] = _integer(spec[key], where)
+        if isinstance(want, int):
+            out[key] = _integer(spec[key], where, want)
         elif not isinstance(spec[key], (list, tuple) if want is list else want):
             raise ValidationError(f"{where} must be a {want.__name__}, got {spec[key]!r}")
     return out
@@ -394,7 +386,7 @@ def _replication_risks(
     group = max(1, _GROUP_POINTS // n)
     risks = []
     for start in range(0, len(seeds), group):
-        cells = candidates.cell_indices(_sample_rows(truth, n, seeds[start:start + group]))
+        cells = _cell_lookup(candidates.grid, _sample_rows(truth, n, seeds[start:start + group]))
         try:
             values = estimator(candidates, cells)
         except ValidationError:

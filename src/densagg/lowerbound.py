@@ -412,19 +412,16 @@ def _kl_product(family: PerturbationFamily, active, n: int):
     return n * active * per_bump / (2.0 * family.n_bumps)
 
 
-def _word_distance(family: PerturbationFamily, word1, word2) -> int:
-    w1 = _check_word(word1, family.n_bumps)
-    return int(np.count_nonzero(w1 != _check_word(word2, family.n_bumps)))
-
-
 def analytic_hellinger_sq(family: PerturbationFamily, word1, word2) -> float:
     """Exact squared Hellinger distance between two family members."""
-    return _hellinger_sq(family, _word_distance(family, word1, word2))
+    D = family.n_bumps
+    return _hellinger_sq(family, hamming_distance(_check_word(word1, D), _check_word(word2, D)))
 
 
 def analytic_l1(family: PerturbationFamily, word1, word2) -> float:
     """Exact L1 distance between two family members."""
-    return family.amplitude * _word_distance(family, word1, word2) / (family.n_bumps ** 2)
+    D = family.n_bumps
+    return family.amplitude * hamming_distance(_check_word(word1, D), _check_word(word2, D)) / D**2
 
 
 def analytic_kl_product(family: PerturbationFamily, word, n: int) -> float:

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from densagg import (
+    MASS_TOL,
     CandidateSet,
     PiecewiseDensity,
     PiecewiseFunction,
@@ -31,7 +32,6 @@ from densagg import (
 from densagg.aggregation import (
     _BLOCK_ELEMENTS,
     _ROW_LOOP_WIDTH,
-    _ROW_SUM_TOL,
     _averaged_weights,
     _normalize_log_rows,
 )
@@ -86,6 +86,8 @@ class TestCandidateSet:
     def test_needs_at_least_one(self):
         with pytest.raises(ValidationError):
             CandidateSet.from_densities([])
+        with pytest.raises(ValidationError, match="at least one candidate"):
+            CandidateSet(np.array([0.0, 1.0]), np.empty((0, 1)))
 
     def test_bound_validation_is_optional(self):
         tall = PiecewiseDensity([0.0, 0.1, 1.0], [5.0, 5.0 / 9.0])
@@ -96,6 +98,10 @@ class TestCandidateSet:
     def test_rows_must_be_densities(self):
         with pytest.raises(ValidationError):
             CandidateSet(np.array([0.0, 1.0]), np.array([[2.0]]))
+        for grid, values in (([0.0, 0.5, 1.0], [[1.0]]), ([0.0, 1.0], [1.0]),
+                             ([[0.0, 1.0]], [[1.0]])):
+            with pytest.raises(ValidationError, match=r"must be \(M, len\(grid\) - 1\)"):
+                CandidateSet(np.array(grid), np.array(values))
 
     def test_cell_indices_close_the_last_cell(self):
         cset = two_candidates()
@@ -237,7 +243,7 @@ class TestProgressiveWeights:
         traj = progressive_weights(cset, (grid[cells[0]] + grid[cells[0] + 1]) / 2)
         for rows in (traj.weights, traj.averaged[None], _averaged_weights(cset, cells)):
             assert np.all(rows >= 0)
-            assert np.all(np.abs(rows.sum(axis=1) - 1.0) <= _ROW_SUM_TOL)
+            assert np.all(np.abs(rows.sum(axis=1) - 1.0) <= MASS_TOL)
 
     def test_pointwise_dominant_candidate_gets_larger_weight(self):
         hi = PiecewiseDensity([0.0, 0.5, 1.0], [1.8, 0.2])
@@ -296,6 +302,13 @@ class TestAggregate:
             mixture(cset, [0.9, 0.2])
         with pytest.raises(ValidationError):
             mixture(cset, [1.5, -0.5])
+        # NaN fails every comparison, so it must fail the positive test
+        for weights in ([math.nan, 1.0], [0.5, math.nan]):
+            with pytest.raises(ValidationError, match="must be a probability vector"):
+                mixture(cset, weights)
+        for weights in ([1.0], [[0.5, 0.5]]):
+            with pytest.raises(ValidationError, match="expected 2 weights"):
+                mixture(cset, weights)
 
     def test_risk_never_worse_than_worst_candidate(self):
         # sanity: aggregation interpolates, so its KL risk from the truth

@@ -1,6 +1,8 @@
 """End-to-end command tests driving ``densagg.cli.main`` with argv lists."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -11,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from densagg import (
     CandidateSet,
@@ -334,6 +338,7 @@ class TestExperimentCommands:
             {"M": 4.5, "candidate_spec": {"kind": "perturbation"}},
             {"n_values": [50.7, "60"]},
             {"M": 4, "candidate_spec": {"kind": "perturbation", "n_reff": 10}},
+            {"A": 10**400},  # exited 3: int too large to convert to float
         ],
     )
     def test_mistyped_config_exits_1(self, tmp_path, capsys, bad):
@@ -379,6 +384,36 @@ class TestRateStudyCommand:
         assert "fitted slope" in capsys.readouterr().err
         obj = json.loads(fit.read_text())
         assert obj["slope_in_range"] is False and obj["slope"] > 1.5
+
+    def study(self, tmp_path, q):
+        # a high power underflows the worst-case mean loss to 0 at n = 1600
+        cfg = oracle_config(tmp_path, seed=1, M=4, M_values=[4, 16],
+                            n_values=[100, 400, 1600], replications=4,
+                            candidate_spec={"kind": "perturbation"}, q=q)
+        out, fit = tmp_path / "rate.csv", tmp_path / "fit.json"
+        return main(["rate-study", "--config", str(cfg), "--out", str(out),
+                     "--fit-out", str(fit)]), out, fit
+
+    def test_unusable_cells_are_dropped_from_the_fit(self, tmp_path, capsys):
+        code, out, fit = self.study(tmp_path, q=60.0)
+        assert code == 2
+        err = capsys.readouterr().err
+        # both failures on the one diagnostic line
+        assert err.startswith("2 of 6 report rows failed; fitted slope ")
+        assert err.count("\n") == 1
+        obj = json.loads(fit.read_text())
+        assert obj["dropped"] == 2 and obj["n_fit"] == 4
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["pass"] for r in rows if r["n"] == "1600"] == ["false", "false"]
+        assert all(r["pass"] == "true" for r in rows if r["n"] != "1600")
+
+    def test_fewer_than_two_usable_cells_exits_1(self, tmp_path, capsys):
+        code, out, fit = self.study(tmp_path, q=90.0)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: rate study has fewer than two usable cells; cannot fit a slope\n")
+        assert not fit.exists()
 
     def test_missing_family_sizes_exits_1(self, tmp_path):
         cfg = oracle_config(tmp_path, candidate_spec={"kind": "perturbation"},
@@ -454,6 +489,153 @@ class TestUsageErrors:
             main(["--help"])
         assert exc.value.code == 0
         assert "aggregate" in capsys.readouterr().out
+
+
+def _mostly(valid, junk):
+    """``valid``, or ``junk`` one time in five."""
+    return st.integers(0, 4).flatmap(lambda k: junk if k == 0 else valid)
+
+
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(), st.text(max_size=3),
+    st.lists(st.integers(0, 2), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=1),
+)
+#: For fields whose value sets no size: also integers past the largest float.
+_JUNK_OR_HUGE = _JUNK | st.sampled_from([10**400, -10**400])
+_FLAG_JUNK = st.one_of(
+    st.integers(-3, 16).map(str), st.floats().map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "x", ""]),
+)
+_DENSITIES = [*TWO_STEPS, {"breakpoints": [0.0, 1.0], "values": [1.0]},
+              {"breakpoints": [0.0, 0.25, 1.0], "values": [4.0, 0.0]}]
+_BAD_DENSITY = st.fixed_dictionaries({
+    "breakpoints": st.lists(st.floats() | st.floats(0.0, 1.0) | _JUNK, max_size=4),
+    "values": st.lists(st.floats() | _JUNK, max_size=3),
+}) | _JUNK
+_DENSITY = _mostly(st.sampled_from(_DENSITIES), _BAD_DENSITY)
+
+
+@st.composite
+def _config(draw, files: Path, rate: bool):
+    """A config object for up to two faults: a field or descriptor key
+    missing, junk or one too many.  Otherwise it is valid, so that most runs
+    get past the config checks; ``rate`` makes it valid for the rate study."""
+    path = _mostly(st.sampled_from(["d0.json", "d1.json", "d2.json", "d3.json"]),
+                   st.sampled_from(["garbage.json", "binary.bin", "missing.json"]),
+                   ).map(lambda name: str(files / name))
+    m = draw(st.integers(2, 16))
+    kind = "perturbation" if rate else draw(st.sampled_from(["perturbation", "files",
+                                                             "inline"]))
+    if kind == "perturbation":
+        candidates = draw(st.fixed_dictionaries(
+            {"kind": st.just(kind)}, optional={"n_ref": st.integers(1, 100)}))
+    elif kind == "files":
+        candidates = {"kind": kind, "paths": draw(st.lists(path, min_size=m, max_size=m))}
+    else:
+        candidates = {"kind": kind, "densities": draw(st.lists(
+            st.sampled_from(_DENSITIES), min_size=m, max_size=m))}
+    truth = draw(st.sampled_from([
+        {"kind": "candidate", "index": draw(st.integers(0, m - 1))},
+        {"kind": "uniform"},
+        {"kind": "file", "path": draw(path)},
+        {"kind": "inline", "breakpoints": [0.0, 0.5, 1.0], "values": [1.5, 0.5]},
+    ]))
+    config = draw(st.fixed_dictionaries({
+        "seed": st.integers(0, 2**64),
+        "M": st.just(m),
+        "n_values": st.lists(st.integers(1, 100), min_size=3 if rate else 1, max_size=4,
+                             unique=True),
+        "replications": st.integers(1, 3),
+        "A": st.sampled_from([1.5, 2.0, 3.0]) | st.floats(1.0, 4.0, exclude_min=True),
+        "truth_spec": st.just(truth),
+        "candidate_spec": st.just(candidates),
+        **({"M_values": st.lists(st.integers(2, 16), min_size=2, max_size=3, unique=True)}
+           if rate else {}),
+    }, optional={
+        "loss": st.sampled_from(["KL", "H", "L1"]),
+        "q": st.floats(0.0, 100.0, exclude_min=True),
+    }))
+    for _ in range(draw(st.integers(0, 2))):
+        where = draw(st.sampled_from([d for d in (config, config.get("truth_spec"),
+                                                  config.get("candidate_spec"))
+                                      if isinstance(d, dict)]))
+        key = draw(st.sampled_from([*where, "bogus"]))
+        if draw(st.booleans()):
+            where.pop(key, None)
+        else:
+            where[key] = draw(_JUNK_OR_HUGE if key in ("seed", "A", "q") else _JUNK)
+    return config
+
+
+class TestMisuse:
+    """Random inputs to ``main`` exit 0, 1 or 2, never 3, and a nonzero exit
+    writes one stderr line.
+
+    Each input is valid in most of its parts, so that runs get past the
+    first check: configs, candidate files, samples and flags each have a
+    junk value now and then.  Sizes stay small (M <= 16, n <= 100, at most
+    3 replications), so a run takes milliseconds.  Perturbation families
+    past M = 512 take a minute or more to build; they lie outside this
+    test's range and are not covered by it.
+    """
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("misuse")
+        for i, obj in enumerate(_DENSITIES):
+            (root / f"d{i}.json").write_text(json.dumps(obj))
+        (root / "garbage.json").write_text("{not json")
+        (root / "binary.bin").write_bytes(b"\xff\xfe0.5\n")
+        return root
+
+    def run(self, argv):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv)
+        err = err.getvalue()
+        assert code in (0, 1, 2), err
+        if code:
+            assert err.count("\n") == 1 and err.endswith("\n"), err
+        if code == 1:
+            assert err.startswith("error: "), err
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(),
+           command=st.sampled_from(["oracle-exp", "yatracos-exp", "rate-study"]))
+    def test_random_configs(self, files, data, command):
+        cfg = files / "config.json"
+        config = data.draw(_config(files, command == "rate-study"), label="config")
+        cfg.write_text(json.dumps(config))
+        self.run([command, "--config", str(cfg), "--out", str(files / "r.csv"),
+                  *(["--fit-out", str(files / "f.json")] if command == "rate-study" else [])])
+
+    @settings(max_examples=120, deadline=None)
+    @given(command=st.sampled_from(["aggregate", "yatracos"]),
+           candidates=_mostly(
+               st.lists(_DENSITY, min_size=2, max_size=4).map(lambda d: json.dumps(d).encode()),
+               st.binary(max_size=30) | _JUNK.map(lambda j: json.dumps(j).encode())),
+           sample=_mostly(
+               st.lists(st.floats(0.0, 1.0), max_size=20),
+               st.lists(st.floats() | st.sampled_from(["nan", "inf", "x", ""]), max_size=20),
+           ).map(lambda points: "\n".join(map(str, points)).encode()) | st.binary(max_size=30),
+           bound=st.none() | _mostly(st.floats(1.0, 4.0, exclude_min=True).map(repr),
+                                     _FLAG_JUNK))
+    def test_random_candidate_files_and_samples(self, files, command, candidates, sample,
+                                                bound):
+        (files / "cands.json").write_bytes(candidates)
+        (files / "sample.txt").write_bytes(sample)
+        self.run([command, "--candidates", str(files / "cands.json"),
+                  "--sample", str(files / "sample.txt"), "--out", str(files / "out.json"),
+                  *([f"--A={bound}"] if bound is not None else [])])
+
+    @settings(max_examples=80, deadline=None)
+    @given(m=_mostly(st.integers(2, 16).map(str), _FLAG_JUNK),
+           n=_mostly(st.integers(1, 100).map(str), _FLAG_JUNK),
+           bound=_mostly(st.floats(1.0, 4.0, exclude_min=True).map(repr), _FLAG_JUNK))
+    def test_random_audit_flags(self, files, m, n, bound):
+        self.run(["lowerbound-audit", f"--M={m}", f"--n={n}", f"--A={bound}",
+                  "--out", str(files / "audit.json"), "--set-out", str(files / "words.txt")])
 
 
 def load_density_obj(obj):

@@ -84,6 +84,8 @@ class TestConstruction:
     def test_lengths_must_match(self):
         with pytest.raises(ValidationError):
             PiecewiseFunction([0.0, 0.5, 1.0], [1.0])
+        with pytest.raises(ValidationError, match="one-dimensional"):
+            PiecewiseFunction([[0.0, 1.0]], [1.0])
 
     def test_values_must_be_finite(self):
         with pytest.raises(ValidationError):

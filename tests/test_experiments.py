@@ -4,6 +4,7 @@ import csv
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,6 +90,9 @@ class TestConfig:
         p.write_text("not json")
         with pytest.raises(ValidationError, match="JSON"):
             load_config(p)
+        p.write_text("[]")
+        with pytest.raises(ValidationError, match="config must be a JSON object"):
+            load_config(p)
 
     @pytest.mark.parametrize(
         "bad",
@@ -133,11 +137,41 @@ class TestConfig:
             {"candidate_spec": {"kind": "perturbation", "n_ref": 0}},
             {"candidate_spec": {"kind": "files"}},
             {"candidate_spec": {**THREE_INLINE, "paths": []}},
+            {"truth_spec": {"kind": "file", "path": 3}},
+            {"candidate_spec": {"kind": "files", "paths": "a.json"}},
+            {"truth_spec": {"kind": "candidate", "index": -1}},
+            # finite as integers, but past the largest float
+            {"A": 10**400},
+            {"q": 10**400},
         ],
     )
     def test_field_validation(self, bad):
         with pytest.raises(ValidationError):
             quick_config(**bad)
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ({"seed": -1}, "seed must be at least 0, got -1"),
+            ({"M": 0}, "M must be at least 1, got 0"),
+            ({"replications": 0}, "replications must be at least 1, got 0"),
+            ({"n_values": ()}, "n_values must be a nonempty list"),
+            ({"n_values": (5, 0)}, "n_values entry must be at least 1, got 0"),
+            ({"M_values": (1, 4)}, "M_values entry must be at least 2, got 1"),
+            ({"A": 1}, "A must exceed 1, got 1.0"),
+            ({"q": -2.0}, "q must exceed 0, got -2.0"),
+            ({"truth_spec": {"kind": "candidate", "index": -1}},
+             "truth_spec.index must be at least 0, got -1"),
+            ({"candidate_spec": {"kind": "perturbation", "n_ref": 0}},
+             "candidate_spec.n_ref must be at least 1, got 0"),
+            ({"truth_spec": {"kind": "file", "path": 3}},
+             "truth_spec.path must be a str, got 3"),
+        ],
+    )
+    def test_rejection_names_the_field_and_its_rule(self, bad, message):
+        with pytest.raises(ValidationError) as info:
+            quick_config(**bad)
+        assert str(info.value) == message
 
 
     def test_integral_reals_are_accepted(self):
@@ -187,6 +221,17 @@ class TestDescriptors:
         p.write_text(json.dumps({"breakpoints": [0, 1], "values": [1.0]}))
         from_file = build_truth(quick_config(truth_spec={"kind": "file", "path": str(p)}), cands)
         assert np.all(from_file.values == 1.0)
+
+    def test_candidate_files(self, tmp_path):
+        paths = []
+        for i, obj in enumerate(THREE_INLINE["densities"]):
+            paths.append(str(tmp_path / f"c{i}.json"))
+            Path(paths[-1]).write_text(json.dumps(obj))
+        inline = build_candidates(quick_config())
+        files = build_candidates(quick_config(candidate_spec={"kind": "files", "paths": paths}))
+        assert files == inline
+        with pytest.raises(ValidationError, match="supplies 2 densities but M = 3"):
+            build_candidates(quick_config(candidate_spec={"kind": "files", "paths": paths[:2]}))
 
     def test_truth_index_out_of_range(self):
         cfg = quick_config(truth_spec={"kind": "candidate", "index": 7})

@@ -102,6 +102,11 @@ class TestParameterChoice:
         cap = family_16_1000.n_bumps * 1.0
         with pytest.raises(ValidationError, match="amplitude"):
             replace(family_16_1000, amplitude=cap * 1.01)
+        for bound in (1.0, math.inf):
+            with pytest.raises(ValidationError, match="sup bound must exceed 1"):
+                replace(family_16_1000, bound=bound)
+        with pytest.raises(ValidationError, match="sample size must be positive"):
+            replace(family_16_1000, sample_size=0)
         # within the cap, rescaling is allowed (used by the audit tests)
         bigger = replace(family_16_1000, amplitude=family_16_1000.amplitude * 6)
         assert bigger.bump_height == pytest.approx(6 * family_16_1000.bump_height)
@@ -244,6 +249,10 @@ class TestSeparatedSet:
     def test_infeasible_request_rejected(self):
         with pytest.raises(ValidationError, match="2\\^"):
             build_separated_set(8, 3)  # needs 2^(8/8) >= 3
+        with pytest.raises(ValidationError, match="word length must be positive"):
+            build_separated_set(0, 1)
+        with pytest.raises(ValidationError, match="set size must be positive"):
+            build_separated_set(16, 0)
 
     def test_words_wider_than_64_bits(self):
         # basis words are searched in 64 bits; the leading columns stay zero
@@ -256,6 +265,12 @@ class TestSeparatedSet:
             SeparatedSet(np.array([[0] * 16, [0] * 15 + [1]]))
         with pytest.raises(ValidationError, match="all zeros"):
             SeparatedSet(np.array([[1] + [0] * 15, [0] * 12 + [1] * 4]))
+        for words in (np.zeros(16, dtype=int), np.zeros((0, 16), dtype=int),
+                      np.zeros((1, 0), dtype=int)):
+            with pytest.raises(ValidationError, match="nonempty 2-D"):
+                SeparatedSet(words)
+        with pytest.raises(ValidationError, match="0 or 1"):
+            SeparatedSet(np.array([[0] * 16, [0] * 12 + [2] * 4]))
 
     def test_save_load_roundtrip(self, tmp_path):
         sep = build_separated_set(16, 4)
