@@ -323,7 +323,8 @@ def build_truth(config: ExperimentConfig, candidates) -> PiecewiseDensity:
 
 @dataclass(frozen=True)
 class RiskRow:
-    """One experiment cell: a (family, sample size) pair's Monte Carlo summary."""
+    """One experiment cell: a (family, sample size) pair's Monte Carlo summary;
+    ``excess`` is derived as ``mean_risk - oracle_risk``."""
 
     experiment: str
     M: int
@@ -332,16 +333,16 @@ class RiskRow:
     mean_risk: float
     se: float
     oracle_risk: float
-    excess: float
     bound: float
     passed: bool
 
     def __post_init__(self):
         if self.se < 0:
             raise ValidationError("standard error cannot be negative")
-        if math.isfinite(self.mean_risk) and math.isfinite(self.oracle_risk):
-            if abs(self.excess - (self.mean_risk - self.oracle_risk)) > 1e-9:
-                raise ValidationError("excess must equal mean_risk - oracle_risk")
+
+    @property
+    def excess(self) -> float:
+        return self.mean_risk - self.oracle_risk
 
 
 @dataclass(frozen=True)
@@ -418,8 +419,7 @@ def _risk_row(experiment: str, config: ExperimentConfig, m: int, n: int,
     if passed is None:
         passed = excess <= bound + 3 * se
     return RiskRow(experiment=experiment, M=m, n=n, replications=config.replications,
-                   mean_risk=mean, se=se, oracle_risk=oracle, excess=excess,
-                   bound=bound, passed=passed)
+                   mean_risk=mean, se=se, oracle_risk=oracle, bound=bound, passed=passed)
 
 
 def _fixed_family_report(config: ExperimentConfig, experiment: str, estimator,
@@ -473,13 +473,21 @@ def run_yatracos_experiment(config: ExperimentConfig) -> RiskReport:
 
 @dataclass(frozen=True)
 class RateStudyResult:
-    """Worst-case excess risks and the fitted log-log rate."""
+    """Worst-case excess risks and the fitted log-log rate.  A rate row passes
+    exactly when it enters the fit, so ``n_fit`` and ``dropped`` count the
+    report's passing and failing rows."""
 
     report: RiskReport
     slope: float
     intercept: float
-    n_fit: int
-    dropped: int
+
+    @property
+    def n_fit(self) -> int:
+        return sum(r.passed for r in self.report.rows)
+
+    @property
+    def dropped(self) -> int:
+        return len(self.report.rows) - self.n_fit
 
     @property
     def slope_in_range(self) -> bool:
@@ -504,8 +512,8 @@ def run_rate_study(config: ExperimentConfig) -> RateStudyResult:
     each of its members as truth; the member with the largest mean loss
     (``config.loss`` to the power ``q``) defines the excess for that cell.
     A line is fitted to ``log(excess)`` against ``log(log(M)/n)``; rows
-    whose excess is nonpositive carry ``pass=false``, are dropped from the
-    fit, and are counted in ``dropped``.
+    whose excess is nonpositive carry ``pass=false`` and are dropped from the
+    fit; :attr:`RateStudyResult.dropped` counts them.
 
     Requires the perturbation candidate kind (the study is about the
     worst-case family, which must be re-tuned per cell), at least two
@@ -525,7 +533,6 @@ def run_rate_study(config: ExperimentConfig) -> RateStudyResult:
         )
     rows = []
     xs, ys = [], []
-    dropped = 0
     for m in config.M_values:
         for n in config.n_values:
             candidates = _perturbation_candidates(m, n, config.A)
@@ -546,20 +553,13 @@ def run_rate_study(config: ExperimentConfig) -> RateStudyResult:
             if valid:
                 xs.append(math.log(psi))
                 ys.append(math.log(worst_mean))
-            else:
-                dropped += 1
     if len(xs) < 2:
         raise ValidationError(
             "rate study has fewer than two usable cells; cannot fit a slope"
         )
     slope, intercept = np.polyfit(np.array(xs), np.array(ys), 1)
     return RateStudyResult(
-        report=RiskReport(tuple(rows)),
-        slope=float(slope),
-        intercept=float(intercept),
-        n_fit=len(xs),
-        dropped=dropped,
-    )
+        report=RiskReport(tuple(rows)), slope=float(slope), intercept=float(intercept))
 
 
 def run_lowerbound_audit(family_size: int, sample_size: int, bound: float) -> AuditReport:

@@ -28,6 +28,10 @@ The pieces:
   per class; pair distances come from packed rows and popcounts, one row
   against all later rows at a time, whenever the report is read or saved.
 
+Records store only what they are given: a family's bump count is derived
+from its size, and an audit report's class tables from its family and
+sample size.
+
 Closed forms (``a = amplitude / D`` is the bump height, ``ρ`` the Hamming
 distance, ``s`` the number of active bumps, ``u, v = sqrt(1 ± a)``):
 
@@ -109,12 +113,11 @@ class PerturbationFamily:
     on the uniform density; a binary word of length ``n_bumps`` selects
     which bumps are active.
 
-    Invariants enforced here: ``n_bumps`` is exactly the minimal bump count
-    for ``family_size``; the amplitude is positive and small enough that
-    every member stays nonnegative and below ``bound``.
+    ``n_bumps`` is derived from ``family_size``, not stored.  Invariants
+    enforced here: the amplitude is positive and small enough that every
+    member stays nonnegative and below ``bound``.
     """
 
-    n_bumps: int
     amplitude: float
     bound: float
     sample_size: int
@@ -123,20 +126,17 @@ class PerturbationFamily:
     def __post_init__(self):
         if not 1.0 < self.bound < math.inf:
             raise ValidationError(f"sup bound must exceed 1 and be finite, got {self.bound!r}")
-        if self.sample_size < 1:
-            raise ValidationError(f"sample size must be positive, got {self.sample_size}")
-        required = min_bump_count(self.family_size)
-        if self.n_bumps != required:
-            raise ValidationError(
-                f"n_bumps must be the minimal count {required} for family size "
-                f"{self.family_size}, got {self.n_bumps}"
-            )
+        _check_sample_size(self.sample_size, self.n_bumps)
         cap = self.n_bumps * min(1.0, self.bound - 1.0)
         if not 0.0 < self.amplitude <= cap:
             raise ValidationError(
                 f"amplitude must lie in (0, {cap!r}] so members stay nonnegative "
                 f"and below the bound; got {self.amplitude!r}"
             )
+
+    @property
+    def n_bumps(self) -> int:
+        return min_bump_count(self.family_size)
 
     @property
     def bump_height(self) -> float:
@@ -180,7 +180,6 @@ def choose_parameters(family_size: int, sample_size: int, bound: float) -> Pertu
         )
     amplitude = (n_bumps / 4.0) * math.sqrt(math.log(family_size) / sample_size)
     return PerturbationFamily(
-        n_bumps=n_bumps,
         amplitude=amplitude,
         bound=bound,
         sample_size=sample_size,
@@ -239,15 +238,12 @@ def perturbed_density(family: PerturbationFamily, word) -> PiecewiseDensity:
 
 def hamming_distance(word1, word2) -> int:
     """Number of coordinates where two equal-length binary words differ."""
-    w1 = np.asarray(word1)
-    w2 = np.asarray(word2)
-    if w1.ndim != 1 or w2.ndim != 1 or w1.size != w2.size:
-        raise ValidationError(
-            f"words must be vectors of equal length, got shapes {w1.shape} and {w2.shape}"
-        )
-    for w in (w1, w2):
-        if not np.all((w == 0) | (w == 1)):
-            raise ValidationError("word entries must be 0 or 1")
+    w1 = _check_word(word1, np.size(word1))
+    return _distance(w1, _check_word(word2, w1.size))
+
+
+def _distance(w1: np.ndarray, w2: np.ndarray) -> int:
+    """Hamming distance of two words already checked by :func:`_check_word`."""
     return int(np.count_nonzero(w1 != w2))
 
 
@@ -348,7 +344,7 @@ def build_separated_set(n_bits: int, n_words: int) -> SeparatedSet:
     limit = min(1 << n_bits, 1 << 64)
     chunk = 1 << 14
     span = np.zeros(1, dtype=np.uint64)
-    start = 1
+    start = (1 << thr) - 1  # the least integer of popcount thr; none below qualifies
     while span.size < n_words and start < limit:
         cand = np.arange(start, min(start + chunk, limit), dtype=np.uint64)
         for v in span:
@@ -415,13 +411,13 @@ def _kl_product(family: PerturbationFamily, active, n: int):
 def analytic_hellinger_sq(family: PerturbationFamily, word1, word2) -> float:
     """Exact squared Hellinger distance between two family members."""
     D = family.n_bumps
-    return _hellinger_sq(family, hamming_distance(_check_word(word1, D), _check_word(word2, D)))
+    return _hellinger_sq(family, _distance(_check_word(word1, D), _check_word(word2, D)))
 
 
 def analytic_l1(family: PerturbationFamily, word1, word2) -> float:
     """Exact L1 distance between two family members."""
     D = family.n_bumps
-    return family.amplitude * hamming_distance(_check_word(word1, D), _check_word(word2, D)) / D**2
+    return family.amplitude * _distance(_check_word(word1, D), _check_word(word2, D)) / D**2
 
 
 def analytic_kl_product(family: PerturbationFamily, word, n: int) -> float:
@@ -454,21 +450,20 @@ class AuditReport:
 
     A check's value, verdict and JSON record depend only on its class: the
     number of active bumps of a word (KL checks) or the Hamming distance of
-    a pair (separation checks), each in ``0..D``.  So the report keeps the
-    family, the sample size, the words and one ``(bound, achieved, passed)``
-    entry per class and kind.  :attr:`checks` names every check on first
-    read, and :attr:`n_failed` counts failures without naming any;
-    :meth:`save` streams the JSON one row of words at a time, in memory
-    linear in ``M``.  Two reports are equal when their family, sample size,
-    words and class tables are; ``SeparatedSet`` compares its words by
-    value, so the generated ``==`` and ``hash`` hold.
+    a pair (separation checks), each in ``0..D``.  So the report stores only
+    the family, the sample size and the words, and derives one ``(bound,
+    achieved, passed)`` entry per class and kind from the first two, in
+    :attr:`kl_classes` and :attr:`sep_classes`.  :attr:`checks` names every
+    check on first read, and :attr:`n_failed` counts failures without
+    naming any; :meth:`save` streams the JSON one row of words at a time, in
+    memory linear in ``M``.  Two reports are equal when their family,
+    sample size and words are, which fix the class tables; ``SeparatedSet``
+    compares its words by value, so the generated ``==`` and ``hash`` hold.
     """
 
     family: PerturbationFamily
     sample_size: int
     words: SeparatedSet
-    kl_classes: tuple[tuple[float, float, bool], ...]
-    sep_classes: tuple[tuple[float, float, bool], ...]
 
     @property
     def family_size(self) -> int:
@@ -485,6 +480,22 @@ class AuditReport:
     @property
     def amplitude(self) -> float:
         return self.family.amplitude
+
+    @cached_property
+    def kl_classes(self) -> tuple[tuple[float, float, bool], ...]:
+        """KL check entries by active bumps ``0..D``, against ``log(M)/16``."""
+        budget = math.log(self.family_size) / 16.0
+        # object dtype keeps n * active an exact Python int, as in analytic_kl_product
+        active = np.arange(self.n_bumps + 1).astype(object)
+        kl = _kl_product(self.family, active, self.sample_size).tolist()
+        return tuple((budget, v, v <= budget) for v in kl)
+
+    @cached_property
+    def sep_classes(self) -> tuple[tuple[float, float, bool], ...]:
+        """Separation check entries by Hamming distance ``0..D``."""
+        floor = (HELLINGER_CURVATURE / 64.0) * math.log(self.family_size) / self.sample_size
+        sep = _hellinger_sq(self.family, np.arange(self.n_bumps + 1)).tolist()
+        return tuple((floor, v, v >= floor) for v in sep)
 
     def _rows(self, kl, sep):
         """Yield the checks in report order, one row at a time, as
@@ -584,8 +595,8 @@ def audit_hypotheses(
     pair, the squared Hellinger separation must reach
     ``(c/64) * log(M)/n`` with ``c = HELLINGER_CURVATURE``.  Each check is
     reported individually, so a violation points at the exact word or pair.
-    The closed forms are evaluated once per class (active bumps, Hamming
-    distance), elementwise, so each value is the one a per-check
+    The report evaluates the closed forms once per class (active bumps,
+    Hamming distance), elementwise, so each value is the one a per-check
     evaluation gives.
     """
     _check_sample_size(n, family.n_bumps)
@@ -594,18 +605,4 @@ def audit_hypotheses(
             f"word length {words.word_length} does not match the family's "
             f"{family.n_bumps} bumps"
         )
-    log_m = math.log(family.family_size)
-    kl_budget = log_m / 16.0
-    sep_floor = (HELLINGER_CURVATURE / 64.0) * log_m / n
-
-    classes = np.arange(family.n_bumps + 1)
-    # object dtype keeps n * active an exact Python int, as in analytic_kl_product
-    kl = _kl_product(family, classes.astype(object), n).tolist()
-    sep = _hellinger_sq(family, classes).tolist()
-    return AuditReport(
-        family=family,
-        sample_size=n,
-        words=words,
-        kl_classes=tuple((kl_budget, v, v <= kl_budget) for v in kl),
-        sep_classes=tuple((sep_floor, v, v >= sep_floor) for v in sep),
-    )
+    return AuditReport(family=family, sample_size=n, words=words)

@@ -402,9 +402,12 @@ class TestRateStudyCommand:
         assert err.startswith("2 of 6 report rows failed; fitted slope ")
         assert err.count("\n") == 1
         obj = json.loads(fit.read_text())
+        assert list(obj) == ["slope", "intercept", "n_fit", "dropped", "slope_range",
+                             "slope_in_range"]
         assert obj["dropped"] == 2 and obj["n_fit"] == 4
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
+        assert obj["n_fit"] + obj["dropped"] == len(rows)
         assert [r["pass"] for r in rows if r["n"] == "1600"] == ["false", "false"]
         assert all(r["pass"] == "true" for r in rows if r["n"] != "1600")
 

@@ -108,7 +108,7 @@ def _old_l1(f, g):
 def _old_row(experiment, config, m, n, risks, oracle, bound):
     mean, se = _mean_se(risks)
     return RiskRow(experiment, m, n, config.replications, mean, se, oracle,
-                   mean - oracle, bound, mean - oracle <= bound + 3 * se)
+                   bound, mean - oracle <= bound + 3 * se)
 
 
 def _old_oracle_experiment(config):
@@ -160,7 +160,7 @@ def _old_rate_rows(config):
                 if mean > worst_mean:
                     worst_mean, worst_se = mean, se
             rows.append(RiskRow("rate", m, n, config.replications, worst_mean, worst_se,
-                                0.0, worst_mean, math.log(m) / n,
+                                0.0, math.log(m) / n,
                                 worst_mean > 0 and math.isfinite(worst_mean)))
     return tuple(rows)
 

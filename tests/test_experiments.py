@@ -401,7 +401,5 @@ class TestLowerboundAuditRunner:
 class TestRiskRow:
     def test_validates_consistency(self):
         with pytest.raises(ValidationError):
-            RiskRow("x", 2, 10, 5, 1.0, -0.1, 0.5, 0.5, 1.0, True)
-        with pytest.raises(ValidationError):
-            RiskRow("x", 2, 10, 5, 1.0, 0.1, 0.5, 0.9, 1.0, True)
-        RiskRow("x", 2, 10, 5, 1.0, 0.1, 0.5, 0.5, 1.0, True)
+            RiskRow("x", 2, 10, 5, 1.0, -0.1, 0.5, 1.0, True)
+        RiskRow("x", 2, 10, 5, 1.0, 0.1, 0.5, 1.0, True)

@@ -377,3 +377,20 @@ def test_audit_past_256_words_finishes(tmp_path):
     report = json.loads(out.read_text())
     assert report["D"] == 65 and report["all_pass"] is True
     assert len(report["checks"]) == 257 + 257 * 256 // 2
+
+
+@pytest.mark.parametrize("args", [
+    ["-c", "from densagg import build_separated_set; build_separated_set(600, 2)"],
+    ["-m", "densagg.cli", "lowerbound-audit", "--M", str(2**64 + 1), "--n", str(10**30),
+     "--A", "2", "--out", "audit.json"],
+], ids=["library", "cli"])
+def test_basis_wider_than_64_bits_fails_at_once(tmp_path, args):
+    # ceil(D/8) > 64, so no 64-bit word is far enough from the zero word; the
+    # scan starts at the least integer that could be, past every 64-bit one
+    src = str(Path(densagg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, *args], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 1
+    assert "needs a lexicode basis word wider than 64 bits" in proc.stderr
+    assert not (tmp_path / "audit.json").exists()

@@ -97,8 +97,6 @@ class TestParameterChoice:
             choose_parameters(16, 100, 1.0)
 
     def test_family_invariants_enforced(self, family_16_1000):
-        with pytest.raises(ValidationError, match="minimal count"):
-            replace(family_16_1000, n_bumps=33)
         cap = family_16_1000.n_bumps * 1.0
         with pytest.raises(ValidationError, match="amplitude"):
             replace(family_16_1000, amplitude=cap * 1.01)
@@ -214,6 +212,8 @@ class TestHammingDistance:
             hamming_distance([0, 1], [0, 1, 1])
         with pytest.raises(ValidationError):
             hamming_distance([0, 2], [0, 1])
+        with pytest.raises(ValidationError):
+            hamming_distance([[0, 1]], [[0, 1]])
 
 
 class TestSeparatedSet:
@@ -370,7 +370,7 @@ class TestClosedForms:
         with localcontext() as ctx:
             ctx.prec = 210
             for a in heights.tolist():
-                fam = PerturbationFamily(n_bumps=8, amplitude=8.0 * a, bound=2.0,
+                fam = PerturbationFamily(amplitude=8.0 * a, bound=2.0,
                                          sample_size=1, family_size=2)
                 assert fam.bump_height == a
                 d = Decimal(a)

@@ -1,7 +1,10 @@
-"""The package surface: ``densagg`` re-exports each layer's ``__all__``, and
-no module imports a name it never reads."""
+"""The package surface: ``densagg`` re-exports each layer's ``__all__``, no
+module imports a name it never reads, and no record takes a value its other
+fields fix."""
 
 import ast
+import math
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -63,3 +66,20 @@ def _unread_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_every_imported_name_is_read(path):
     assert _unread_imports(path) == []
+
+
+def test_derived_values_are_read_not_passed():
+    family = densagg.choose_parameters(16, 1000, 2.0)
+    words = densagg.build_separated_set(family.n_bumps, 16)
+    report = densagg.audit_hypotheses(family, words, 1000)
+    row = densagg.RiskRow("rate", 16, 1000, 5, 1.0, 0.1, 0.25, 1.0, True)
+    result = densagg.RateStudyResult(
+        densagg.RiskReport((row, replace(row, passed=False), row)), 1.0, 0.0)
+    for record, derived in ((family, {"n_bumps"}), (report, {"kl_classes", "sep_classes"}),
+                            (row, {"excess"}), (result, {"n_fit", "dropped"})):
+        assert not derived & {f.name for f in fields(record)}
+    assert family.n_bumps == densagg.min_bump_count(16) == 32
+    assert [e[0] for e in report.kl_classes] == [math.log(16) / 16.0] * 33
+    assert len(report.sep_classes) == 33 and report.sep_classes[0][1] == 0.0
+    assert row.excess == 0.75
+    assert (result.n_fit, result.dropped) == (2, 1)
