@@ -28,10 +28,11 @@ for row in report.rows:
     print(f"  n={row.n:>4}  excess {row.excess:.2e}  "
           f"bound {row.bound:.2e}  pass={row.passed}")
 
-out = Path(tempfile.mkdtemp()) / "report.csv"
-report.to_csv(out)
-print(f"\nCSV written to {out}:")
-print(out.read_text())
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp) / "report.csv"
+    report.to_csv(out)
+    print(f"\nCSV written to {out}:")
+    print(out.read_text())
 
 # The rate study re-tunes the worst-case family per (M, n) cell, takes the
 # worst truth in each family, and regresses log(excess) on log(log(M)/n).

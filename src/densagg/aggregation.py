@@ -421,31 +421,25 @@ def _select_cells(candidates: CandidateSet, cells: np.ndarray) -> np.ndarray:
     The class is built once for all rows.  Each row's empirical set masses
     are sums of cell counts, exact in floating point at any n that fits in
     memory, so a BLAS product gives the integers an integer product would.
-    Scores are running maxima over chunks of about ``_BLOCK_ELEMENTS``
-    (row, candidate, set) deviations, so memory stays bounded for any R;
-    max is exact, so every score is the one a whole (M, sets) matrix per
-    row gives.
+    Rows are scored one at a time, each score a running maximum over chunks
+    of about ``_BLOCK_ELEMENTS`` (candidate, set) deviations, so memory stays
+    bounded for any R; max is exact, so every score is the one a whole
+    (M, sets) matrix per row gives.
     """
     masks = yatracos_class(candidates)
     cell_masses = candidates.values * candidates.cell_lengths  # (M, cells)
     set_integrals = cell_masses @ masks.T  # (M, sets)
-    rows, n = cells.shape
+    n = cells.shape[1]
     m, (sets, width) = candidates.size, masks.shape
     members = masks.T.astype(float)  # (cells, sets)
-    set_step = min(sets, max(1, _BLOCK_ELEMENTS // m))
-    row_step = max(1, _BLOCK_ELEMENTS // (m * set_step))
-    scores = np.zeros((rows, m))
-    for r in range(0, rows, row_step):
-        block = cells[r:r + row_step]
-        k = block.shape[0]
-        counts = np.bincount((block + width * np.arange(k)[:, None]).ravel(),
-                             minlength=k * width).reshape(k, width)
-        empirical = (counts @ members) / n  # (k, sets)
-        best = scores[r:r + row_step]
-        for s in range(0, sets, set_step):
-            gaps = set_integrals[:, s:s + set_step] - empirical[:, None, s:s + set_step]
+    step = min(sets, max(1, _BLOCK_ELEMENTS // m))
+    scores = np.zeros((cells.shape[0], m))
+    for row, best in zip(cells, scores):
+        empirical = (np.bincount(row, minlength=width) @ members) / n  # (sets,)
+        for s in range(0, sets, step):
+            gaps = set_integrals[:, s:s + step] - empirical[s:s + step]
             np.abs(gaps, out=gaps)
-            np.maximum(best, gaps.max(axis=2), out=best)
+            np.maximum(best, gaps.max(axis=1), out=best)
     return np.argmin(scores, axis=1)  # the first minimum: smallest index
 
 

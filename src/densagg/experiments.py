@@ -267,6 +267,9 @@ def _spec(spec, name: str) -> dict:
             out[key] = _integer(spec[key], where, want)
         elif not isinstance(spec[key], (list, tuple) if want is list else want):
             raise ValidationError(f"{where} must be a {want.__name__}, got {spec[key]!r}")
+    for path in spec["paths"] if kind == "files" else ():
+        if not isinstance(path, str):
+            raise ValidationError(f"{name}.paths entry must be a str, got {path!r}")
     return out
 
 
@@ -532,7 +535,6 @@ def run_rate_study(config: ExperimentConfig) -> RateStudyResult:
             "the rate study needs at least three distinct sample sizes in n_values"
         )
     rows = []
-    xs, ys = [], []
     for m in config.M_values:
         for n in config.n_values:
             candidates = _perturbation_candidates(m, n, config.A)
@@ -545,19 +547,16 @@ def run_rate_study(config: ExperimentConfig) -> RateStudyResult:
                 mean, se = _mean_se(np.array([v ** config.q for v in losses.tolist()]))
                 if mean > worst_mean:
                     worst_mean, worst_se = mean, se
-            psi = math.log(m) / n
             valid = worst_mean > 0 and math.isfinite(worst_mean)
             # the truth is a family member, so the oracle risk is 0
             rows.append(_risk_row("rate", config, m, n, worst_mean, worst_se,
-                                  0.0, psi, passed=valid))
-            if valid:
-                xs.append(math.log(psi))
-                ys.append(math.log(worst_mean))
-    if len(xs) < 2:
+                                  0.0, math.log(m) / n, passed=valid))
+    fit = [(math.log(r.bound), math.log(r.mean_risk)) for r in rows if r.passed]
+    if len(fit) < 2:
         raise ValidationError(
             "rate study has fewer than two usable cells; cannot fit a slope"
         )
-    slope, intercept = np.polyfit(np.array(xs), np.array(ys), 1)
+    slope, intercept = np.polyfit(*np.array(fit).T, 1)
     return RateStudyResult(
         report=RiskReport(tuple(rows)), slope=float(slope), intercept=float(intercept))
 

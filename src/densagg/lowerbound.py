@@ -28,9 +28,11 @@ The pieces:
   per class; pair distances come from packed rows and popcounts, one row
   against all later rows at a time, whenever the report is read or saved.
 
-Records store only what they are given: a family's bump count is derived
-from its size, and an audit report's class tables from its family and
-sample size.
+Records hold only what they use and check it on construction: a family
+derives its bump count from its size and holds no sample size (the
+amplitude encodes the one it was tuned to); an audit report checks its
+sample size and word length, and derives its class tables from its family
+and sample size.
 
 Closed forms (``a = amplitude / D`` is the bump height, ``ρ`` the Hamming
 distance, ``s`` the number of active bumps, ``u, v = sqrt(1 ± a)``):
@@ -113,20 +115,19 @@ class PerturbationFamily:
     on the uniform density; a binary word of length ``n_bumps`` selects
     which bumps are active.
 
-    ``n_bumps`` is derived from ``family_size``, not stored.  Invariants
-    enforced here: the amplitude is positive and small enough that every
-    member stays nonnegative and below ``bound``.
+    ``n_bumps`` is derived from ``family_size``, and no sample size is held:
+    the amplitude encodes the one it was tuned to.  Invariants enforced
+    here: the amplitude is positive and small enough that every member
+    stays nonnegative and below ``bound``.
     """
 
     amplitude: float
     bound: float
-    sample_size: int
     family_size: int
 
     def __post_init__(self):
         if not 1.0 < self.bound < math.inf:
             raise ValidationError(f"sup bound must exceed 1 and be finite, got {self.bound!r}")
-        _check_sample_size(self.sample_size, self.n_bumps)
         cap = self.n_bumps * min(1.0, self.bound - 1.0)
         if not 0.0 < self.amplitude <= cap:
             raise ValidationError(
@@ -179,12 +180,7 @@ def choose_parameters(family_size: int, sample_size: int, bound: float) -> Pertu
             f"{16.0 * margin * margin * sample_size:.6g}"
         )
     amplitude = (n_bumps / 4.0) * math.sqrt(math.log(family_size) / sample_size)
-    return PerturbationFamily(
-        amplitude=amplitude,
-        bound=bound,
-        sample_size=sample_size,
-        family_size=family_size,
-    )
+    return PerturbationFamily(amplitude=amplitude, bound=bound, family_size=family_size)
 
 
 def bump(family: PerturbationFamily, index: int) -> PiecewiseFunction:
@@ -318,11 +314,15 @@ def build_separated_set(n_bits: int, n_words: int) -> SeparatedSet:
     ``g_b`` (the words at positions ``2^b``) for the set bits of ``i``
     (Conway & Sloane 1986, "Lexicographic codes"; Brualdi & Pless 1993,
     "Greedy codes").  So only the ``ceil(log2 n_words)`` basis words are
-    searched.  ``g_b`` is the first integer above every word of the current
-    span at distance ``ceil(n_bits/8)`` or more from all of them, found by
-    filtering chunks of candidates with hardware popcounts; the span then
-    doubles to ``span ∪ (span ⊕ g_b)``.  Basis words are held in 64 bits,
-    and a request that would need a wider one fails with a
+    searched.  ``g_b`` is the first integer at distance ``ceil(n_bits/8)`` or
+    more from every word of the current span, found by filtering chunks of
+    candidates with hardware popcounts; the span then doubles to ``span ∪
+    (span ⊕ g_b)``.  The search for ``g_b`` starts at ``2^L``, with ``L`` the
+    bit length of ``g_(b-1)``: each integer ``c`` between the span's maximum
+    and ``2^L`` shares that top bit, so ``c ⊕ g_(b-1)`` lies below
+    ``g_(b-1)``, where every integer is within the distance of the span, and
+    XOR with a span word keeps that distance.  Basis words are held in 64
+    bits, and a request that would need a wider one fails with a
     ``ValidationError``.  None up to ``n_words = 512`` comes near: the
     widest basis word there has 26 bits.
 
@@ -353,7 +353,7 @@ def build_separated_set(n_bits: int, n_words: int) -> SeparatedSet:
                 break
         if cand.size:
             span = np.concatenate((span, span ^ cand[0]))
-            start = int(span.max()) + 1
+            start = 1 << int(cand[0]).bit_length()
         else:
             start += chunk
     if span.size < n_words:
@@ -459,42 +459,36 @@ class AuditReport:
     memory linear in ``M``.  Two reports are equal when their family,
     sample size and words are, which fix the class tables; ``SeparatedSet``
     compares its words by value, so the generated ``==`` and ``hash`` hold.
+    Construction checks the sample size and that the words have one bit per
+    bump.
     """
 
     family: PerturbationFamily
     sample_size: int
     words: SeparatedSet
 
-    @property
-    def family_size(self) -> int:
-        return self.family.family_size
-
-    @property
-    def sup_bound(self) -> float:
-        return self.family.bound
-
-    @property
-    def n_bumps(self) -> int:
-        return self.family.n_bumps
-
-    @property
-    def amplitude(self) -> float:
-        return self.family.amplitude
+    def __post_init__(self):
+        _check_sample_size(self.sample_size, self.family.n_bumps)
+        if self.words.word_length != self.family.n_bumps:
+            raise ValidationError(
+                f"word length {self.words.word_length} does not match the family's "
+                f"{self.family.n_bumps} bumps"
+            )
 
     @cached_property
     def kl_classes(self) -> tuple[tuple[float, float, bool], ...]:
         """KL check entries by active bumps ``0..D``, against ``log(M)/16``."""
-        budget = math.log(self.family_size) / 16.0
+        budget = math.log(self.family.family_size) / 16.0
         # object dtype keeps n * active an exact Python int, as in analytic_kl_product
-        active = np.arange(self.n_bumps + 1).astype(object)
+        active = np.arange(self.family.n_bumps + 1).astype(object)
         kl = _kl_product(self.family, active, self.sample_size).tolist()
         return tuple((budget, v, v <= budget) for v in kl)
 
     @cached_property
     def sep_classes(self) -> tuple[tuple[float, float, bool], ...]:
         """Separation check entries by Hamming distance ``0..D``."""
-        floor = (HELLINGER_CURVATURE / 64.0) * math.log(self.family_size) / self.sample_size
-        sep = _hellinger_sq(self.family, np.arange(self.n_bumps + 1)).tolist()
+        floor = (HELLINGER_CURVATURE / 64.0) * math.log(self.family.family_size) / self.sample_size
+        sep = _hellinger_sq(self.family, np.arange(self.family.n_bumps + 1)).tolist()
         return tuple((floor, v, v >= floor) for v in sep)
 
     def _rows(self, kl, sep):
@@ -535,11 +529,11 @@ class AuditReport:
 
     def _header(self) -> dict:
         return {
-            "M": self.family_size,
+            "M": self.family.family_size,
             "n": self.sample_size,
-            "A": self.sup_bound,
-            "D": self.n_bumps,
-            "L": self.amplitude,
+            "A": self.family.bound,
+            "D": self.family.n_bumps,
+            "L": self.family.amplitude,
             "curvature_const": HELLINGER_CURVATURE,
         }
 
@@ -599,10 +593,4 @@ def audit_hypotheses(
     Hamming distance), elementwise, so each value is the one a per-check
     evaluation gives.
     """
-    _check_sample_size(n, family.n_bumps)
-    if words.word_length != family.n_bumps:
-        raise ValidationError(
-            f"word length {words.word_length} does not match the family's "
-            f"{family.n_bumps} bumps"
-        )
     return AuditReport(family=family, sample_size=n, words=words)

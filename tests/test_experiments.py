@@ -166,6 +166,8 @@ class TestConfig:
              "candidate_spec.n_ref must be at least 1, got 0"),
             ({"truth_spec": {"kind": "file", "path": 3}},
              "truth_spec.path must be a str, got 3"),
+            ({"candidate_spec": {"kind": "files", "paths": ["a.json", 0]}},
+             "candidate_spec.paths entry must be a str, got 0"),
         ],
     )
     def test_rejection_names_the_field_and_its_rule(self, bad, message):
@@ -390,8 +392,8 @@ class TestLowerboundAuditRunner:
     def test_tuned_audit_passes(self):
         report = run_lowerbound_audit(16, 1000, 2.0)
         assert report.all_pass
-        assert report.family_size == 16 and report.sample_size == 1000
-        assert report.words.size == 16 and report.words.word_length == report.n_bumps
+        assert report.family.family_size == 16 and report.sample_size == 1000
+        assert report.words.size == 16 and report.words.word_length == report.family.n_bumps
 
     def test_infeasible_parameters_error(self):
         with pytest.raises(ValidationError):

@@ -5,8 +5,9 @@ XORs the rest; ``audit_hypotheses`` evaluates the closed forms once per
 class (active bumps, Hamming distance), and ``AuditReport.save`` streams
 the JSON row by row.  They are checked here against frozen copies of the
 code they replaced: the chunked first-fit scanner (``_old_greedy_scan``),
-the per-word, per-pair audit loop (``_old_audit``) and the whole-report
-``json.dumps`` writer (``_old_save``).
+the basis search that restarted above the span's maximum
+(``_old_basis_search``), the per-word, per-pair audit loop (``_old_audit``)
+and the whole-report ``json.dumps`` writer (``_old_save``).
 """
 
 import json
@@ -78,6 +79,26 @@ def _old_int_scan(n_bits, n_words):
     return accepted
 
 
+def _old_basis_search(n_bits, n_words):
+    thr = (n_bits + 7) // 8
+    limit = min(1 << n_bits, 1 << 64)
+    chunk = 1 << 14
+    span = np.zeros(1, dtype=np.uint64)
+    start = (1 << thr) - 1
+    while span.size < n_words and start < limit:
+        cand = np.arange(start, min(start + chunk, limit), dtype=np.uint64)
+        for v in span:
+            cand = cand[np.bitwise_count(cand ^ v) >= thr]
+            if cand.size == 0:
+                break
+        if cand.size:
+            span = np.concatenate((span, span ^ cand[0]))
+            start = int(span.max()) + 1
+        else:
+            start += chunk
+    return span[:n_words].tolist()
+
+
 def _old_bits(values, n_bits):
     return np.array(
         [[(v >> (n_bits - 1 - c)) & 1 for c in range(n_bits)] for v in values], dtype=np.uint8
@@ -142,8 +163,9 @@ def _assert_matches_old_audit(report, family, words, n, path):
     assert report.all_pass == all(c.passed for c in checks)
     assert report.n_failed == sum(not c.passed for c in checks)
     assert report.to_dict() == json.loads(_old_save(header, checks))
-    assert [report.family_size, report.sample_size, report.sup_bound, report.n_bumps,
-            report.amplitude] == [header[k] for k in ("M", "n", "A", "D", "L")]
+    assert [report.family.family_size, report.sample_size, report.family.bound,
+            report.family.n_bumps, report.family.amplitude] == [
+                header[k] for k in ("M", "n", "A", "D", "L")]
     report.save(path)
     expected = _old_save(header, checks).encode()
     assert path.read_bytes() == expected
@@ -222,6 +244,12 @@ class TestLexicode:
     def test_wide_words_match_the_plain_integer_scan(self, n_bits, n_words):
         sep = build_separated_set(n_bits, n_words)
         assert np.array_equal(sep.words, _old_bits(_old_int_scan(n_bits, n_words), n_bits))
+
+    @pytest.mark.parametrize("m", [257, 300])
+    def test_family_words_past_256_match_the_old_basis_search(self, m):
+        n_bits = min_bump_count(m)
+        oracle = _old_bits(_old_basis_search(n_bits, m), n_bits)
+        assert np.array_equal(build_separated_set(n_bits, m).words, oracle)
 
     def test_set_of_one_is_the_zero_word(self):
         assert np.array_equal(build_separated_set(5, 1).words, [[0] * 5])

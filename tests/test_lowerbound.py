@@ -15,6 +15,7 @@ import pytest
 
 from densagg import (
     HELLINGER_CURVATURE,
+    AuditReport,
     PerturbationFamily,
     PiecewiseDensity,
     SeparatedSet,
@@ -103,8 +104,6 @@ class TestParameterChoice:
         for bound in (1.0, math.inf):
             with pytest.raises(ValidationError, match="sup bound must exceed 1"):
                 replace(family_16_1000, bound=bound)
-        with pytest.raises(ValidationError, match="sample size must be positive"):
-            replace(family_16_1000, sample_size=0)
         # within the cap, rescaling is allowed (used by the audit tests)
         bigger = replace(family_16_1000, amplitude=family_16_1000.amplitude * 6)
         assert bigger.bump_height == pytest.approx(6 * family_16_1000.bump_height)
@@ -347,14 +346,14 @@ class TestClosedForms:
 
     def test_kl_ceiling_in_terms_of_parameters(self, family_16_1000, words_16_1000):
         fam, sep = family_16_1000, words_16_1000
-        n = fam.sample_size
+        n = 1000
         ceiling = n * fam.amplitude**2 / fam.n_bumps**2
         for w in sep.words:
             assert analytic_kl_product(fam, w, n) <= ceiling + 1e-15
 
     def test_l1_separation_floor_at_tuned_amplitude(self, family_16_1000, words_16_1000):
         fam, sep = family_16_1000, words_16_1000
-        floor = math.sqrt(math.log(fam.family_size) / fam.sample_size) / 32.0
+        floor = math.sqrt(math.log(fam.family_size) / 1000) / 32.0
         for i in range(sep.size):
             for j in range(i + 1, sep.size):
                 assert analytic_l1(fam, sep.words[i], sep.words[j]) >= floor - 1e-15
@@ -370,8 +369,7 @@ class TestClosedForms:
         with localcontext() as ctx:
             ctx.prec = 210
             for a in heights.tolist():
-                fam = PerturbationFamily(amplitude=8.0 * a, bound=2.0,
-                                         sample_size=1, family_size=2)
+                fam = PerturbationFamily(amplitude=8.0 * a, bound=2.0, family_size=2)
                 assert fam.bump_height == a
                 d = Decimal(a)
                 up, down = (1 + d).sqrt(), (1 - d).sqrt()
@@ -423,7 +421,12 @@ class TestAudit:
     def test_word_length_must_match_family(self, family_16_1000):
         with pytest.raises(ValidationError, match="word length"):
             audit_hypotheses(family_16_1000, build_separated_set(16, 4), 1000)
+        # built directly, the record checks its words too
+        with pytest.raises(ValidationError, match="word length 40 does not match the family's 32"):
+            AuditReport(family_16_1000, 1000, build_separated_set(40, 16))
 
     def test_sample_size_must_be_positive(self, family_16_1000, words_16_1000):
         with pytest.raises(ValidationError):
             audit_hypotheses(family_16_1000, words_16_1000, 0)
+        with pytest.raises(ValidationError, match="sample size must be positive, got 0"):
+            AuditReport(family_16_1000, 0, words_16_1000)
