@@ -332,13 +332,11 @@ def progressive_weights(candidates: CandidateSet, x) -> WeightTrajectory:
 def _mixture_values(candidates: CandidateSet, weights: np.ndarray) -> np.ndarray:
     """Cell values of the mixture under each row of ``weights`` (R, M).
 
-    The product is taken row by row: one (R, M) @ (M, cells) product would
-    round differently.
+    A stack of R (1, M) @ (M, cells) products: numpy runs each as the same
+    vector-matrix call as ``w @ values`` for one row ``w``, where one 2-D
+    (R, M) @ (M, cells) product would round differently.
     """
-    values = np.empty((weights.shape[0], candidates.values.shape[1]))
-    for out, w in zip(values, weights):
-        out[:] = w @ candidates.values
-    return values
+    return np.matmul(weights[:, None, :], candidates.values)[:, 0]
 
 
 def mixture(candidates: CandidateSet, weights) -> PiecewiseDensity:

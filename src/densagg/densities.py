@@ -266,7 +266,7 @@ def _kl_rows(f: PiecewiseFunction, grid: np.ndarray, rows: np.ndarray) -> np.nda
     terms = np.zeros_like(gv)
     with np.errstate(divide="ignore"):
         terms[:, pos] = fv[pos] * np.log(fv[pos] / gv[:, pos])
-    out = np.array([np.dot(lens, t) for t in terms])
+    out = np.vecdot(terms, lens)
     out[escapes] = math.inf
     return out
 
@@ -276,13 +276,13 @@ def _hellinger_rows(f: PiecewiseFunction, grid: np.ndarray, rows: np.ndarray) ->
     _check_nonnegative(f, rows, "hellinger_distance")
     lens, fv, gv = _loss_cells(f, grid, rows)
     diff = np.sqrt(fv) - np.sqrt(gv)
-    return np.array([math.sqrt(np.dot(lens, d * d)) for d in diff])
+    return np.sqrt(np.vecdot(diff * diff, lens))
 
 
 def _l1_rows(f: PiecewiseFunction, grid: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """:func:`l1_distance` from ``f`` to each row of cell values on ``grid``."""
     lens, fv, gv = _loss_cells(f, grid, rows)
-    return np.array([np.dot(lens, d) for d in np.abs(fv - gv)])
+    return np.vecdot(np.abs(fv - gv), lens)
 
 
 def kl_divergence(f: PiecewiseFunction, g: PiecewiseFunction) -> float:

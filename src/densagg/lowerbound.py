@@ -28,6 +28,11 @@ The pieces:
   per class; pair distances come from packed rows and popcounts, one row
   against all later rows at a time, whenever the report is read or saved.
 
+One range rule admits a family, checked only by :class:`PerturbationFamily`:
+its bump height ``a`` has ``0 < a <= 1`` and ``1 + a <= A``, so the member
+values ``1 ± a`` lie in ``[0, A]``.  For a tuned family, whose bump height
+is ``sqrt(log(M)/n) / 4``, that reads ``log(M) <= 16 * min(1, A-1)² * n``.
+
 Records hold only what they use and check it on construction: a family
 derives its bump count from its size and holds no sample size (the
 amplitude encodes the one it was tuned to); an audit report checks its
@@ -116,9 +121,9 @@ class PerturbationFamily:
     which bumps are active.
 
     ``n_bumps`` is derived from ``family_size``, and no sample size is held:
-    the amplitude encodes the one it was tuned to.  Invariants enforced
-    here: the amplitude is positive and small enough that every member
-    stays nonnegative and below ``bound``.
+    the amplitude encodes the one it was tuned to.  Construction checks the
+    range rule on the values :func:`perturbed_density` writes, ``1 ± a`` with
+    ``a = bump_height``: ``0 < a <= 1`` and ``1 + a <= bound``.
     """
 
     amplitude: float
@@ -128,11 +133,12 @@ class PerturbationFamily:
     def __post_init__(self):
         if not 1.0 < self.bound < math.inf:
             raise ValidationError(f"sup bound must exceed 1 and be finite, got {self.bound!r}")
-        cap = self.n_bumps * min(1.0, self.bound - 1.0)
-        if not 0.0 < self.amplitude <= cap:
+        a = self.bump_height
+        if not (0.0 < a <= 1.0 and 1.0 + a <= self.bound):
             raise ValidationError(
-                f"amplitude must lie in (0, {cap!r}] so members stay nonnegative "
-                f"and below the bound; got {self.amplitude!r}"
+                f"amplitude {self.amplitude!r} gives bump height a = {a!r}, but members "
+                f"stay in [0, A] only if 0 < a <= 1 and 1 + a <= A = {self.bound!r}; "
+                "a tuned family needs log(M) <= 16 * min(1, A-1)^2 * n"
             )
 
     @property
@@ -160,25 +166,15 @@ def _check_sample_size(n: int, n_bumps: int) -> None:
 def choose_parameters(family_size: int, sample_size: int, bound: float) -> PerturbationFamily:
     """Tune a perturbation family to ``(M, n, A)``.
 
-    Feasibility gate: ``log(M) <= 16 * min(1, A-1)² * n``; fails loudly
-    otherwise, because beyond that point the bumps needed to separate ``M``
-    members would push members negative or above the bound.
-
     The tuned values are ``D = min_bump_count(M)`` and amplitude
     ``(D/4) * sqrt(log(M)/n)``, which saturates the KL budget the
-    lower-bound argument allows.
+    lower-bound argument allows.  The family fails loudly unless its bump
+    height ``a = sqrt(log(M)/n) / 4`` keeps members in ``[0, A]``:
+    ``0 < a <= 1`` and ``1 + a <= A``, or ``log(M) <= 16 * min(1, A-1)² * n``
+    in exact arithmetic.
     """
     n_bumps = min_bump_count(family_size)
     _check_sample_size(sample_size, n_bumps)
-    if not 1.0 < bound < math.inf:
-        raise ValidationError(f"sup bound must exceed 1 and be finite, got {bound!r}")
-    margin = min(1.0, bound - 1.0)
-    if math.log(family_size) > 16.0 * margin * margin * sample_size:
-        raise ValidationError(
-            "infeasible parameters: require log(M) <= 16 * min(1, A-1)^2 * n, "
-            f"but log({family_size}) = {math.log(family_size):.6g} > "
-            f"{16.0 * margin * margin * sample_size:.6g}"
-        )
     amplitude = (n_bumps / 4.0) * math.sqrt(math.log(family_size) / sample_size)
     return PerturbationFamily(amplitude=amplitude, bound=bound, family_size=family_size)
 
@@ -202,15 +198,20 @@ def bump(family: PerturbationFamily, index: int) -> PiecewiseFunction:
     return PiecewiseFunction(np.concatenate(([0.0], edges[1:][keep])), vals[keep])
 
 
+def _check_bits(w: np.ndarray) -> np.ndarray:
+    """The 0/1 word rule, for one word or a matrix of them; returns uint8."""
+    if not np.all((w == 0) | (w == 1)):
+        raise ValidationError("word entries must be 0 or 1")
+    return w.astype(np.uint8)
+
+
 def _check_word(word, n_bumps: int) -> np.ndarray:
     w = np.asarray(word)
     if w.ndim != 1 or w.size != n_bumps:
         raise ValidationError(
             f"word must be a vector of length {n_bumps}, got shape {w.shape}"
         )
-    if not np.all((w == 0) | (w == 1)):
-        raise ValidationError("word entries must be 0 or 1")
-    return w.astype(np.uint8)
+    return _check_bits(w)
 
 
 def perturbed_density(family: PerturbationFamily, word) -> PiecewiseDensity:
@@ -269,9 +270,7 @@ class SeparatedSet:
         w = np.asarray(self.words)
         if w.ndim != 2 or w.shape[0] < 1 or w.shape[1] < 1:
             raise ValidationError("words must be a nonempty 2-D 0/1 matrix")
-        if not np.all((w == 0) | (w == 1)):
-            raise ValidationError("word entries must be 0 or 1")
-        w = w.astype(np.uint8)
+        w = _check_bits(w)
         if np.any(w[0] != 0):
             raise ValidationError("the first word must be all zeros")
         # real-valued threshold D/8, checked exactly in integers as 8*dist >= D;

@@ -42,6 +42,7 @@ from densagg.aggregation import (
     _ROW_LOOP_WIDTH,
     _aggregate_rows,
     _averaged_weights,
+    _mixture_values,
 )
 from densagg.cli import main
 from densagg.densities import _hellinger_rows, _kl_rows, _l1_rows, _sample_rows
@@ -264,6 +265,13 @@ class TestBatchedKernel:
         x = _sample_rows(cands[1], 400, seeds)
         expected = np.stack([aggregate(cset, row).values for row in x])
         assert np.array_equal(_aggregate_rows(cset, cset.cell_indices(x)), expected)
+
+    @pytest.mark.parametrize("m, r_count", [(2, 1), (8, 3), (64, 40)])
+    def test_mixture_rows_equal_one_product_per_row(self, m, r_count):
+        cset = CandidateSet.from_densities(_perturbation_candidates(m, 400, 2.0))
+        weights = np.random.default_rng(m).dirichlet(np.ones(m), size=r_count)
+        expected = np.stack([w @ cset.values for w in weights])
+        assert np.array_equal(_mixture_values(cset, weights), expected)
 
     def test_aggregate_rows_needs_two_candidates(self):
         cset = CandidateSet.from_densities([PiecewiseDensity.uniform()])

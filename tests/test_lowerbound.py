@@ -12,6 +12,8 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from densagg import (
     HELLINGER_CURVATURE,
@@ -53,6 +55,15 @@ def brute_force_greedy(n_bits, n_words):
 
 def words_as_ints(sep):
     return [int("".join(str(int(b)) for b in row), 2) for row in sep.words]
+
+
+@st.composite
+def boundary_triples(draw):
+    """``(M, n, A)`` with ``log(M)`` near ``16 * min(1, A-1)^2 * n``."""
+    m = draw(st.integers(2, 10**9))
+    bound = draw(st.floats(1.0, 3.0, exclude_min=True))
+    tipping = math.log(m) / (16.0 * min(1.0, bound - 1.0) ** 2)
+    return m, max(1, math.floor(tipping) + draw(st.integers(-1, 2))), bound
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +118,50 @@ class TestParameterChoice:
         # within the cap, rescaling is allowed (used by the audit tests)
         bigger = replace(family_16_1000, amplitude=family_16_1000.amplitude * 6)
         assert bigger.bump_height == pytest.approx(6 * family_16_1000.bump_height)
+
+    def test_tuned_family_at_the_float_boundary_is_admitted(self):
+        # the exact-arithmetic gate rejected this family, though its members
+        # reach 1 + a == A and no further
+        bound = 1.0000000117808507
+        fam = choose_parameters(3078, 3617031736664667, bound)
+        assert 1.0 + fam.bump_height == bound
+        ones = perturbed_density(fam, np.ones(fam.n_bumps, dtype=int))
+        assert validate_class(ones, FunctionClass.KL_CANDIDATE, bound)
+
+    def test_family_whose_members_pass_the_bound_is_rejected(self):
+        # D = 90, so the amplitude D * (A - 1) passed the old cap, but the
+        # members' 1 + a rounds above A
+        bound = 1.9853177518521077
+        with pytest.raises(ValidationError, match="amplitude"):
+            PerturbationFamily(amplitude=90 * (bound - 1.0), bound=bound, family_size=2400)
+
+    @settings(max_examples=300, deadline=None)
+    @given(boundary_triples())
+    def test_tuned_families_near_the_gate_stay_in_the_class(self, triple):
+        m, n, bound = triple
+        try:
+            fam = choose_parameters(m, n, bound)
+        except ValidationError as err:
+            assert "log(M) <= 16 * min(1, A-1)^2 * n" in str(err)
+            return
+        ones = perturbed_density(fam, np.ones(fam.n_bumps, dtype=int))
+        assert validate_class(ones, FunctionClass.KL_CANDIDATE, bound)
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=st.integers(2, 5000), bound=st.floats(1.0, 3.0, exclude_min=True),
+           steps=st.integers(-3, 3))
+    def test_direct_families_near_the_cap_stay_in_range(self, m, bound, steps):
+        amplitude = min_bump_count(m) * min(1.0, bound - 1.0)
+        for _ in range(abs(steps)):
+            amplitude = math.nextafter(amplitude, math.copysign(math.inf, steps))
+        try:
+            fam = PerturbationFamily(amplitude=amplitude, bound=bound, family_size=m)
+        except ValidationError:
+            return
+        # every member's values are among those of these two members
+        for word in (np.zeros(fam.n_bumps, dtype=int), np.ones(fam.n_bumps, dtype=int)):
+            values = perturbed_density(fam, word).values
+            assert np.all((values >= 0.0) & (values <= bound))
 
     def test_tight_amplitude_never_exceeds_bound_margin(self):
         for m, n, a in [(2, 1, 2.0), (16, 4, 3.0), (5, 2, 1.5)]:

@@ -139,7 +139,7 @@ class TestScorer:
         assert expected == [0, 0, 1]
         assert _select_cells(cset, cset.cell_indices(x)).tolist() == expected
 
-    @pytest.mark.parametrize("m, budget", [(2, 64), (5, 1), (16, 100), (16, 2**15), (64, 3000)])
+    @pytest.mark.parametrize("m, budget", [(2, 4), (5, 1), (16, 100), (16, 2**10), (64, 3000)])
     def test_chunking_does_not_change_the_selection(self, monkeypatch, m, budget):
         cands = _perturbation_candidates(m, 300, 2.0) if m > 5 else [
             PiecewiseDensity([0.0, 0.3, 1.0], [0.1 + 0.5 * j, (1 - 0.3 * (0.1 + 0.5 * j)) / 0.7])
@@ -152,8 +152,7 @@ class TestScorer:
         sets = yatracos_class(cset).shape[0]
         monkeypatch.setattr(aggregation, "_BLOCK_ELEMENTS", budget)
         set_step = min(sets, max(1, budget // m))
-        row_step = max(1, budget // (m * set_step))
-        assert set_step < sets or 1 < row_step < x.shape[0]  # really split
+        assert set_step < sets  # really split
         assert np.array_equal(_select_cells(cset, cells), whole)
         assert whole[:6].tolist() == [_old_yatracos_select(cset, row) for row in x[:6]]
 
