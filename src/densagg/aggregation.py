@@ -23,9 +23,10 @@ The (n+1)×M matrix of weight rows is never held whole.  Each sample point
 is reduced once to its shared-grid cell; ``CandidateSet.log_table`` holds
 ``log f_j`` per cell, so a block of log-likelihood terms is a row gather
 with no ``log`` per point.  The block kernel walks the rows in blocks of
-about ``_BLOCK_ELEMENTS`` entries, carrying the cumulative log-likelihood
-into each block's first row before its cumulative sum and the running sum
-of weight rows into its first normalised row before the column sum.  Those
+about ``_BLOCK_ELEMENTS`` (2^17) entries, carrying the cumulative
+log-likelihood into each block's first row before its cumulative sum and
+the running sum of weight rows into its first normalised row before the
+column sum; the softmax overwrites each block's buffer.  Those
 carries repeat the additions of one ``cumsum`` and one column sum over the
 full matrix in the same order, so the averaged vector is bit-identical to
 the full-matrix computation while memory stays O(block) for any n.
@@ -43,7 +44,8 @@ and :func:`aggregate` are the R = 1 case.  The cumulative sum is
 than ``_ROW_LOOP_WIDTH`` entries, and one vector ``np.add`` per row from
 there on; the additions are the same either way.  The experiment harnesses
 batch the replications of a cell through :func:`_aggregate_rows`, and
-those of the selector through :func:`_select_cells`.
+those of the selector through :func:`_select_cells`, whose score chunks
+have their own budget of ``_SELECT_ELEMENTS`` (2^15) deviations.
 """
 
 from __future__ import annotations
@@ -80,8 +82,14 @@ __all__ = [
     "yatracos_select",
 ]
 
-#: Entries per block of weight rows: 2^15 doubles (256 KiB) stay in cache.
-_BLOCK_ELEMENTS = 2**15
+#: Entries per block of weight rows: 2^17 doubles (1 MiB).  The rate study
+#: runs the kernel on several threads, which take turns at the interpreter
+#: lock between numpy calls; blocks this large keep those hand-offs rare.
+_BLOCK_ELEMENTS = 2**17
+
+#: (candidate, set) deviations per chunk of the selector's scores: 2^15
+#: doubles (256 KiB) stay in cache.
+_SELECT_ELEMENTS = 2**15
 
 #: Blocks whose rows hold at least this many entries (replications × M)
 #: take the cumulative sum as one vector ``np.add`` per row; narrower ones
@@ -237,10 +245,11 @@ def empirical_kl(f: PiecewiseDensity, x) -> float:
 
 
 def _normalize_log_rows(log_w: np.ndarray, first_row: int = 0) -> np.ndarray:
-    """Softmax over the last axis that is exact about zeros.
+    """Softmax over the last axis that is exact about zeros, in place.
 
-    ``log_w`` is (rows, M) or (rows, R, M).  Each row is shifted by its max
-    before exponentiation; ``-inf`` entries come out as exactly 0.  A row
+    ``log_w`` is (rows, M) or (rows, R, M); it is overwritten by its weight
+    rows and returned.  Each row is shifted by its max before
+    exponentiation; ``-inf`` entries come out as exactly 0.  A row
     whose max is ``-inf`` (every candidate at zero likelihood) has no
     normalizer and is an error; ``first_row`` is the trajectory row index of
     ``log_w[0]``, for the message.
@@ -253,11 +262,10 @@ def _normalize_log_rows(log_w: np.ndarray, first_row: int = 0) -> np.ndarray:
             f"every candidate has zero likelihood on the first {k} sample points; "
             "weights are undefined"
         )
-    # Out of place on purpose: an in-place exp may take a different
-    # (scalar) numpy kernel and change the last bit.
-    w = np.exp(log_w - row_max[..., None])
-    w /= w.sum(axis=-1, keepdims=True)
-    return w
+    np.subtract(log_w, row_max[..., None], out=log_w)
+    np.exp(log_w, out=log_w)
+    log_w /= log_w.sum(axis=-1, keepdims=True)
+    return log_w
 
 
 def _weight_blocks(candidates: CandidateSet, cells: np.ndarray):
@@ -274,18 +282,18 @@ def _weight_blocks(candidates: CandidateSet, cells: np.ndarray):
     """
     width = cells.shape[0] * candidates.size
     step = max(1, _BLOCK_ELEMENTS // width)
-    log_w = np.zeros((1, cells.shape[0], candidates.size))
-    yield 0, _normalize_log_rows(log_w)
+    carry = np.zeros((cells.shape[0], candidates.size))
+    yield 0, _normalize_log_rows(np.zeros((1, *carry.shape)))
     for start in range(0, cells.shape[1], step):
         terms = candidates.log_table[cells[:, start:start + step].T]
-        terms[0] += log_w[-1]
+        terms[0] += carry
         if width >= _ROW_LOOP_WIDTH:
             for i in range(1, terms.shape[0]):
                 np.add(terms[i - 1], terms[i], out=terms[i])
-            log_w = terms
         else:
-            log_w = np.cumsum(terms, axis=0, out=terms)
-        yield start + 1, _normalize_log_rows(log_w, start + 1)
+            np.cumsum(terms, axis=0, out=terms)
+        carry = terms[-1].copy()
+        yield start + 1, _normalize_log_rows(terms, start + 1)
 
 
 def _averaged_weights(candidates: CandidateSet, cells: np.ndarray) -> np.ndarray:
@@ -420,7 +428,7 @@ def _select_cells(candidates: CandidateSet, cells: np.ndarray) -> np.ndarray:
     are sums of cell counts, exact in floating point at any n that fits in
     memory, so a BLAS product gives the integers an integer product would.
     Rows are scored one at a time, each score a running maximum over chunks
-    of about ``_BLOCK_ELEMENTS`` (candidate, set) deviations, so memory stays
+    of about ``_SELECT_ELEMENTS`` (candidate, set) deviations, so memory stays
     bounded for any R; max is exact, so every score is the one a whole
     (M, sets) matrix per row gives.
     """
@@ -430,7 +438,7 @@ def _select_cells(candidates: CandidateSet, cells: np.ndarray) -> np.ndarray:
     n = cells.shape[1]
     m, (sets, width) = candidates.size, masks.shape
     members = masks.T.astype(float)  # (cells, sets)
-    step = min(sets, max(1, _BLOCK_ELEMENTS // m))
+    step = min(sets, max(1, _SELECT_ELEMENTS // m))
     scores = np.zeros((cells.shape[0], m))
     for row, best in zip(cells, scores):
         empirical = (np.bincount(row, minlength=width) @ members) / n  # (sets,)

@@ -378,6 +378,13 @@ class FunctionClass(Enum):
     L1_CANDIDATE = "l1_candidate"
 
 
+def _check_sup_bound(bound: float) -> None:
+    """The one test of a sup bound ``A``, for the bounded classes and the
+    worst-case family alike."""
+    if not 1.0 < bound < math.inf:
+        raise ValidationError(f"sup bound must exceed 1 and be finite, got {bound!r}")
+
+
 def validate_class(f: PiecewiseFunction, cls: FunctionClass, bound: float) -> bool:
     """True iff ``f`` belongs to the class: the bound check plus the class's
     shape constraint (density / nonnegative / none).
@@ -385,8 +392,7 @@ def validate_class(f: PiecewiseFunction, cls: FunctionClass, bound: float) -> bo
     ``bound`` must be finite, and it must exceed 1 — otherwise no density
     can satisfy the sup bound and the classes are empty.
     """
-    if not 1.0 < bound < math.inf:
-        raise ValidationError(f"class bound must exceed 1 and be finite, got {bound!r}")
+    _check_sup_bound(bound)
     if float(np.max(np.abs(f.values), initial=0.0)) > bound:
         return False
     if cls in (FunctionClass.DENSITY, FunctionClass.KL_CANDIDATE):

@@ -72,6 +72,7 @@ from .densities import (
     ValidationError,
     _arrays_equal,
     _arrays_hash,
+    _check_sup_bound,
     _read_text,
 )
 
@@ -131,8 +132,7 @@ class PerturbationFamily:
     family_size: int
 
     def __post_init__(self):
-        if not 1.0 < self.bound < math.inf:
-            raise ValidationError(f"sup bound must exceed 1 and be finite, got {self.bound!r}")
+        _check_sup_bound(self.bound)
         a = self.bump_height
         if not (0.0 < a <= 1.0 and 1.0 + a <= self.bound):
             raise ValidationError(

@@ -3,12 +3,16 @@
 import csv
 import json
 import math
+import sys
+import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import densagg.experiments as experiments
 from densagg import (
     CSV_HEADER,
     ExperimentConfig,
@@ -386,6 +390,85 @@ class TestRateStudy:
         base = run_rate_study(cfg)
         squared = run_rate_study(replace(cfg, q=2.0))
         assert squared.slope == pytest.approx(2.0 * base.slope, rel=0.1)
+
+
+
+class TestRateStudyPool:
+    """The truths of a cell run on a thread pool of ``_workers()`` threads."""
+
+    @staticmethod
+    def _config(**overrides):
+        return quick_config(candidate_spec={"kind": "perturbation"}, A=2.0, M_values=(8, 4),
+                            n_values=(50, 100, 200), replications=6, **overrides)
+
+    @staticmethod
+    def _failing_on_truths_2_and_5(monkeypatch, later=0.0):
+        """Truths 2 and 5 fail, truth 2 only after 0.2 s, and truths after 2
+        take ``later`` seconds.  Returns the threads and truths the tasks ran on."""
+        real, ran = experiments._replication_risks, []
+
+        def failing(cset, truth, n, seeds, estimator, loss):
+            t = seeds[0][3]
+            ran.append((threading.current_thread(), t))
+            if t == 2:
+                time.sleep(0.2)
+            if t in (2, 5):
+                raise ValidationError(f"truth {t} fails")
+            time.sleep(later if t > 2 else 0.0)
+            return real(cset, truth, n, seeds, estimator, loss)
+
+        monkeypatch.setattr(experiments, "_replication_risks", failing)
+        return ran
+
+    @pytest.mark.parametrize("loss", ["KL", "H", "L1"])
+    def test_reports_do_not_depend_on_the_worker_count(self, monkeypatch, tmp_path, loss):
+        cfg = self._config(loss=loss, q=2.0)
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads hand the lock over as often as they can
+        try:
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(experiments, "_workers", lambda w=workers: w)
+                results.append(run_rate_study(cfg))
+                results[-1].report.to_csv(tmp_path / f"{workers}.csv")
+        finally:
+            sys.setswitchinterval(interval)
+        assert results[0] == results[1] == results[2]
+        texts = [(tmp_path / f"{w}.csv").read_bytes() for w in (1, 2, 3)]
+        assert texts[0] == texts[1] == texts[2]
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_an_error_is_the_first_failing_truths(self, monkeypatch, workers):
+        # with three workers truth 5 fails first in time; the serial loop stops at 2
+        self._failing_on_truths_2_and_5(monkeypatch)
+        monkeypatch.setattr(experiments, "_workers", lambda: workers)
+        with pytest.raises(ValidationError, match="^truth 2 fails$"):
+            run_rate_study(self._config())
+
+    def test_truths_not_started_at_an_error_are_cancelled(self, monkeypatch):
+        ran = self._failing_on_truths_2_and_5(monkeypatch, later=0.1)
+        monkeypatch.setattr(experiments, "_workers", lambda: 1)
+        with pytest.raises(ValidationError, match="^truth 2 fails$"):
+            run_rate_study(self._config())
+        assert [t for _, t in ran][:3] == [0, 1, 2]
+        assert len(ran) < 8  # of the first cell's 8 truths
+
+    def test_no_pool_thread_outlives_the_study(self, monkeypatch):
+        real, threads = experiments._replication_risks, set()
+
+        def recording(*args):
+            threads.add(threading.current_thread())
+            return real(*args)
+
+        monkeypatch.setattr(experiments, "_workers", lambda: 3)
+        monkeypatch.setattr(experiments, "_replication_risks", recording)
+        run_rate_study(self._config())
+        assert threads and threading.main_thread() not in threads
+        assert not any(t.is_alive() for t in threads)
+        ran = self._failing_on_truths_2_and_5(monkeypatch)
+        with pytest.raises(ValidationError, match="^truth 2 fails$"):
+            run_rate_study(self._config())
+        assert not any(t.is_alive() for t, _ in ran)
 
 
 class TestLowerboundAuditRunner:

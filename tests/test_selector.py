@@ -150,7 +150,7 @@ class TestScorer:
         cells = cset.cell_indices(x)
         whole = _select_cells(cset, cells)
         sets = yatracos_class(cset).shape[0]
-        monkeypatch.setattr(aggregation, "_BLOCK_ELEMENTS", budget)
+        monkeypatch.setattr(aggregation, "_SELECT_ELEMENTS", budget)
         set_step = min(sets, max(1, budget // m))
         assert set_step < sets  # really split
         assert np.array_equal(_select_cells(cset, cells), whole)
