@@ -199,9 +199,63 @@ def _cell_indices(breakpoints: np.ndarray, x, what: str) -> np.ndarray:
 
 
 def _cell_lookup(edges: np.ndarray, x) -> np.ndarray:
-    """Cell of each point on the nondecreasing ``edges``; searching the left
-    edges puts points at or past the last edge in the last cell."""
-    return np.searchsorted(edges[:-1], x, side="right") - 1
+    """Cell of each point on the nondecreasing ``edges``: for finite points,
+    equal to ``np.searchsorted(edges[:-1], x, side="right") - 1``, so points
+    at or past the last edge are in the last cell.
+
+    Found in the guide table of :func:`_guide_table` when there is one,
+    else by ``np.searchsorted``; points run in chunks of ``_SAMPLE_CHUNK``.
+    """
+    left = edges[:-1]
+    pts = np.asarray(x, dtype=float)
+    out = np.empty(pts.shape, dtype=np.intp)
+    table = _guide_table(left)
+    next_left = np.append(left, np.nan)  # no step past the last edge
+    flat = out.reshape(-1)
+    for i, v in _chunks(pts.reshape(-1)):
+        count = flat[i:i + v.size]
+        if table is None:
+            count[...] = np.searchsorted(left, v, side="right")
+        else:
+            k, start, steps = table
+            bucket = np.clip(v, -1.0 / k, 1.0)
+            bucket *= k
+            np.floor(bucket, out=bucket)
+            bucket += 1  # start[0] is for points below 0
+            # every bucket is in range; "clip" writes into ``out`` unbuffered
+            np.take(start, bucket.astype(np.intp), out=count, mode="clip")
+            for _ in range(steps):
+                count += next_left[count] <= v
+        count -= 1
+    return out[()]  # a scalar for a scalar point, as from np.searchsorted
+
+
+def _guide_table(left: np.ndarray):
+    """``(K, start, steps)``, a guide table (Chen & Asau 1974; Devroye 1986,
+    §III.2.4) for counting the sorted ``left`` edges at or below a point;
+    ``None`` where a binary search takes fewer steps.
+
+    ``[0, 1)`` is cut into K buckets, K the smallest power of two at least
+    twice the edges, so ``floor(x * K)`` is exact; points below 0 and at or
+    past 1 have a bucket each.  ``start[b + 1]`` counts the edges at or
+    below the lower end of bucket ``b`` (``start[0] = 0`` for points below
+    0).  A point steps up from there past each edge it reaches: ``steps``,
+    the most edges strictly inside one bucket, suffice.  Repeated edges,
+    the zero-mass cells of a CDF, each count.  When ``steps`` exceeds
+    ``ceil(log2(len(left)))``, as on clustered grids, there is no table.
+    """
+    k = 1 << (2 * left.size - 1).bit_length()
+    lows = np.arange(k + 1) / k
+    start = np.concatenate(([0], np.searchsorted(left, lows, side="right")))
+    inside = np.append(np.searchsorted(left, lows, side="left"), left.size) - start
+    steps = int(inside.max())
+    return (k, start, steps) if steps <= (left.size - 1).bit_length() else None
+
+
+def _chunks(flat: np.ndarray):
+    """``(start, piece)`` over ``flat`` in pieces of ``_SAMPLE_CHUNK``."""
+    for start in range(0, flat.size, _SAMPLE_CHUNK):
+        yield start, flat[start:start + _SAMPLE_CHUNK]
 
 
 def _values_on(f: PiecewiseFunction, grid: np.ndarray) -> np.ndarray:
@@ -329,9 +383,7 @@ def _sample_rows(density: PiecewiseDensity, n: int, seeds) -> np.ndarray:
         np.random.default_rng(seed).random(n, out=row)
     masses = density.values * density.cell_lengths
     cdf = np.concatenate(([0.0], np.cumsum(masses)))
-    flat = u.reshape(-1)
-    for start in range(0, flat.size, _SAMPLE_CHUNK):
-        v = flat[start:start + _SAMPLE_CHUNK]
+    for _, v in _chunks(u.reshape(-1)):
         idx = _cell_lookup(cdf, v)
         # The lookup can only land on a zero-mass cell in the float corner
         # v >= cdf[-1]; guard the division anyway.
@@ -345,10 +397,10 @@ def _sample_rows(density: PiecewiseDensity, n: int, seeds) -> np.ndarray:
 def sample(density: PiecewiseDensity, n: int, seed) -> np.ndarray:
     """Draw ``n`` i.i.d. points from a step density by CDF inversion.
 
-    One uniform variate is consumed per draw: the cell is located by a
-    binary search on the cumulative cell masses and the remainder of the
-    variate places the point uniformly inside the cell.  Identical seeds
-    give identical output arrays.
+    One uniform variate is consumed per draw: the cell is located in a
+    guide table of the cumulative cell masses (see :func:`_cell_lookup`)
+    and the remainder of the variate places the point uniformly inside
+    the cell.  Identical seeds give identical output arrays.
 
     ``seed`` is anything :func:`numpy.random.default_rng` accepts (ints and
     tuples of ints included).  The inversion runs in chunks of

@@ -33,8 +33,13 @@ same order, so reports are bit-identical to a loop over replications.
 Replications are grouped so that one group holds at most ``_GROUP_POINTS``
 (2^20) sample points, which bounds memory for any n × replications; the
 criterion-7 rate study (n <= 1600, 40 replications) runs each cell as one
-group.  The rate study runs each cell's truths on threads, one per CPU:
-numpy releases the interpreter lock inside the kernel's array operations.
+group.  The rate study runs each cell's truths on threads, one per CPU.
+numpy releases the interpreter lock inside large array operations but
+not between them, nor in ``default_rng`` construction.  Measured on two
+threads of a 2-CPU Xeon, at the study's sizes: ``np.exp`` over a block,
+the short-axis ``max`` and ``sum`` of (rows, 40, M) blocks and
+``np.searchsorted`` on 64,000 points ran at 1.6–2.0× the serial rate,
+``default_rng`` construction at 0.8–0.9×.
 """
 
 from __future__ import annotations

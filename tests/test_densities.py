@@ -6,6 +6,7 @@ Loss values are checked against independent adaptive-quadrature oracles
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +34,9 @@ from densagg import (
     save_sample,
     validate_class,
 )
-from densagg.densities import _cell_lookup
+from densagg.aggregation import CandidateSet
+from densagg.densities import _SAMPLE_CHUNK, _cell_lookup, _guide_table
+from densagg.experiments import _perturbation_candidates
 
 # Oracle values, fixed by adaptive quadrature of the integrands
 # (quad of f log(f/g) resp. (sqrt f - sqrt g)^2 with a breakpoint at 0.5).
@@ -273,14 +276,26 @@ def test_loss_relations_hold_for_arbitrary_densities(f, g):
 @st.composite
 def lookup_cases(draw):
     """Nondecreasing edges from 0 with repeated values (zero-mass cells of a
-    CDF), and points on, beside and past them."""
+    CDF), sometimes clustered below one bucket width, and points on, beside
+    and past them."""
     levels = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        width = draw(st.sampled_from([1e-3, 1e-9, 2.0**-40]))
+        levels = [min(1.0, levels[0] + width * v) for v in levels]
     rest = draw(st.lists(st.sampled_from(levels + [1.0]), min_size=1, max_size=12))
     edges = np.array([0.0] + sorted(rest))
     extra = draw(st.lists(st.floats(-0.5, 2.0), max_size=8))
     x = np.concatenate((edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
-                        [0.0, 1.0, 2.0], extra))
+                        [0.0, 1.0, 2.0], SPECIAL_POINTS, extra))
     return edges, x
+
+
+#: Subnormals, signed zeros and points far below 0 and above 1.
+SPECIAL_POINTS = [5e-324, -5e-324, 2.2e-308, -0.0, -1e-300, -3.0, 1.0 + 2**-52, 1e300, -1e300]
+
+
+def _searched(edges, x):
+    return np.searchsorted(edges[:-1], x, side="right") - 1
 
 
 @settings(max_examples=300, deadline=None)
@@ -289,7 +304,7 @@ def test_cell_lookup_matches_the_searches_it_replaced(case):
     edges, x = case
     got = _cell_lookup(edges, x)
     # the sample-point lookup
-    assert np.array_equal(got, np.searchsorted(edges[:-1], x, side="right") - 1)
+    assert np.array_equal(got, _searched(edges, x))
     # the CDF inversion, with its clamp onto the last cell
     clamped = np.minimum(np.searchsorted(edges, x, side="right") - 1, edges.size - 2)
     assert np.array_equal(got, clamped)
@@ -297,6 +312,70 @@ def test_cell_lookup_matches_the_searches_it_replaced(case):
     # grid, so they lie below the last edge
     below = x < edges[-1]
     assert np.array_equal(got[below], np.searchsorted(edges, x[below], side="right") - 1)
+
+
+class TestGuideTable:
+    @pytest.mark.parametrize("point", [0.0, -0.0, 0.3, 0.5, 1.0, -2.0, 5e-324, 7.0])
+    def test_a_scalar_point_gives_a_scalar_cell(self, point):
+        edges = np.array([0.0, 0.25, 0.5, 1.0])
+        for x in (point, np.float64(point), np.array(point)):
+            got = _cell_lookup(edges, x)
+            assert np.ndim(got) == 0 and got == _searched(edges, x)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, _SAMPLE_CHUNK + 5])
+    def test_inputs_longer_than_a_chunk(self, extra):
+        rng = np.random.default_rng(extra + 2)
+        edges = np.concatenate(([0.0], np.sort(rng.random(40)), [1.0]))
+        x = rng.uniform(-0.1, 1.1, size=2 * _SAMPLE_CHUNK + extra)
+        x[::97] = edges[rng.integers(0, edges.size, size=x[::97].size)]
+        assert np.array_equal(_cell_lookup(edges, x), _searched(edges, x))
+        rows = x[:3 * (x.size // 3)].reshape(3, -1)
+        got = _cell_lookup(edges, rows)
+        assert got.shape == rows.shape and np.array_equal(got, _searched(edges, rows))
+
+    @pytest.mark.parametrize("repeat", [False, True])
+    @pytest.mark.parametrize("size", [2, 16, 17, 100])
+    def test_the_table_is_used_up_to_the_depth_of_a_binary_search(self, size, repeat):
+        depth = (size - 1).bit_length()
+        k = 1 << (2 * size - 1).bit_length()
+        for inside in (depth, depth + 1):
+            # ``inside`` edges strictly inside the bucket [1/2, 1/2 + 1/k), the
+            # rest on bucket ends, where they count toward a start, not a step
+            if repeat:
+                cluster = np.full(inside, 0.5 + 0.5 / k)  # a run of zero-mass cells
+            else:
+                cluster = 0.5 + np.arange(1, inside + 1) / (k * (inside + 1))
+            ends = np.arange(size - inside) / k
+            edges = np.concatenate((np.sort(np.concatenate((ends, cluster))), [1.0]))
+            table = _guide_table(edges[:-1])
+            assert (table is None) == (inside > depth)
+            if table is not None:
+                assert table[2] == inside
+            x = np.concatenate((edges, np.nextafter(edges, -np.inf),
+                                np.nextafter(edges, np.inf), SPECIAL_POINTS,
+                                np.linspace(-0.1, 1.1, 999)))
+            assert np.array_equal(_cell_lookup(edges, x), _searched(edges, x))
+
+    @pytest.mark.parametrize("m", [4, 16, 64, 256])
+    def test_the_family_grids_and_member_cdfs_take_the_table(self, m):
+        members = _perturbation_candidates(m, 1000, 2.0)
+        cset = CandidateSet.from_densities(members)
+        cdfs = [np.concatenate(([0.0], np.cumsum(f.values * f.cell_lengths)))
+                for f in members]
+        for edges in [cset.grid, *cdfs]:
+            table = _guide_table(edges[:-1])
+            assert table is not None and table[2] <= 1
+
+    def test_peak_memory_of_a_million_points(self):
+        edges = CandidateSet.from_densities(_perturbation_candidates(64, 1000, 2.0)).grid
+        x = np.random.default_rng(4).random(10**6)
+        tracemalloc.start()
+        try:
+            _cell_lookup(edges, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 10**6 + 6 * 2**20  # the output and a few chunks
 
 
 class TestSampling:

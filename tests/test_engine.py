@@ -43,6 +43,8 @@ from densagg.aggregation import (
     _aggregate_rows,
     _averaged_weights,
     _mixture_values,
+    _normalize_log_rows,
+    _weight_blocks,
 )
 from densagg.cli import main
 from densagg.densities import _hellinger_rows, _kl_rows, _l1_rows, _sample_rows
@@ -74,6 +76,34 @@ def _old_sample(density, n, seed):
         frac = np.where(m > 0, (u - cdf[idx]) / np.where(m > 0, m, 1.0), 0.0)
     x = density.breakpoints[idx] + frac * density.cell_lengths[idx]
     return np.clip(x, 0.0, 1.0)
+
+
+def _float_cumsum_weight_blocks(candidates, cells):
+    """``_weight_blocks`` before narrow blocks paired their columns: a float
+    ``np.cumsum`` below 512 entries per row, one ``np.add`` per row above."""
+    width = cells.shape[0] * candidates.size
+    step = max(1, _BLOCK_ELEMENTS // width)
+    carry = np.zeros((cells.shape[0], candidates.size))
+    yield 0, _normalize_log_rows(np.zeros((1, *carry.shape)))
+    for start in range(0, cells.shape[1], step):
+        terms = candidates.log_table[cells[:, start:start + step].T]
+        terms[0] += carry
+        if width >= 512:
+            for i in range(1, terms.shape[0]):
+                np.add(terms[i - 1], terms[i], out=terms[i])
+        else:
+            np.cumsum(terms, axis=0, out=terms)
+        carry = terms[-1].copy()
+        yield start + 1, _normalize_log_rows(terms, start + 1)
+
+
+def _float_cumsum_averaged_weights(candidates, cells):
+    total = None
+    for _, block in _float_cumsum_weight_blocks(candidates, cells):
+        if total is not None:
+            block[0] += total
+        total = block.sum(axis=0)
+    return total / (cells.shape[1] + 1)
 
 
 def _old_cells(f, g):
@@ -245,8 +275,9 @@ class TestBatchedKernel:
         _assert_kernel_matches(cset, rng.random((r_count, n)))
 
     def test_width_rule_threshold_is_covered(self):
-        # the parametrised cases above take both cumulative-sum paths
-        assert 12 * 40 < _ROW_LOOP_WIDTH <= 13 * 40
+        # KERNEL_WIDTHS straddles the rule in float columns (511, 513 entries
+        # per row) and in paired ones (1022, 1024)
+        assert 511 < _ROW_LOOP_WIDTH <= 513 and 1022 // 2 < _ROW_LOOP_WIDTH <= 1024 // 2
 
     def test_dead_rows_fail_at_the_earliest_dead_row(self):
         left = PiecewiseDensity([0.0, 0.5, 1.0], [2.0, 0.0])
@@ -279,6 +310,62 @@ class TestBatchedKernel:
             _aggregate_rows(cset, cset.cell_indices(np.full((2, 3), 0.5)))
 
 
+#: (entries per row, replications): R = 1 and R > 1 at each width.  Odd
+#: widths keep float columns, 511 and 513 on either side of the row-loop
+#: rule; 1022 and 1024 straddle it in paired columns.
+KERNEL_WIDTHS = [(w, r) for w, rs in [(2, 2), (3, 3), (64, 4), (160, 40), (511, 7),
+                                      (513, 19), (1022, 2), (1024, 16)] for r in (1, rs)]
+
+
+def _vanishing_family(m, rng):
+    """Candidates on 5 cells; candidate 0 vanishes on the last (log -inf)."""
+    raw = rng.uniform(0.2, 3.0, size=(m, 5))
+    if m > 1:
+        raw[0, 4] = 0.0
+    return _family(raw)
+
+
+class TestKernelMatchesTheFloatCumsum:
+    @pytest.mark.parametrize("width, r_count", KERNEL_WIDTHS)
+    def test_weights_bit_identical(self, width, r_count):
+        m = width // r_count
+        rng = np.random.default_rng(width * 10 + r_count)
+        cset = _vanishing_family(m, rng)
+        n = 2 * max(1, _BLOCK_ELEMENTS // width) + 3
+        x = rng.uniform(0.0, 0.8, size=(r_count, n))
+        x[:, n // 3] = 0.9  # candidate 0 dies part way through
+        cells = cset.cell_indices(x)
+        assert np.array_equal(_averaged_weights(cset, cells),
+                              _float_cumsum_averaged_weights(cset, cells))
+        for (k, got), (k0, old) in zip(_weight_blocks(cset, cells),
+                                       _float_cumsum_weight_blocks(cset, cells), strict=True):
+            assert k == k0 and np.array_equal(got, old)
+        if r_count == 1:
+            expected = np.concatenate([b[:, 0] for _, b in
+                                       _float_cumsum_weight_blocks(cset, cells)])
+            assert np.array_equal(progressive_weights(cset, x[0]).weights, expected)
+            assert m == 1 or expected[-1, 0] == 0.0
+
+    @pytest.mark.parametrize("width, r_count", KERNEL_WIDTHS)
+    @pytest.mark.parametrize("at", [-1, 0, 1])
+    def test_a_dead_row_on_a_block_boundary_fails_alike(self, width, r_count, at):
+        m = width // r_count
+        rng = np.random.default_rng(width + r_count)
+        raw = rng.uniform(0.2, 3.0, size=(m, 5))
+        raw[:, 4] = 0.0  # every candidate vanishes on the last cell
+        cset = _family(raw)
+        step = max(1, _BLOCK_ELEMENTS // width)
+        x = rng.uniform(0.0, 0.8, size=(r_count, 2 * step + 3))
+        x[-1, step + at] = 0.9
+        cells = cset.cell_indices(x)
+        with pytest.raises(ValidationError) as expected:
+            _float_cumsum_averaged_weights(cset, cells)
+        with pytest.raises(ValidationError) as got:
+            _averaged_weights(cset, cells)
+        assert str(got.value) == str(expected.value)
+        assert f"on the first {step + at + 1} sample points" in str(got.value)
+
+
 # ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------
@@ -290,6 +377,16 @@ class TestSampleRows:
         rng = np.random.default_rng(n)
         for seed in range(10):
             d = _random_density(rng, zeros=True)
+            assert np.array_equal(sample(d, n, seed=seed), _old_sample(d, n, seed))
+
+    @pytest.mark.parametrize("density", ["member", "zero-mass", "uniform"])
+    def test_sample_equals_the_searched_inversion(self, density):
+        d = {"member": lambda: _perturbation_candidates(64, 1000, 2.0)[5],
+             "zero-mass": lambda: PiecewiseDensity([0.0, 0.2, 0.3, 0.5, 0.6, 1.0],
+                                                   [1.5, 0.0, 0.5, 0.0, 1.5]),
+             "uniform": PiecewiseDensity.uniform}[density]()
+        for seed in range(3):
+            n = 2 * 2**16 + 5
             assert np.array_equal(sample(d, n, seed=seed), _old_sample(d, n, seed))
 
     @pytest.mark.parametrize("n", [0, 1, 7, 2**16 + 3])
