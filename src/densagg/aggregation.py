@@ -26,10 +26,12 @@ with no ``log`` per point.  The block kernel walks the rows in blocks of
 about ``_BLOCK_ELEMENTS`` (2^17) entries, carrying the cumulative
 log-likelihood into each block's first row before its cumulative sum and
 the running sum of weight rows into its first normalised row before the
-column sum; the softmax overwrites each block's buffer.  Those
-carries repeat the additions of one ``cumsum`` and one column sum over the
-full matrix in the same order, so the averaged vector is bit-identical to
-the full-matrix computation while memory stays O(block) for any n.
+column sum.  Each call gathers every block into one buffer, which the
+cumulative sum and the softmax overwrite in place, so a block lives only
+until the next one is yielded.  Those carries repeat the additions of one
+``cumsum`` and one column sum over the full matrix in the same order, so
+the averaged vector is bit-identical to the full-matrix computation while
+memory stays O(block) for any n.
 :class:`WeightTrajectory` rebuilds the full matrix with the same block
 kernel, and only when ``weights`` is read.
 
@@ -202,12 +204,20 @@ class WeightTrajectory:
     Built by :func:`progressive_weights`, which stores only ``averaged``
     and the sample's cell indices.  The (n+1)×M ``weights`` matrix is
     computed on first access, by the same block kernel; :meth:`to_csv`
-    streams the blocks without keeping the matrix.
+    streams the blocks without keeping the matrix.  The kernel's gather
+    does not check its indices, so ``cells`` are checked here.
     """
 
     candidates: CandidateSet
     cells: np.ndarray
     averaged: np.ndarray
+
+    def __post_init__(self):
+        cells, width = np.asarray(self.cells), self.candidates.values.shape[1]
+        if not (cells.ndim == 1 and cells.dtype.kind in "iu"
+                and (cells.size == 0 or (cells.min() >= 0 and cells.max() < width))):
+            raise ValidationError(
+                f"trajectory cells must be a 1-D integer array of grid cells in [0, {width})")
 
     @property
     def n_steps(self) -> int:
@@ -255,12 +265,14 @@ def _normalize_log_rows(log_w: np.ndarray, first_row: int = 0) -> np.ndarray:
 
     ``log_w`` is (rows, M) or (rows, R, M); it is overwritten by its weight
     rows and returned.  Each row is shifted by its max before
-    exponentiation; ``-inf`` entries come out as exactly 0.  A row
-    whose max is ``-inf`` (every candidate at zero likelihood) has no
-    normalizer and is an error; ``first_row`` is the trajectory row index of
-    ``log_w[0]``, for the message.
+    exponentiation; ``-inf`` entries come out as exactly 0.  The max is
+    seeded with its identity, ``-inf``, which spares the reduction a copy of
+    each row's first entry and changes no weight.  A row whose max is
+    ``-inf`` (every candidate at zero likelihood) has no normalizer and is
+    an error; ``first_row`` is the trajectory row index of ``log_w[0]``, for
+    the message.
     """
-    row_max = log_w.max(axis=-1)
+    row_max = log_w.max(axis=-1, initial=-np.inf)
     dead = ~np.isfinite(row_max)
     if np.any(dead):
         k = first_row + int(np.nonzero(dead)[0][0])
@@ -285,15 +297,23 @@ def _weight_blocks(candidates: CandidateSet, cells: np.ndarray):
     cumulative log-likelihood added into the first term, then a cumulative
     sum down the block: per replication, the additions of one ``cumsum``
     over the whole sample, in the same order.
+
+    Every block after the prior is a view of one buffer, allocated once per
+    call with one block's rows (or n, if fewer), and the next block
+    overwrites it: use or copy a block before asking for the next.
     """
     width = cells.shape[0] * candidates.size
     step = max(1, _BLOCK_ELEMENTS // width)
     carry = np.zeros((cells.shape[0], candidates.size))
     yield 0, _normalize_log_rows(np.zeros((1, *carry.shape)))
+    buffer = np.empty((min(step, cells.shape[1]), *carry.shape))
     for start in range(0, cells.shape[1], step):
-        # C order, so that ``chains`` below is a view of ``terms``: numpy
-        # lays a one-candidate gather out in the order of its indices.
-        terms = np.ascontiguousarray(candidates.log_table[cells[:, start:start + step].T])
+        idx = cells[:, start:start + step].T
+        # The cells come from ``_cell_lookup`` or a checked trajectory, so
+        # every index is in range; "clip" gathers straight into the buffer,
+        # "raise" through a copy.
+        terms = np.take(candidates.log_table, idx, axis=0, out=buffer[:idx.shape[0]],
+                        mode="clip")
         terms[0] += carry
         chains = terms.reshape(terms.shape[0], width)
         if width % 2 == 0:

@@ -19,6 +19,7 @@ from densagg import (
     PiecewiseDensity,
     PiecewiseFunction,
     ValidationError,
+    WeightTrajectory,
     aggregate,
     empirical_kl,
     kl_divergence,
@@ -270,6 +271,12 @@ class TestProgressiveWeights:
         assert len(rows) == 4
         parsed = np.array([[float(v) for v in r[1:]] for r in rows[1:]])
         np.testing.assert_array_equal(parsed, traj.weights)
+
+    @pytest.mark.parametrize("cells", [[2], [-1], [[0, 1]], [0.0, 1.0]])
+    def test_trajectory_rejects_cells_off_the_grid(self, cells):
+        # the kernel gathers by cell with mode="clip", which never fails
+        with pytest.raises(ValidationError, match="grid cells in \\[0, 2\\)"):
+            WeightTrajectory(two_candidates(), np.array(cells), np.array([0.5, 0.5]))
 
 
 class TestAggregate:

@@ -6,9 +6,11 @@ row losses.  The one-sample functions are themselves checked here against
 frozen copies of the code they replaced (``_old_sample``, ``_old_kl`` and
 friends), and the three harnesses against a frozen copy of the
 replication loops they replaced (``_old_*_experiment``), report row by
-report row.
+report row.  At tiny n the engine's KL risk is also checked against its
+exact value, a finite sum over cell sequences.
 """
 
+import csv
 import math
 import tracemalloc
 
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from densagg import (
     CandidateSet,
@@ -104,6 +107,32 @@ def _float_cumsum_averaged_weights(candidates, cells):
             block[0] += total
         total = block.sum(axis=0)
     return total / (cells.shape[1] + 1)
+
+
+def _float_cumsum_csv(candidates, cells, path):
+    """``WeightTrajectory.to_csv`` of one sample's cells over the blocks above."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["k"] + [f"w_{j + 1}" for j in range(candidates.size)])
+        for k, block in _float_cumsum_weight_blocks(candidates, cells[None]):
+            for i, row in enumerate(block[:, 0], k):
+                writer.writerow([i] + [repr(float(v)) for v in row])
+
+
+def _plain_max_normalize_log_rows(log_w, first_row=0):
+    """``_normalize_log_rows`` before its row max was seeded with ``-inf``."""
+    row_max = log_w.max(axis=-1)
+    dead = ~np.isfinite(row_max)
+    if np.any(dead):
+        k = first_row + int(np.nonzero(dead)[0][0])
+        raise ValidationError(
+            f"every candidate has zero likelihood on the first {k} sample points; "
+            "weights are undefined"
+        )
+    np.subtract(log_w, row_max[..., None], out=log_w)
+    np.exp(log_w, out=log_w)
+    log_w /= log_w.sum(axis=-1, keepdims=True)
+    return log_w
 
 
 def _old_cells(f, g):
@@ -236,6 +265,23 @@ def batched_cases(draw):
     return _family(raw), x
 
 
+@st.composite
+def log_weight_blocks(draw):
+    """(rows, M) or (rows, R, M) log weights holding ``-inf``, signed zeros
+    and dead (all ``-inf``) rows at random positions, and a first row index."""
+    rows = draw(st.integers(1, 6))
+    r_shape = draw(st.sampled_from([(), (1,), (2,), (3,), (7,)]))
+    m = draw(st.integers(1, 70))
+    finite = st.floats(-800.0, 50.0)
+    entry = st.one_of(finite, finite, st.sampled_from([-np.inf, 0.0, -0.0]))
+    log_w = draw(arrays(float, (rows, *r_shape, m), elements=entry))
+    runs = log_w.reshape(rows, -1, m)
+    positions = st.tuples(st.integers(0, rows - 1), st.integers(0, runs.shape[1] - 1))
+    for k, r in draw(st.lists(positions, max_size=2)):
+        runs[k, r] = -np.inf
+    return log_w, draw(st.integers(0, 10**6))
+
+
 def _assert_kernel_matches(cset, x):
     """Batched averaged weights equal the per-sample ones, or fail alike."""
     per_row, errors = [], set()
@@ -364,6 +410,100 @@ class TestKernelMatchesTheFloatCumsum:
             _averaged_weights(cset, cells)
         assert str(got.value) == str(expected.value)
         assert f"on the first {step + at + 1} sample points" in str(got.value)
+
+
+class TestIdentitySeededMax:
+    @settings(max_examples=300, deadline=None)
+    @given(log_weight_blocks())
+    def test_weights_and_errors_equal_the_plain_max(self, case):
+        log_w, first_row = case
+        try:
+            expected = _plain_max_normalize_log_rows(log_w.copy(), first_row)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as got:
+                _normalize_log_rows(log_w.copy(), first_row)
+            assert str(got.value) == str(exc)
+            dead = np.all(log_w == -np.inf, axis=-1).reshape(log_w.shape[0], -1)
+            k = first_row + int(np.argmax(dead.any(axis=1)))
+            assert f"on the first {k} sample points;" in str(got.value)
+            return
+        assert _normalize_log_rows(log_w.copy(), first_row).tobytes() == expected.tobytes()
+
+
+#: (M, R): every block after the prior reuses one buffer per kernel call,
+#: the last block a leading slice of it.  Odd and even narrow rows take the
+#: cumulative sum, M = 64 is the benchmarks' family, and 2560 entries per row
+#: take the row loop.
+BUFFER_CASES = [(m, r) for m in (2, 3, 64, 2560) for r in (1, 3)]
+
+
+class TestBlockBufferReuse:
+    @pytest.mark.parametrize("m, r_count", BUFFER_CASES)
+    @pytest.mark.parametrize("last", ["step + 1", "2 step - 1"])
+    def test_consumers_equal_the_float_cumsum(self, m, r_count, last, tmp_path):
+        rng = np.random.default_rng(m * 10 + r_count)
+        cset = _vanishing_family(m, rng)
+        step = max(1, _BLOCK_ELEMENTS // (r_count * m))
+        n = step + 1 if last == "step + 1" else 2 * step - 1
+        x = rng.uniform(0.0, 0.8, size=(r_count, n))
+        x[:, n // 3] = 0.9  # candidate 0 dies part way through
+        cells = cset.cell_indices(x)
+        assert np.array_equal(_averaged_weights(cset, cells),
+                              _float_cumsum_averaged_weights(cset, cells))
+        if r_count > 1:
+            return
+        trajectory = progressive_weights(cset, x[0])
+        expected = np.concatenate([b[:, 0] for _, b in
+                                   _float_cumsum_weight_blocks(cset, cells)])
+        assert np.array_equal(trajectory.weights, expected)
+        trajectory.to_csv(tmp_path / "got.csv")
+        _float_cumsum_csv(cset, cells[0], tmp_path / "expected.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Exact expectations
+# ---------------------------------------------------------------------------
+
+
+def _exact_kl(cset, truth, n):
+    """``E KL`` of the mixture on n points from ``truth``, a density on
+    ``cset.grid``: the estimator sees only the sample's cells, so this is a
+    finite sum over all C^n cell sequences, each weighted by the product of
+    the truth's cell masses."""
+    masses = truth.values * truth.cell_lengths
+    cells = np.indices((masses.size,) * n).reshape(n, -1).T
+    prob = np.prod(masses[cells], axis=1)
+    live = prob > 0
+    risks = _kl_rows(truth, cset.grid, _aggregate_rows(cset, cells[live]))
+    return math.fsum((prob[live] * risks).tolist())
+
+
+class TestExactExpectation:
+    """The engine against the mathematics it estimates, at n = 1 and 2 on the
+    M = 4 worst-case family tuned at n = 3 (32 cells), truth index 1."""
+
+    @pytest.fixture(scope="class")
+    def family(self):
+        cset = CandidateSet.from_densities(_perturbation_candidates(4, 3, 2.0), bound=2.0)
+        truth = cset.candidate(1)
+        assert np.array_equal(truth.breakpoints, cset.grid)
+        return cset, truth
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_monte_carlo_mean_is_within_4_se_of_the_exact_risk(self, family, n):
+        cset, truth = family
+        exact = _exact_kl(cset, truth, n)
+        seeds = [(1, n, r) for r in range(20_000)]
+        mean, se = _mean_se(_replication_risks(cset, truth, n, seeds, _aggregate_rows, "KL"))
+        assert 0.0 < se and abs(mean - exact) <= 4 * se
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_oracle_inequality_holds_exactly(self, family, n):
+        cset, truth = family
+        exact = _exact_kl(cset, truth, n)
+        oracle = min(_kl_rows(truth, cset.grid, cset.values).tolist())
+        assert exact - oracle <= math.log(cset.size) / (n + 1)
 
 
 # ---------------------------------------------------------------------------
