@@ -26,14 +26,20 @@ with no ``log`` per point.  The block kernel walks the rows in blocks of
 about ``_BLOCK_ELEMENTS`` (2^17) entries, carrying the cumulative
 log-likelihood into each block's first row before its cumulative sum and
 the running sum of weight rows into its first normalised row before the
-column sum.  Each call gathers every block into one buffer, which the
-cumulative sum and the softmax overwrite in place, so a block lives only
-until the next one is yielded.  Those carries repeat the additions of one
-``cumsum`` and one column sum over the full matrix in the same order, so
-the averaged vector is bit-identical to the full-matrix computation while
-memory stays O(block) for any n.
-:class:`WeightTrajectory` rebuilds the full matrix with the same block
-kernel, and only when ``weights`` is read.
+column sum.  Those carries repeat the additions of one ``cumsum`` and one
+column sum over the full matrix in the same order, so the averaged vector
+is bit-identical to the full-matrix computation while memory stays
+O(block) per worker for any n.  Only the two carries link a block to the
+one before it, so :func:`_averaged_weights` deals the blocks round-robin
+to one worker per CPU the process may run on (:func:`_workers`), but
+never more workers than full blocks, the calling thread first, and hands
+the carries from block to block; each
+worker gathers every block it is dealt into one buffer of its own, which
+the cumulative sum and the softmax overwrite in place.  The additions and
+their order are those of the serial walk, so the result does not depend
+on the worker count.  :class:`WeightTrajectory` rebuilds the full matrix
+with the same block helper on the calling thread, in order, and only when
+``weights`` is read.
 
 The kernel takes R samples of one size at once, as cells of shape (R, n),
 and lays its blocks out (rows, R, M): row ``k`` of every replication is one
@@ -51,13 +57,17 @@ a strided serial chain per column, for blocks of fewer than
 there on; the additions are the same either way.  The experiment harnesses
 batch the replications of a cell through :func:`_aggregate_rows`, and
 those of the selector through :func:`_select_cells`, whose score chunks
-have their own budget of ``_SELECT_ELEMENTS`` (2^15) deviations.
+have their own budget of ``_SELECT_ELEMENTS`` (2^15) deviations.  The rate
+study, whose truths already run one thread per CPU, runs the kernel on one
+worker per truth.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
@@ -88,9 +98,10 @@ __all__ = [
     "yatracos_select",
 ]
 
-#: Entries per block of weight rows: 2^17 doubles (1 MiB).  The rate study
-#: runs the kernel on several threads, which take turns at the interpreter
-#: lock between numpy calls; blocks this large keep those hand-offs rare.
+#: Entries per block of weight rows: 2^17 doubles (1 MiB).  The kernel's
+#: workers, and the rate study's truth threads, take turns at the
+#: interpreter lock between numpy calls; blocks this large keep those
+#: hand-offs rare.
 _BLOCK_ELEMENTS = 2**17
 
 #: (candidate, set) deviations per chunk of the selector's scores: 2^15
@@ -286,60 +297,156 @@ def _normalize_log_rows(log_w: np.ndarray, first_row: int = 0) -> np.ndarray:
     return log_w
 
 
+def _cumulative_log_likelihoods(log_table: np.ndarray, idx: np.ndarray, out: np.ndarray,
+                                carry) -> np.ndarray:
+    """One block of cumulative log-likelihood rows, (rows, R, M), in ``out[:rows]``.
+
+    ``idx`` holds the block's cells, (rows, R).  Their log-likelihood terms
+    are gathered into ``out``; then ``carry()``, the cumulative
+    log-likelihood of the row before the block (R, M), is added into the
+    first term, and a cumulative sum runs down the block: per replication,
+    the additions of one ``cumsum`` over the whole sample, in the same
+    order.  ``carry`` is called after the gather, so a worker gathers its
+    block while the one before is still being summed.
+    """
+    # The cells come from ``_cell_lookup`` or a checked trajectory, so
+    # every index is in range; "clip" gathers straight into ``out``,
+    # "raise" through a copy.
+    terms = np.take(log_table, idx, axis=0, out=out[:idx.shape[0]], mode="clip")
+    terms[0] += carry()
+    chains = terms.reshape(terms.shape[0], -1)
+    if chains.shape[1] % 2 == 0:
+        chains = chains.view(np.complex128)
+    if chains.shape[1] >= _ROW_LOOP_WIDTH:
+        for i in range(1, chains.shape[0]):
+            np.add(chains[i - 1], chains[i], out=chains[i])
+    else:
+        np.cumsum(chains, axis=0, out=chains)
+    return terms
+
+
+def _block_rows(cells: np.ndarray, m: int) -> int:
+    """Weight rows per block for cells (R, n) and M candidates."""
+    return max(1, _BLOCK_ELEMENTS // (cells.shape[0] * m))
+
+
 def _weight_blocks(candidates: CandidateSet, cells: np.ndarray):
     """Yield ``(k, rows)``: consecutive blocks of weight rows, ``rows[0]`` being row ``k``.
 
     ``cells`` is (R, n): the cell indices of R samples of one size.  Blocks
     are laid out (rows, R, M), so that row ``k`` of every replication's
     trajectory is one contiguous run.  Row 0, the prior, comes alone; then
-    blocks of ``_BLOCK_ELEMENTS // (R * M)`` rows.  A block's log weights
-    are its gathered log-likelihood terms with the previous row's
-    cumulative log-likelihood added into the first term, then a cumulative
-    sum down the block: per replication, the additions of one ``cumsum``
-    over the whole sample, in the same order.
+    blocks of :func:`_block_rows` rows, in order, on the calling thread.
 
     Every block after the prior is a view of one buffer, allocated once per
     call with one block's rows (or n, if fewer), and the next block
     overwrites it: use or copy a block before asking for the next.
     """
-    width = cells.shape[0] * candidates.size
-    step = max(1, _BLOCK_ELEMENTS // width)
+    step = _block_rows(cells, candidates.size)
     carry = np.zeros((cells.shape[0], candidates.size))
     yield 0, _normalize_log_rows(np.zeros((1, *carry.shape)))
     buffer = np.empty((min(step, cells.shape[1]), *carry.shape))
     for start in range(0, cells.shape[1], step):
-        idx = cells[:, start:start + step].T
-        # The cells come from ``_cell_lookup`` or a checked trajectory, so
-        # every index is in range; "clip" gathers straight into the buffer,
-        # "raise" through a copy.
-        terms = np.take(candidates.log_table, idx, axis=0, out=buffer[:idx.shape[0]],
-                        mode="clip")
-        terms[0] += carry
-        chains = terms.reshape(terms.shape[0], width)
-        if width % 2 == 0:
-            chains = chains.view(np.complex128)
-        if chains.shape[1] >= _ROW_LOOP_WIDTH:
-            for i in range(1, chains.shape[0]):
-                np.add(chains[i - 1], chains[i], out=chains[i])
-        else:
-            np.cumsum(chains, axis=0, out=chains)
+        terms = _cumulative_log_likelihoods(candidates.log_table, cells[:, start:start + step].T,
+                                            buffer, lambda: carry)
         carry = terms[-1].copy()
         yield start + 1, _normalize_log_rows(terms, start + 1)
 
 
-def _averaged_weights(candidates: CandidateSet, cells: np.ndarray) -> np.ndarray:
+def _workers() -> int:
+    """The CPUs this process may run on: ``taskset -c 0`` makes it one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+class _Abandoned(Exception):
+    """A block's predecessor stopped, so its carries will never come."""
+
+
+def _averaged_weights(candidates: CandidateSet, cells: np.ndarray,
+                      workers: int | None = None) -> np.ndarray:
     """Column means of the weight rows, (R, M), for cell indices ``cells`` (R, n).
 
-    The running sum of weight rows is added into each block's first row
-    before the column sum: the additions of one column sum down the whole
-    trajectory, in order.
+    The blocks of :func:`_block_rows` rows are dealt round-robin to
+    ``workers`` workers (by default ``_workers()``, at most one per full
+    block, so a call of fewer than two full blocks starts no helper);
+    the calling thread is worker 0.  Each worker gathers its block, waits in
+    its inbox for the two (R, M) carries of the block before it and posts
+    its own to the next block's worker: the cumulative log-likelihood, added
+    into the block's first row before its cumulative sum, and the running
+    sum of weight rows, added into its first normalised row before the
+    column sum.  Every column thus gets the additions of one cumulative sum
+    and one column sum down the whole trajectory, in order, so the result
+    is bit-identical at any worker count.
+
+    A worker that fails or is abandoned posts ``None`` in place of its
+    block's missing carry, which abandons the next block, and so on down the
+    line; blocks before the earliest failure never wait on it and run to
+    the end.  The error raised is therefore the earliest failing block's,
+    as in a serial walk, and no helper thread outlives the call.
     """
-    total = None
-    for _, block in _weight_blocks(candidates, cells):
-        if total is not None:
-            block[0] += total
-        total = block.sum(axis=0)
-    return total / (cells.shape[1] + 1)
+    shape = (cells.shape[0], candidates.size)
+    step = _block_rows(cells, candidates.size)
+    blocks = -(-cells.shape[1] // step)
+    # A helper costs a thread start, a few hundred microseconds on a 2-CPU
+    # Xeon: a call whose second block is a short tail ran slower with one.
+    workers = max(1, min(_workers() if workers is None else workers, cells.shape[1] // step))
+    # Imported here, so that commands that never run the kernel do not pay
+    # its ~1.5 ms of import time.
+    from queue import SimpleQueue
+
+    inboxes = [SimpleQueue() for _ in range(workers)]
+    prior = _normalize_log_rows(np.zeros((1, *shape)))[0]
+    inboxes[0].put(np.zeros(shape))
+    inboxes[0].put(prior)
+    errors = {}
+
+    def work(w):
+        inbox, outbox = inboxes[w], inboxes[(w + 1) % workers]
+
+        def carry():
+            value = inbox.get()
+            if value is None:
+                raise _Abandoned
+            return value
+
+        b = w  # a failure before the loop is charged to the worker's first block
+        try:
+            buffer = np.empty((min(step, cells.shape[1]), *shape))
+            for b in range(w, blocks, workers):
+                start = b * step
+                terms = _cumulative_log_likelihoods(
+                    candidates.log_table, cells[:, start:start + step].T, buffer, carry)
+                outbox.put(terms[-1].copy())
+                block = _normalize_log_rows(terms, start + 1)
+                block[0] += carry()
+                outbox.put(block.sum(axis=0))
+        except _Abandoned:
+            outbox.put(None)
+        except BaseException as exc:  # raised again by the calling thread
+            errors[b] = exc
+            outbox.put(None)
+
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
+    try:
+        for thread in threads:
+            thread.start()
+        work(0)
+    except BaseException:
+        inboxes[1 % workers].put(None)  # a thread failed to start: release the others
+        raise
+    finally:
+        for thread in threads:
+            if thread.ident is not None:
+                thread.join()
+    if errors:
+        raise errors[min(errors)]
+    # the last block posted its two carries to the inbox of the block after it
+    last = inboxes[blocks % workers]
+    last.get()
+    return last.get() / (cells.shape[1] + 1)
 
 
 def _sample_cells(candidates: CandidateSet, x) -> np.ndarray:
@@ -409,15 +516,17 @@ def aggregate(candidates: CandidateSet, x) -> PiecewiseDensity:
     return mixture(candidates, progressive_weights(candidates, x).averaged)
 
 
-def _aggregate_rows(candidates: CandidateSet, cells: np.ndarray) -> np.ndarray:
+def _aggregate_rows(candidates: CandidateSet, cells: np.ndarray,
+                    workers: int | None = None) -> np.ndarray:
     """:func:`aggregate` for each row of ``cells`` (R, n), the shared-grid
     cells of R samples, as (R, cells) values on the grid.
 
     The same operations as R calls of :func:`aggregate`, on (rows, R, M)
-    blocks; every row is checked as :func:`aggregate` checks its result.
+    blocks and ``workers`` kernel workers (see :func:`_averaged_weights`);
+    every row is checked as :func:`aggregate` checks its result.
     """
     _check_aggregable(candidates)
-    averaged = _averaged_weights(candidates, cells)
+    averaged = _averaged_weights(candidates, cells, workers)
     values = _mixture_values(candidates, averaged)
     _check_density_rows(values, candidates.cell_lengths)
     return values

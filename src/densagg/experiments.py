@@ -15,7 +15,7 @@ truth index ``t`` where applicable) draws from a generator seeded with the
 tuple ``(seed, n, r)`` / ``(seed, M, n, t, r)``, so reports — and the CSV
 files written from them — are byte-identical across reruns with the same
 numpy version, BLAS kernel and SIMD target, whatever the number of CPUs the
-rate study runs its truths on.  Every row's ``pass`` flag
+weight kernel and the rate study's truths run on.  Every row's ``pass`` flag
 applies the uniform rule ``excess <= bound + 3 * se`` (the rate study
 instead flags rows whose excess is unusable for the fit).
 
@@ -33,7 +33,12 @@ same order, so reports are bit-identical to a loop over replications.
 Replications are grouped so that one group holds at most ``_GROUP_POINTS``
 (2^20) sample points, which bounds memory for any n × replications; the
 criterion-7 rate study (n <= 1600, 40 replications) runs each cell as one
-group.  The rate study runs each cell's truths on threads, one per CPU.
+group.  The oracle harness runs the weight kernel on one worker per CPU,
+as :func:`~densagg.aggregation.aggregate` does.  The rate study instead
+runs each cell's truths on threads, one per CPU, and each truth's kernel on
+its own thread alone: kernel helpers on top of the truth threads made the
+criterion-7 study about 11% slower on 2 CPUs.  The selector harness is
+serial.
 numpy releases the interpreter lock inside large array operations but
 not between them, nor in ``default_rng`` construction.  Measured on two
 threads of a 2-CPU Xeon, at the study's sizes: ``np.exp`` over a block,
@@ -48,16 +53,22 @@ import csv
 import json
 import math
 import numbers
-import os
 import sys
 from dataclasses import MISSING, dataclass, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 # ``aggregate`` is not called here, but perfbench's tracer test looks it up
 # by this name; the harnesses reach the same code through ``_aggregate_rows``.
-from .aggregation import CandidateSet, _aggregate_rows, _select_cells, aggregate  # noqa: F401
+from .aggregation import (  # noqa: F401
+    CandidateSet,
+    _aggregate_rows,
+    _select_cells,
+    _workers,
+    aggregate,
+)
 from .densities import (
     PiecewiseDensity,
     ValidationError,
@@ -515,14 +526,6 @@ class RateStudyResult:
         }
 
 
-def _workers() -> int:
-    """The CPUs this process may run on: ``taskset -c 0`` makes it one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def run_rate_study(config: ExperimentConfig) -> RateStudyResult:
     """Measure how worst-case aggregation excess scales with ``log(M)/n``.
 
@@ -542,6 +545,7 @@ def run_rate_study(config: ExperimentConfig) -> RateStudyResult:
     (``taskset -c 0`` makes one) and are read in truth order, so neither the
     result nor the error raised, the first failing truth's, depends on the
     worker count.  Peak memory grows to one group of replications per worker.
+    Each truth runs the weight kernel on one worker, its own thread.
     """
     if config.candidate_spec.get("kind") != "perturbation":
         raise ValidationError(
@@ -558,6 +562,9 @@ def run_rate_study(config: ExperimentConfig) -> RateStudyResult:
     # Imported here, so that no other command pays its ~6 ms of import time.
     from concurrent.futures import ThreadPoolExecutor
 
+    # The truth threads fill the CPUs already; kernel helper threads on top
+    # of them made the criterion-7 study about 11% slower on 2 CPUs.
+    one_worker = partial(_aggregate_rows, workers=1)
     rows = []
     with ThreadPoolExecutor(max_workers=_workers()) as pool:
         for m in config.M_values:
@@ -567,8 +574,8 @@ def run_rate_study(config: ExperimentConfig) -> RateStudyResult:
 
                 def truth_risks(t):
                     seeds = [(config.seed, m, n, t, r) for r in range(config.replications)]
-                    return _replication_risks(
-                        cset, cset.candidate(t), n, seeds, _aggregate_rows, config.loss)
+                    return _replication_risks(cset, cset.candidate(t), n, seeds,
+                                              one_worker, config.loss)
 
                 worst_mean, worst_se = -math.inf, 0.0
                 # map yields in truth order, and on an error cancels what has not started

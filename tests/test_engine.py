@@ -6,13 +6,21 @@ row losses.  The one-sample functions are themselves checked here against
 frozen copies of the code they replaced (``_old_sample``, ``_old_kl`` and
 friends), and the three harnesses against a frozen copy of the
 replication loops they replaced (``_old_*_experiment``), report row by
-report row.  At tiny n the engine's KL risk is also checked against its
-exact value, a finite sum over cell sequences.
+report row.  The weight kernel gives the same bits at every worker count,
+and its averaged weights lie within a stated number of ulps of their
+definition computed in 40-digit decimal.  At tiny n the engine's KL, H and
+L1 risks are also checked against their exact values, finite sums over
+cell sequences.
 """
 
 import csv
 import math
+import sys
+import threading
+import time
 import tracemalloc
+from decimal import Decimal, localcontext
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import densagg.aggregation as aggregation
 from densagg import (
     CandidateSet,
     ExperimentConfig,
@@ -304,6 +313,11 @@ def _assert_kernel_matches(cset, x):
 # ---------------------------------------------------------------------------
 
 
+#: Kernel worker counts: the serial walk, one per CPU of a 2-CPU machine,
+#: and rings of 3 and 5 workers, more than there are CPUs.
+WORKERS = [1, 2, 3, 5]
+
+
 class TestBatchedKernel:
     @settings(max_examples=150, deadline=None)
     @given(batched_cases())
@@ -325,14 +339,20 @@ class TestBatchedKernel:
         # per row) and in paired ones (1022, 1024)
         assert 511 < _ROW_LOOP_WIDTH <= 513 and 1022 // 2 < _ROW_LOOP_WIDTH <= 1024 // 2
 
-    def test_dead_rows_fail_at_the_earliest_dead_row(self):
+    @pytest.mark.parametrize("block_elements, workers",
+                             [(_BLOCK_ELEMENTS, 1)] + [(20, w) for w in WORKERS])
+    def test_dead_rows_fail_at_the_earliest_dead_row(self, monkeypatch, block_elements,
+                                                     workers):
+        # by default both dead rows (row 12 of replication 1, row 8 of
+        # replication 3) share one block; blocks of 2 rows part them
+        monkeypatch.setattr(aggregation, "_BLOCK_ELEMENTS", block_elements)
         left = PiecewiseDensity([0.0, 0.5, 1.0], [2.0, 0.0])
         cset = CandidateSet.from_densities([left, left])
         x = np.full((5, 20), 0.25)
         x[1, 11] = x[3, 7] = 0.75
         with pytest.raises(ValidationError, match="^every candidate has zero "
                            "likelihood on the first 8 sample points"):
-            _averaged_weights(cset, cset.cell_indices(x))
+            _averaged_weights(cset, cset.cell_indices(x), workers)
 
     @pytest.mark.parametrize("m, r_count", [(8, 3), (64, 40)])
     def test_aggregate_rows_are_aggregates(self, m, r_count):
@@ -372,16 +392,17 @@ def _vanishing_family(m, rng):
 
 
 class TestKernelMatchesTheFloatCumsum:
+    @pytest.mark.parametrize("workers", WORKERS)
     @pytest.mark.parametrize("width, r_count", KERNEL_WIDTHS)
-    def test_weights_bit_identical(self, width, r_count):
+    def test_weights_bit_identical(self, width, r_count, workers):
         m = width // r_count
         rng = np.random.default_rng(width * 10 + r_count)
         cset = _vanishing_family(m, rng)
-        n = 2 * max(1, _BLOCK_ELEMENTS // width) + 3
+        n = 5 * max(1, _BLOCK_ELEMENTS // width) + 3  # six blocks
         x = rng.uniform(0.0, 0.8, size=(r_count, n))
         x[:, n // 3] = 0.9  # candidate 0 dies part way through
         cells = cset.cell_indices(x)
-        assert np.array_equal(_averaged_weights(cset, cells),
+        assert np.array_equal(_averaged_weights(cset, cells, workers),
                               _float_cumsum_averaged_weights(cset, cells))
         for (k, got), (k0, old) in zip(_weight_blocks(cset, cells),
                                        _float_cumsum_weight_blocks(cset, cells), strict=True):
@@ -392,24 +413,257 @@ class TestKernelMatchesTheFloatCumsum:
             assert np.array_equal(progressive_weights(cset, x[0]).weights, expected)
             assert m == 1 or expected[-1, 0] == 0.0
 
+    @pytest.mark.parametrize("workers", WORKERS)
     @pytest.mark.parametrize("width, r_count", KERNEL_WIDTHS)
     @pytest.mark.parametrize("at", [-1, 0, 1])
-    def test_a_dead_row_on_a_block_boundary_fails_alike(self, width, r_count, at):
+    def test_a_dead_row_on_a_block_boundary_fails_alike(self, width, r_count, at, workers):
+        # at -1 the first failing block is the calling thread's, from 0 on a helper's
         m = width // r_count
         rng = np.random.default_rng(width + r_count)
         raw = rng.uniform(0.2, 3.0, size=(m, 5))
         raw[:, 4] = 0.0  # every candidate vanishes on the last cell
         cset = _family(raw)
         step = max(1, _BLOCK_ELEMENTS // width)
-        x = rng.uniform(0.0, 0.8, size=(r_count, 2 * step + 3))
+        x = rng.uniform(0.0, 0.8, size=(r_count, 5 * step + 3))
         x[-1, step + at] = 0.9
         cells = cset.cell_indices(x)
         with pytest.raises(ValidationError) as expected:
             _float_cumsum_averaged_weights(cset, cells)
         with pytest.raises(ValidationError) as got:
-            _averaged_weights(cset, cells)
+            _averaged_weights(cset, cells, workers)
         assert str(got.value) == str(expected.value)
         assert f"on the first {step + at + 1} sample points" in str(got.value)
+
+
+def _bounded(call, timeout=60.0):
+    """``call()`` on a daemon thread, which becomes the kernel's calling
+    thread: a worker left waiting fails the test instead of hanging it (the
+    kernel's helpers inherit the daemon flag)."""
+    outcome = {}
+
+    def run():
+        try:
+            outcome["value"] = call()
+        except BaseException as exc:  # handed to the test's thread
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), "the kernel did not return: a worker was left waiting"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+@pytest.fixture
+def helpers(monkeypatch):
+    """The kernel's helper threads, recorded as they start; ``fail_start``
+    names a helper (1, 2, ...) whose start raises instead."""
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            if len(started) + 1 == helpers_state.fail_start:
+                raise RuntimeError("can't start new thread")
+            started.append(self)
+            super().start()
+
+    helpers_state = SimpleNamespace(started=started, fail_start=None)
+    monkeypatch.setattr(aggregation, "threading", SimpleNamespace(Thread=Recorded))
+    return helpers_state
+
+
+def _assert_all_joined(threads):
+    for thread in threads:
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+def _worker_case(monkeypatch, blocks=12, m=3, r_count=2):
+    """Cells (R, n) of ``blocks`` blocks of 3 rows, and their candidates."""
+    monkeypatch.setattr(aggregation, "_BLOCK_ELEMENTS", 3 * r_count * m)
+    rng = np.random.default_rng(blocks * 100 + m)
+    cset = _vanishing_family(m, rng)
+    x = rng.uniform(0.0, 0.8, size=(r_count, 3 * blocks))
+    return cset, cset.cell_indices(x), 3
+
+
+class TestKernelWorkers:
+    """The worker ring: hand-offs, errors and thread lifetimes."""
+
+    @pytest.mark.parametrize("workers", [2, 3, 5])
+    def test_helpers_start_only_for_a_second_full_block_and_all_end(self, monkeypatch,
+                                                                    helpers, workers):
+        cset, cells, step = _worker_case(monkeypatch)
+        expected = _float_cumsum_averaged_weights(cset, cells)
+        assert np.array_equal(_bounded(lambda: _averaged_weights(cset, cells, workers)),
+                              expected)
+        assert len(helpers.started) == workers - 1
+        _assert_all_joined(helpers.started)
+        # no block, one, or a full one and a tail: the calling thread alone
+        for n in (0, 1, step, 2 * step - 1):
+            got = _averaged_weights(cset, cells[:, :n], workers)
+            assert np.array_equal(got, _float_cumsum_averaged_weights(cset, cells[:, :n]))
+        assert len(helpers.started) == workers - 1
+
+    @pytest.mark.parametrize("workers", [2, 3, 5])
+    @pytest.mark.parametrize("stage", ["cumulative sum", "softmax"])
+    def test_an_error_on_any_worker_releases_every_worker(self, monkeypatch, helpers,
+                                                          workers, stage):
+        # a failure before its block posts the cumulative carry, or between
+        # the two carries, on each worker in turn and on a second-round block
+        cset, cells, step = _worker_case(monkeypatch)
+        real_sum = aggregation._cumulative_log_likelihoods
+        real_softmax = aggregation._normalize_log_rows
+        for failing in range(workers + 1):
+            start = failing * step
+            first = cells[:, start:].ctypes.data
+
+            def cumulative(log_table, idx, out, carry, first=first, failing=failing):
+                if idx.ctypes.data == first:
+                    raise RuntimeError(f"block {failing}")
+                return real_sum(log_table, idx, out, carry)
+
+            def softmax(log_w, first_row=0, start=start, failing=failing):
+                if first_row == start + 1:
+                    raise RuntimeError(f"block {failing}")
+                return real_softmax(log_w, first_row)
+
+            if stage == "cumulative sum":
+                monkeypatch.setattr(aggregation, "_cumulative_log_likelihoods", cumulative)
+            else:
+                monkeypatch.setattr(aggregation, "_normalize_log_rows", softmax)
+            helpers.started.clear()
+            with pytest.raises(RuntimeError, match=f"^block {failing}$"):
+                _bounded(lambda: _averaged_weights(cset, cells, workers))
+            assert len(helpers.started) == workers - 1
+            _assert_all_joined(helpers.started)
+
+    @pytest.mark.parametrize("workers", [2, 3, 5])
+    def test_a_later_block_failing_first_in_time_loses(self, monkeypatch, helpers, workers):
+        # Every candidate vanishes on the last cell; a point there in block 2
+        # kills every row from there on.  Block 2's softmax is held back, so
+        # block 3 fails first in time; the error is still block 2's.
+        cset, cells, step = _worker_case(monkeypatch)
+        cells = cells.copy()
+        raw = cset.values.copy()
+        raw[:, 4] = 0.0
+        cset = _family(raw)
+        cells[1, 2 * step + 1] = 4
+        with pytest.raises(ValidationError) as serial:
+            _averaged_weights(cset, cells, 1)
+        assert "on the first 8 sample points;" in str(serial.value)
+        real, failed = aggregation._normalize_log_rows, []
+
+        def slow(log_w, first_row=0):
+            if first_row == 2 * step + 1:
+                time.sleep(0.2)
+            try:
+                return real(log_w, first_row)
+            except ValidationError:
+                failed.append(first_row)
+                raise
+
+        monkeypatch.setattr(aggregation, "_normalize_log_rows", slow)
+        with pytest.raises(ValidationError) as got:
+            _bounded(lambda: _averaged_weights(cset, cells, workers))
+        assert str(got.value) == str(serial.value)
+        assert failed[0] > 2 * step + 1 and 2 * step + 1 in failed
+        _assert_all_joined(helpers.started)
+
+    @pytest.mark.parametrize("workers", [2, 3, 5])
+    def test_a_worker_without_a_buffer_releases_every_worker(self, monkeypatch, helpers,
+                                                            workers):
+        # worker w's block buffer cannot be allocated: its first block, w,
+        # is the earliest to fail
+        cset, cells, _ = _worker_case(monkeypatch)
+        real_empty = np.empty
+        for failing in range(workers):
+            def empty(*args, failing=failing, **kwargs):
+                current = threading.current_thread()
+                w = helpers.started.index(current) + 1 if current in helpers.started else 0
+                if w == failing:
+                    raise MemoryError(f"worker {failing}")
+                return real_empty(*args, **kwargs)
+
+            monkeypatch.setattr(np, "empty", empty)
+            helpers.started.clear()
+            with pytest.raises(MemoryError, match=f"^worker {failing}$"):
+                _bounded(lambda: _averaged_weights(cset, cells, workers))
+            monkeypatch.setattr(np, "empty", real_empty)
+            assert len(helpers.started) == workers - 1
+            _assert_all_joined(helpers.started)
+
+    @pytest.mark.parametrize("fail_start", [1, 2, 4])
+    def test_a_helper_that_cannot_start_releases_the_others(self, monkeypatch, helpers,
+                                                             fail_start):
+        cset, cells, _ = _worker_case(monkeypatch)
+        helpers.fail_start = fail_start
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            _bounded(lambda: _averaged_weights(cset, cells, 5))
+        assert len(helpers.started) == fail_start - 1
+        _assert_all_joined(helpers.started)
+
+    def test_stress_five_workers_with_constant_lock_hand_overs(self, monkeypatch, helpers):
+        # 100 blocks of 3 rows hand 200 carries round a ring of five workers;
+        # a lost, reordered or skipped carry changes the weights
+        cset, cells, _ = _worker_case(monkeypatch, blocks=100, m=4)
+        expected = _float_cumsum_averaged_weights(cset, cells)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                got = _bounded(lambda: _averaged_weights(cset, cells, 5))
+                assert got.tobytes() == expected.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(helpers.started) == 40
+        _assert_all_joined(helpers.started)
+
+
+def _decimal_averaged_weights(cset, cells):
+    """The averaged weights from their definition, in 40-digit decimal: row
+    ``k`` of replication ``r`` is ``Π_{i<=k} f_j(X_i)``, normalised, for
+    ``k = 0..n``, and the average is over the ``n + 1`` rows."""
+    with localcontext(prec=40):
+        values = [[Decimal(float(v)) for v in row] for row in cset.values.T]  # cells x M
+        out = []
+        for row in cells.tolist():
+            products = [Decimal(1)] * cset.size
+            total = [Decimal(0)] * cset.size
+            for k in range(len(row) + 1):
+                if k:
+                    products = [p * v for p, v in zip(products, values[row[k - 1]])]
+                norm = sum(products)
+                total = [t + p / norm for t, p in zip(total, products)]
+            out.append([float(t / (len(row) + 1)) for t in total])
+    return np.array(out)
+
+
+#: Largest distance, in units in the last place of the 40-digit reference
+#: rounded to a double, allowed between the kernel's averaged weights and
+#: their definition at n = 300.  The rounding of the log terms and of the
+#: cumulative sums puts the kernel 1, 14, 53 and 89 ulps from it at M = 2,
+#: 3, 4 and 5, at every worker count.
+DECIMAL_ULPS = 256
+
+
+class TestKernelMatchesTheDefinition:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_averaged_weights_within_ulps_of_decimal(self, monkeypatch, m, workers):
+        # blocks of 4 rows, so 300 points cross 75 blocks
+        monkeypatch.setattr(aggregation, "_BLOCK_ELEMENTS", 4 * 2 * m)
+        rng = np.random.default_rng(m)
+        cset = _vanishing_family(m, rng)
+        x = rng.uniform(0.0, 1.0, size=(2, 300))
+        x[1, 150:] *= 0.8  # replication 1 keeps candidate 0 alive
+        cells = cset.cell_indices(x)
+        expected = _decimal_averaged_weights(cset, cells)
+        got = _averaged_weights(cset, cells, workers)
+        ulps = np.abs(got - expected) / np.spacing(expected)
+        assert ulps.max() <= DECIMAL_ULPS
 
 
 class TestIdentitySeededMax:
@@ -466,8 +720,8 @@ class TestBlockBufferReuse:
 # ---------------------------------------------------------------------------
 
 
-def _exact_kl(cset, truth, n):
-    """``E KL`` of the mixture on n points from ``truth``, a density on
+def _exact_risk(cset, truth, n, loss="KL"):
+    """``E loss`` of the mixture on n points from ``truth``, a density on
     ``cset.grid``: the estimator sees only the sample's cells, so this is a
     finite sum over all C^n cell sequences, each weighted by the product of
     the truth's cell masses."""
@@ -475,13 +729,16 @@ def _exact_kl(cset, truth, n):
     cells = np.indices((masses.size,) * n).reshape(n, -1).T
     prob = np.prod(masses[cells], axis=1)
     live = prob > 0
-    risks = _kl_rows(truth, cset.grid, _aggregate_rows(cset, cells[live]))
+    risks = _LOSS_ROWS[loss](truth, cset.grid, _aggregate_rows(cset, cells[live]))
     return math.fsum((prob[live] * risks).tolist())
 
 
 class TestExactExpectation:
     """The engine against the mathematics it estimates, at n = 1 and 2 on the
-    M = 4 worst-case family tuned at n = 3 (32 cells), truth index 1."""
+    M = 4 worst-case family tuned at n = 3 (32 cells), truth index 1.  The
+    engine's 20,000 replications at n = 2 span two kernel blocks, so on more
+    than one CPU their Monte Carlo means come through the kernel's worker
+    ring."""
 
     @pytest.fixture(scope="class")
     def family(self):
@@ -490,18 +747,19 @@ class TestExactExpectation:
         assert np.array_equal(truth.breakpoints, cset.grid)
         return cset, truth
 
+    @pytest.mark.parametrize("loss", ["KL", "H", "L1"])
     @pytest.mark.parametrize("n", [1, 2])
-    def test_monte_carlo_mean_is_within_4_se_of_the_exact_risk(self, family, n):
+    def test_monte_carlo_mean_is_within_4_se_of_the_exact_risk(self, family, n, loss):
         cset, truth = family
-        exact = _exact_kl(cset, truth, n)
+        exact = _exact_risk(cset, truth, n, loss)
         seeds = [(1, n, r) for r in range(20_000)]
-        mean, se = _mean_se(_replication_risks(cset, truth, n, seeds, _aggregate_rows, "KL"))
+        mean, se = _mean_se(_replication_risks(cset, truth, n, seeds, _aggregate_rows, loss))
         assert 0.0 < se and abs(mean - exact) <= 4 * se
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_oracle_inequality_holds_exactly(self, family, n):
         cset, truth = family
-        exact = _exact_kl(cset, truth, n)
+        exact = _exact_risk(cset, truth, n)
         oracle = min(_kl_rows(truth, cset.grid, cset.values).tolist())
         assert exact - oracle <= math.log(cset.size) / (n + 1)
 

@@ -8,6 +8,7 @@ import threading
 import time
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -452,6 +453,30 @@ class TestRateStudyPool:
             run_rate_study(self._config())
         assert [t for _, t in ran][:3] == [0, 1, 2]
         assert len(ran) < 8  # of the first cell's 8 truths
+
+    def test_truths_run_the_kernel_on_one_worker(self, monkeypatch):
+        # blocks of one row: every kernel call has many blocks, so a kernel
+        # worker ring would start helper threads; the oracle harness does
+        import densagg.aggregation as aggregation
+
+        started = []
+
+        class Recorded(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(aggregation, "_BLOCK_ELEMENTS", 1)
+        monkeypatch.setattr(aggregation, "threading", SimpleNamespace(Thread=Recorded))
+        monkeypatch.setattr(aggregation, "_workers", lambda: 3)
+        monkeypatch.setattr(experiments, "_workers", lambda: 3)
+        run_rate_study(self._config())
+        assert started == []
+        run_oracle_experiment(quick_config(n_values=(5,), replications=2))
+        assert len(started) == 2
+        for thread in started:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
 
     def test_no_pool_thread_outlives_the_study(self, monkeypatch):
         real, threads = experiments._replication_risks, set()
