@@ -13,10 +13,9 @@ The pieces:
   family size ``M``, sample size ``n``, and sup bound ``A``.
 * :func:`build_separated_set` — the greedy (first-fit, lexicographic)
   packing of binary words with pairwise Hamming distance at least ``D/8``,
-  always containing the all-zeros word.  That packing is the binary
-  lexicode, a linear code (Conway & Sloane 1986), so only ``ceil(log2 M)``
-  basis words are searched, each of at most 64 bits, and the rest are
-  their XORs.  Deterministic: bit-for-bit reproducible.
+  always containing the all-zeros word: the binary lexicode, a linear code
+  (Conway & Sloane 1986) whose basis words are at most 64 bits wide.
+  Deterministic: bit-for-bit reproducible.
 * :func:`perturbed_density` — the density for one word.
 * ``analytic_*`` — closed forms for the pairwise distances and the
   sample-size-``n`` product KL, each of which the exact cell-wise
@@ -302,33 +301,50 @@ class SeparatedSet:
         return self.words.shape[1] / 8.0
 
 
+#: The widest coset table :func:`build_separated_set` builds, in index bits:
+#: ``2^24`` one-byte entries.
+_COSET_BITS = 24
+
+
+def _coset_weights(span: np.ndarray, pivots: list[int], free: list[int]) -> np.ndarray:
+    """Minimum weight of every coset of the span, indexed by the coset's
+    representative with zeros at the pivot bits, read at the ``free`` bits.
+
+    A span word ``s`` puts ``popcount(s)`` on its pivot bits into the entry
+    of its free bits; then one pass per free bit (one axis of the table)
+    turns that into ``min_s wt(s ^ rep)``, since weight adds over bits.
+    """
+    table = np.full(1 << len(free), 2 * 64, dtype=np.uint8)  # above any weight, far from 255
+    index = np.zeros(span.size, dtype=np.uint64)
+    for t, j in enumerate(free):
+        index |= ((span >> np.uint64(j)) & np.uint64(1)) << np.uint64(t)
+    pivot_bits = np.uint64(sum(1 << p for p in pivots))
+    np.minimum.at(table, index.astype(np.intp), np.bitwise_count(span & pivot_bits))
+    step = np.empty(table.size // 2, dtype=np.uint8)
+    for t in range(len(free)):
+        halves = table.reshape(-1, 2, 1 << t)
+        low, high, step_t = halves[:, 0], halves[:, 1], step.reshape(-1, 1 << t)
+        np.minimum(low, np.add(high, 1, out=step_t), out=low)
+        np.minimum(high, np.add(low, 1, out=step_t), out=high)
+    return table
+
+
 def build_separated_set(n_bits: int, n_words: int) -> SeparatedSet:
-    """Greedily pack ``n_words`` binary words of length ``n_bits`` at pairwise
-    Hamming distance ``n_bits/8`` or more.
+    """The first ``n_words`` words of the binary lexicode of length ``n_bits``
+    with pairwise Hamming distance at least ``n_bits/8``.
 
-    The greedy packing starts from the all-zeros word and visits candidates
-    in lexicographic (= integer) order, accepting any word compatible with
-    everything accepted so far (first-fit).  Its output is the binary
-    lexicode, which is linear: word ``i`` is the XOR of the basis words
-    ``g_b`` (the words at positions ``2^b``) for the set bits of ``i``
-    (Conway & Sloane 1986, "Lexicographic codes"; Brualdi & Pless 1993,
-    "Greedy codes").  So only the ``ceil(log2 n_words)`` basis words are
-    searched.  ``g_b`` is the first integer at distance ``ceil(n_bits/8)`` or
-    more from every word of the current span, found by filtering chunks of
-    candidates with hardware popcounts; the span then doubles to ``span ∪
-    (span ⊕ g_b)``.  The search for ``g_b`` starts at ``2^L``, with ``L`` the
-    bit length of ``g_(b-1)``: each integer ``c`` between the span's maximum
-    and ``2^L`` shares that top bit, so ``c ⊕ g_(b-1)`` lies below
-    ``g_(b-1)``, where every integer is within the distance of the span, and
-    XOR with a span word keeps that distance.  Basis words are held in 64
-    bits, and a request that would need a wider one fails with a
-    ``ValidationError``.  None up to ``n_words = 512`` comes near: the
-    widest basis word there has 26 bits.
+    The lexicode is the greedy packing that starts from the all-zeros word
+    and accepts, in integer order (most significant bit first), each word at
+    distance ``ceil(n_bits/8)`` or more from every word accepted before it
+    (Conway & Sloane 1986, "Lexicographic codes").  It is linear: word ``i``
+    is the XOR of the basis words ``g_b`` (the words at positions ``2^b``)
+    over the set bits of ``i``.  The output is deterministic, bit for bit.
 
-    A counting argument guarantees the greedy packing finds at least
-    ``2^(n_bits/8)`` words, so the feasibility gate ``2^(n_bits/8) >=
-    n_words`` (checked exactly in integers) makes exhaustion unreachable.
-    The output is deterministic, bit for bit.
+    Raises ``ValidationError`` unless ``n_bits >= 1``, ``n_words >= 1`` and
+    ``2^(n_bits/8) >= n_words`` (checked exactly, as ``2^n_bits >=
+    n_words^8``; the greedy packing always reaches ``2^(n_bits/8)`` words),
+    and when the set needs a basis word wider than 64 bits or a coset table
+    of more than ``2^24`` entries to find one.
     """
     if n_bits < 1:
         raise ValidationError(f"word length must be positive, got {n_bits}")
@@ -340,31 +356,36 @@ def build_separated_set(n_bits: int, n_words: int) -> SeparatedSet:
             f"(exactly: 2^{n_bits} >= {n_words}^8) to pack the set"
         )
     thr = (n_bits + 7) // 8  # 8*d >= n_bits  <=>  d >= ceil(n_bits/8) for integer d
-    limit = min(1 << n_bits, 1 << 64)
-    chunk = 1 << 14
     span = np.zeros(1, dtype=np.uint64)
-    start = (1 << thr) - 1  # the least integer of popcount thr; none below qualifies
-    while span.size < n_words and start < limit:
-        cand = np.arange(start, min(start + chunk, limit), dtype=np.uint64)
-        for v in span:
-            cand = cand[np.bitwise_count(cand ^ v) >= thr]
-            if cand.size == 0:
-                break
-        if cand.size:
-            span = np.concatenate((span, span ^ cand[0]))
-            start = 1 << int(cand[0]).bit_length()
-        else:
-            start += chunk
-    if span.size < n_words:
-        if limit < 1 << n_bits:
+    pivots, length = [], 0  # leading bits of the basis words; bit length of the last
+    while span.size < n_words:
+        # Every integer below 2^length is within thr - 1 of the span, so the
+        # next word is h * 2^length + x, at distance popcount(h) + d(x) from
+        # the span.  The least one takes x of the largest coset weight r, and
+        # h = 2^(thr - r) - 1.  Each coset's least element has zeros at the
+        # pivot bits (the basis is reduced: no word holds another's pivot), so
+        # x is the first entry of weight r in the table.
+        free = [j for j in range(length) if j not in pivots]
+        if len(free) > _COSET_BITS:
+            raise ValidationError(
+                f"a separated set of {n_words} words of length {n_bits} needs a "
+                f"coset table of 2^{len(free)} entries for lexicode basis word "
+                f"{len(pivots)}; at most 2^{_COSET_BITS} are built"
+            )
+        table = _coset_weights(span, pivots, free)
+        x = int(np.argmax(table))
+        k = thr - int(table[x])
+        word = ((1 << k) - 1) << length | sum(((x >> t) & 1) << j for t, j in enumerate(free))
+        length += k
+        if length > 64:
             raise ValidationError(
                 f"a separated set of {n_words} words of length {n_bits} needs a "
                 f"lexicode basis word wider than 64 bits"
             )
-        raise RuntimeError(
-            f"greedy scan exhausted all 2^{n_bits} words after finding only "
-            f"{span.size} of {n_words}"
-        )
+        if length > n_bits:
+            raise RuntimeError(f"lexicode basis word {word} does not fit in {n_bits} bits")
+        pivots.append(length - 1)
+        span = np.concatenate((span, span ^ np.uint64(word)))
     # right-aligned, most significant bit first; bits above 64 are zero
     bits = np.unpackbits(span[:n_words].astype(">u8").view(np.uint8).reshape(-1, 8), axis=1)
     return SeparatedSet(np.pad(bits, ((0, 0), (max(0, n_bits - 64), 0)))[:, -n_bits:])
@@ -517,9 +538,13 @@ class AuditReport:
 
     @cached_property
     def n_failed(self) -> int:
-        """How many checks fail, counted from the class verdicts in one walk."""
-        fails = [[not e[2] for e in t] for t in (self.kl_classes, self.sep_classes)]
-        return sum(sum(entries) for _, _, entries in self._rows(*fails))
+        """How many checks fail, counted from the class verdicts in one walk,
+        or 0 without one when no class a check can fall in fails (pairs of
+        a separated set are at distance ``ceil(D/8)`` or more)."""
+        kl, sep = ([not e[2] for e in t] for t in (self.kl_classes, self.sep_classes))
+        if not any(kl) and not any(sep[(self.family.n_bumps + 7) // 8:]):
+            return 0
+        return sum(sum(entries) for _, _, entries in self._rows(kl, sep))
 
     @property
     def all_pass(self) -> bool:

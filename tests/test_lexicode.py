@@ -7,7 +7,9 @@ the JSON row by row.  They are checked here against frozen copies of the
 code they replaced: the chunked first-fit scanner (``_old_greedy_scan``),
 the basis search that restarted above the span's maximum
 (``_old_basis_search``), the per-word, per-pair audit loop (``_old_audit``)
-and the whole-report ``json.dumps`` writer (``_old_save``).
+and the whole-report ``json.dumps`` writer (``_old_save``).  Past the sizes
+those copies reach in seconds, the basis words of the M = 1024 family are
+pinned (``_BASIS_80_1024``).
 """
 
 import json
@@ -37,11 +39,17 @@ from densagg import (
     min_bump_count,
     save_separated_set,
 )
-from densagg.lowerbound import _pair_distances
+from densagg.lowerbound import _hellinger_sq, _pair_distances
 
 # ---------------------------------------------------------------------------
 # Frozen copies of the replaced code
 # ---------------------------------------------------------------------------
+
+#: The ten basis words of ``build_separated_set(80, 1024)``, as the chunked
+#: scan that the coset search replaced found them, in about a minute.
+_BASIS_80_1024 = (1023, 31775, 232551, 824491, 1386837, 6330581, 25206065, 42278310,
+                  77607100, 402698573)
+
 
 
 def _old_greedy_scan(n_bits, n_words):
@@ -245,11 +253,27 @@ class TestLexicode:
         sep = build_separated_set(n_bits, n_words)
         assert np.array_equal(sep.words, _old_bits(_old_int_scan(n_bits, n_words), n_bits))
 
-    @pytest.mark.parametrize("m", [257, 300])
+    @pytest.mark.parametrize("m", [257, 300, 384, 512])
     def test_family_words_past_256_match_the_old_basis_search(self, m):
         n_bits = min_bump_count(m)
         oracle = _old_bits(_old_basis_search(n_bits, m), n_bits)
         assert np.array_equal(build_separated_set(n_bits, m).words, oracle)
+
+    def test_family_words_at_1024_are_the_pinned_basis_spans(self):
+        span = [0]
+        for g in _BASIS_80_1024:
+            span += [v ^ g for v in span]
+        assert np.array_equal(build_separated_set(80, 1024).words, _old_bits(span, 80))
+
+    def test_family_at_2048_builds_in_bounded_memory(self):
+        tracemalloc.start()
+        try:
+            words = build_separated_set(min_bump_count(2048), 2048)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert words.size == 2048 and words.word_length == 88
+        assert peak < 128 * 2**20
 
     def test_set_of_one_is_the_zero_word(self):
         assert np.array_equal(build_separated_set(5, 1).words, [[0] * 5])
@@ -308,6 +332,36 @@ class TestPairDistances:
 # ---------------------------------------------------------------------------
 # The audit
 # ---------------------------------------------------------------------------
+
+
+class TestFailureCount:
+    def test_all_pass_counts_zero_without_walking_the_pairs(self, monkeypatch):
+        family = choose_parameters(64, 1000, 2.0)
+        words = build_separated_set(family.n_bumps, 64)
+        _, checks = _old_audit(family, words, 1000)
+        assert all(c.passed for c in checks)
+        # class 0 (distance 0) always fails, but no pair of a separated set is in it
+        assert not audit_hypotheses(family, words, 1000).sep_classes[0][2]
+        monkeypatch.setattr(densagg.lowerbound, "_pair_distances", None)
+        assert audit_hypotheses(family, words, 1000).n_failed == 0
+
+    @pytest.mark.parametrize("case", ["loud", "undersampled", "both", "threshold"])
+    def test_failures_are_counted_exactly(self, case):
+        family = choose_parameters(64, 1000, 2.0)
+        words = build_separated_set(family.n_bumps, 64)
+        thr = (family.n_bumps + 7) // 8
+        # the least n at which distance thr + 1 separates and thr does not
+        least = math.ceil(HELLINGER_CURVATURE / 64 * math.log(64) / _hellinger_sq(family, thr + 1))
+        n = {"loud": 1000, "undersampled": 3, "both": 3, "threshold": least}[case]
+        if case in ("loud", "both"):
+            family = replace(family, amplitude=3 * family.amplitude)
+        _, checks = _old_audit(family, words, n)
+        failed = sum(not c.passed for c in checks)
+        assert 0 < failed < len(checks)
+        report = audit_hypotheses(family, words, n)
+        if case == "threshold":
+            assert [e[2] for e in report.sep_classes[thr:thr + 2]] == [False, True]
+        assert report.n_failed == failed
 
 
 class TestVectorisedAudit:
@@ -405,6 +459,21 @@ def test_audit_past_256_words_finishes(tmp_path):
     report = json.loads(out.read_text())
     assert report["D"] == 65 and report["all_pass"] is True
     assert len(report["checks"]) == 257 + 257 * 256 // 2
+
+
+@pytest.mark.parametrize("n_bits", [256, 320])
+def test_three_wide_words_end_with_the_words_or_a_refusal(n_bits):
+    # the second basis word lies far above the first, 2^32 - 1 or 2^40 - 1
+    src = str(Path(densagg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys; from densagg import ValidationError, build_separated_set\n"
+            "try:\n    words = build_separated_set(int(sys.argv[1]), 3)\n"
+            "except ValidationError as exc:\n    print(exc)\n"
+            "else:\n    print(words.size, words.word_length)\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(n_bits)], env=env,
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == f"3 {n_bits}" or "coset table" in proc.stdout
 
 
 @pytest.mark.parametrize("args", [
