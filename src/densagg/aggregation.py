@@ -22,44 +22,19 @@ weight exactly 0 from that row onward.
 The (n+1)×M matrix of weight rows is never held whole.  Each sample point
 is reduced once to its shared-grid cell; ``CandidateSet.log_table`` holds
 ``log f_j`` per cell, so a block of log-likelihood terms is a row gather
-with no ``log`` per point.  The block kernel walks the rows in blocks of
-about ``_BLOCK_ELEMENTS`` (2^17) entries, carrying the cumulative
-log-likelihood into each block's first row before its cumulative sum and
-the running sum of weight rows into its first normalised row before the
-column sum.  Those carries repeat the additions of one ``cumsum`` and one
-column sum over the full matrix in the same order, so the averaged vector
-is bit-identical to the full-matrix computation while memory stays
-O(block) per worker for any n.  Only the two carries link a block to the
-one before it, so :func:`_averaged_weights` deals the blocks round-robin
-to one worker per CPU the process may run on (:func:`_workers`), but
-never more workers than full blocks, the calling thread first, and hands
-the carries from block to block; each
-worker gathers every block it is dealt into one buffer of its own, which
-the cumulative sum and the softmax overwrite in place.  The additions and
-their order are those of the serial walk, so the result does not depend
-on the worker count.  :class:`WeightTrajectory` rebuilds the full matrix
-with the same block helper on the calling thread, in order, and only when
-``weights`` is read.
+with no ``log`` per point.  One block kernel, :func:`_averaged_weights`,
+walks the rows and hands two running sums from block to block, so the
+averaged vector is bit-identical to the full-matrix computation at any
+worker count; :class:`WeightTrajectory` rebuilds the full matrix through
+the same kernel at one worker, and only when ``weights`` is read.
 
 The kernel takes R samples of one size at once, as cells of shape (R, n),
-and lays its blocks out (rows, R, M): row ``k`` of every replication is one
-contiguous run, and each block has ``_BLOCK_ELEMENTS // (R·M)`` rows.  The
-gather, carry, cumulative sum, softmax and column sum act on each
-replication's entries exactly as they would for that sample alone, so
-batched and one-sample results are equal bit for bit; :func:`progressive_weights`
-and :func:`aggregate` are the R = 1 case.  When a row's R·M entries are
-even, the cumulative sum runs on the block viewed as complex128, each
-complex column a pair of float columns: a complex addition is one float
-addition per component, so every column gets the same additions in the
-same order, in half as many serial chains.  It is ``np.cumsum(axis=0)``,
-a strided serial chain per column, for blocks of fewer than
-``_ROW_LOOP_WIDTH`` such columns, and one vector ``np.add`` per row from
-there on; the additions are the same either way.  The experiment harnesses
-batch the replications of a cell through :func:`_aggregate_rows`, and
-those of the selector through :func:`_select_cells`, whose score chunks
-have their own budget of ``_SELECT_ELEMENTS`` (2^15) deviations.  The rate
-study, whose truths already run one thread per CPU, runs the kernel on one
-worker per truth.
+and acts on each replication's entries exactly as it would for that sample
+alone, so batched and one-sample results are equal bit for bit;
+:func:`progressive_weights` and :func:`aggregate` are the R = 1 case.  The
+experiment harnesses batch the replications of a cell through
+:func:`_aggregate_rows`, and those of the selector through
+:func:`_select_cells`.
 """
 
 from __future__ import annotations
@@ -110,11 +85,9 @@ _SELECT_ELEMENTS = 2**15
 
 #: Blocks whose cumulative sum has at least this many columns (R·M/2
 #: complex ones when R·M is even, else R·M) take it as one vector
-#: ``np.add`` per row; narrower ones take ``np.cumsum(axis=0)``.  Both
-#: perform the same additions.  Measured per entry of the whole kernel,
-#: cumsum vs row loop: 7.2 vs 7.8 ns at 384 columns and 7.6 vs 7.2 ns at
-#: 512 (R = 1); 8.5 vs 8.5 and 9.7 vs 9.4 ns (M = 64, R = 12 and 16); 8.8
-#: vs 10.2 ns at 383 float columns, 8.9 vs 9.2 at 511, 9.2 vs 8.3 at 639.
+#: ``np.add`` per row, which is the faster of the two from about here on
+#: (README gives the timings); narrower ones take ``np.cumsum(axis=0)``.
+#: Both perform the same additions.
 _ROW_LOOP_WIDTH = 512
 
 
@@ -214,9 +187,10 @@ class WeightTrajectory:
 
     Built by :func:`progressive_weights`, which stores only ``averaged``
     and the sample's cell indices.  The (n+1)×M ``weights`` matrix is
-    computed on first access, by the same block kernel; :meth:`to_csv`
-    streams the blocks without keeping the matrix.  The kernel's gather
-    does not check its indices, so ``cells`` are checked here.
+    computed on first access, by the same block kernel at one worker;
+    :meth:`to_csv` streams its blocks without keeping the matrix.  The
+    kernel's gather does not check its indices, so ``cells`` are checked
+    here.
     """
 
     candidates: CandidateSet
@@ -241,8 +215,11 @@ class WeightTrajectory:
     @cached_property
     def weights(self) -> np.ndarray:
         w = np.empty((self.n_steps + 1, self.n_candidates))
-        for k, block in _weight_blocks(self.candidates, self.cells[None]):
+
+        def visit(k, block):
             w[k:k + block.shape[0]] = block[:, 0]
+
+        _averaged_weights(self.candidates, self.cells[None], 1, visit)
         w.setflags(write=False)
         return w
 
@@ -251,9 +228,12 @@ class WeightTrajectory:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["k"] + [f"w_{j + 1}" for j in range(self.n_candidates)])
-            for k, block in _weight_blocks(self.candidates, self.cells[None]):
+
+            def visit(k, block):
                 for i, row in enumerate(block[:, 0], k):
                     writer.writerow([i] + [repr(float(v)) for v in row])
+
+            _averaged_weights(self.candidates, self.cells[None], 1, visit)
 
 
 def empirical_kl(f: PiecewiseDensity, x) -> float:
@@ -315,6 +295,8 @@ def _cumulative_log_likelihoods(log_table: np.ndarray, idx: np.ndarray, out: np.
     terms = np.take(log_table, idx, axis=0, out=out[:idx.shape[0]], mode="clip")
     terms[0] += carry()
     chains = terms.reshape(terms.shape[0], -1)
+    # A complex addition is one float addition per component, so paired
+    # columns get the same additions in the same order in half the chains.
     if chains.shape[1] % 2 == 0:
         chains = chains.view(np.complex128)
     if chains.shape[1] >= _ROW_LOOP_WIDTH:
@@ -323,34 +305,6 @@ def _cumulative_log_likelihoods(log_table: np.ndarray, idx: np.ndarray, out: np.
     else:
         np.cumsum(chains, axis=0, out=chains)
     return terms
-
-
-def _block_rows(cells: np.ndarray, m: int) -> int:
-    """Weight rows per block for cells (R, n) and M candidates."""
-    return max(1, _BLOCK_ELEMENTS // (cells.shape[0] * m))
-
-
-def _weight_blocks(candidates: CandidateSet, cells: np.ndarray):
-    """Yield ``(k, rows)``: consecutive blocks of weight rows, ``rows[0]`` being row ``k``.
-
-    ``cells`` is (R, n): the cell indices of R samples of one size.  Blocks
-    are laid out (rows, R, M), so that row ``k`` of every replication's
-    trajectory is one contiguous run.  Row 0, the prior, comes alone; then
-    blocks of :func:`_block_rows` rows, in order, on the calling thread.
-
-    Every block after the prior is a view of one buffer, allocated once per
-    call with one block's rows (or n, if fewer), and the next block
-    overwrites it: use or copy a block before asking for the next.
-    """
-    step = _block_rows(cells, candidates.size)
-    carry = np.zeros((cells.shape[0], candidates.size))
-    yield 0, _normalize_log_rows(np.zeros((1, *carry.shape)))
-    buffer = np.empty((min(step, cells.shape[1]), *carry.shape))
-    for start in range(0, cells.shape[1], step):
-        terms = _cumulative_log_likelihoods(candidates.log_table, cells[:, start:start + step].T,
-                                            buffer, lambda: carry)
-        carry = terms[-1].copy()
-        yield start + 1, _normalize_log_rows(terms, start + 1)
 
 
 def _workers() -> int:
@@ -366,20 +320,28 @@ class _Abandoned(Exception):
 
 
 def _averaged_weights(candidates: CandidateSet, cells: np.ndarray,
-                      workers: int | None = None) -> np.ndarray:
+                      workers: int | None = None, visit=lambda k, rows: None) -> np.ndarray:
     """Column means of the weight rows, (R, M), for cell indices ``cells`` (R, n).
 
-    The blocks of :func:`_block_rows` rows are dealt round-robin to
-    ``workers`` workers (by default ``_workers()``, at most one per full
-    block, so a call of fewer than two full blocks starts no helper);
-    the calling thread is worker 0.  Each worker gathers its block, waits in
-    its inbox for the two (R, M) carries of the block before it and posts
-    its own to the next block's worker: the cumulative log-likelihood, added
-    into the block's first row before its cumulative sum, and the running
-    sum of weight rows, added into its first normalised row before the
-    column sum.  Every column thus gets the additions of one cumulative sum
-    and one column sum down the whole trajectory, in order, so the result
-    is bit-identical at any worker count.
+    The rows are walked in blocks laid out (rows, R, M), of
+    ``_BLOCK_ELEMENTS // (R·M)`` rows each, dealt round-robin to ``workers``
+    workers (by default ``_workers()``, at most one per full block, so a
+    call of fewer than two full blocks starts no helper); the calling thread
+    is worker 0.  Each worker gathers its block, waits in its inbox for the
+    two (R, M) carries of the block before it and posts its own to the next
+    block's worker: the cumulative log-likelihood, added into the block's
+    first row before its cumulative sum, and the running sum of weight rows,
+    added into its first normalised row before the column sum.  Every
+    column thus gets the additions of one cumulative sum and one column sum
+    down the whole trajectory, in order, so the result is bit-identical to
+    the full-matrix computation at any worker count, in O(block) memory per
+    worker.
+
+    ``visit(k, rows)`` sees the prior row (``k = 0``) and then each
+    normalised block, ``rows[0]`` being row ``k``, before the running sum is
+    added into it; at one worker the calls come in block order on the
+    calling thread.  A block is a view of its worker's buffer, which the
+    next block overwrites.
 
     A worker that fails or is abandoned posts ``None`` in place of its
     block's missing carry, which abandons the next block, and so on down the
@@ -388,7 +350,7 @@ def _averaged_weights(candidates: CandidateSet, cells: np.ndarray,
     as in a serial walk, and no helper thread outlives the call.
     """
     shape = (cells.shape[0], candidates.size)
-    step = _block_rows(cells, candidates.size)
+    step = max(1, _BLOCK_ELEMENTS // (shape[0] * shape[1]))
     blocks = -(-cells.shape[1] // step)
     # A helper costs a thread start, a few hundred microseconds on a 2-CPU
     # Xeon: a call whose second block is a short tail ran slower with one.
@@ -398,9 +360,10 @@ def _averaged_weights(candidates: CandidateSet, cells: np.ndarray,
     from queue import SimpleQueue
 
     inboxes = [SimpleQueue() for _ in range(workers)]
-    prior = _normalize_log_rows(np.zeros((1, *shape)))[0]
+    prior = _normalize_log_rows(np.zeros((1, *shape)))
+    visit(0, prior)
     inboxes[0].put(np.zeros(shape))
-    inboxes[0].put(prior)
+    inboxes[0].put(prior[0])
     errors = {}
 
     def work(w):
@@ -421,6 +384,7 @@ def _averaged_weights(candidates: CandidateSet, cells: np.ndarray,
                     candidates.log_table, cells[:, start:start + step].T, buffer, carry)
                 outbox.put(terms[-1].copy())
                 block = _normalize_log_rows(terms, start + 1)
+                visit(start + 1, block)
                 block[0] += carry()
                 outbox.put(block.sum(axis=0))
         except _Abandoned:
@@ -465,8 +429,8 @@ def progressive_weights(candidates: CandidateSet, x) -> WeightTrajectory:
     max-shifted softmax.  Equivalently, row ``k`` is proportional to
     ``exp(-k * empirical_kl(f_j, x[:k]))``.
 
-    Only ``averaged`` is computed here, streamed in O(block) memory as the
-    module docstring describes.
+    Only ``averaged`` is computed here, streamed in O(block) memory by
+    :func:`_averaged_weights`.
     """
     cells = _sample_cells(candidates, x)
     averaged = _averaged_weights(candidates, cells[None])[0]

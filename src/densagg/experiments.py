@@ -34,17 +34,9 @@ Replications are grouped so that one group holds at most ``_GROUP_POINTS``
 (2^20) sample points, which bounds memory for any n × replications; the
 criterion-7 rate study (n <= 1600, 40 replications) runs each cell as one
 group.  The oracle harness runs the weight kernel on one worker per CPU,
-as :func:`~densagg.aggregation.aggregate` does.  The rate study instead
-runs each cell's truths on threads, one per CPU, and each truth's kernel on
-its own thread alone: kernel helpers on top of the truth threads made the
-criterion-7 study about 11% slower on 2 CPUs.  The selector harness is
-serial.
-numpy releases the interpreter lock inside large array operations but
-not between them, nor in ``default_rng`` construction.  Measured on two
-threads of a 2-CPU Xeon, at the study's sizes: ``np.exp`` over a block,
-the short-axis ``max`` and ``sum`` of (rows, 40, M) blocks and
-``np.searchsorted`` on 64,000 points ran at 1.6–2.0× the serial rate,
-``default_rng`` construction at 0.8–0.9×.
+as :func:`~densagg.aggregation.aggregate` does; the rate study runs each
+cell's truths on threads, one per CPU, and each truth's kernel on one
+worker (see :func:`run_rate_study`).  The selector harness is serial.
 """
 
 from __future__ import annotations

@@ -36,6 +36,7 @@ from densagg.aggregation import (
     _averaged_weights,
     _normalize_log_rows,
 )
+from densagg.experiments import _perturbation_candidates
 
 
 def two_candidates():
@@ -277,6 +278,90 @@ class TestProgressiveWeights:
         # the kernel gathers by cell with mode="clip", which never fails
         with pytest.raises(ValidationError, match="grid cells in \\[0, 2\\)"):
             WeightTrajectory(two_candidates(), np.array(cells), np.array([0.5, 0.5]))
+
+
+def _separated_family(m, eps):
+    """Candidate ``j`` puts mass ``1 - eps`` on its own ``1/m`` of [0, 1]."""
+    grid = np.linspace(0.0, 1.0, m + 1)
+    return [PiecewiseDensity(grid, np.where(np.arange(m) == j, (1 - eps) * m,
+                                            eps * m / (m - 1))) for j in range(m)]
+
+
+def _vanishing_candidates():
+    """Four candidates on five cells; candidate 0 vanishes on the last."""
+    raw = np.random.default_rng(5).uniform(0.2, 3.0, size=(4, 5))
+    raw[0, 4] = 0.0
+    grid = np.linspace(0.0, 1.0, 6)
+    return [PiecewiseDensity(grid, v / (v.sum() / 5)) for v in raw]
+
+
+#: name -> (candidates tuned to n, truth index); the truth of the vanishing
+#: family is the uniform density, which puts mass where candidate 0 has none.
+REGRET_FAMILIES = {
+    "tuned-8": (lambda n: _perturbation_candidates(8, max(n, 1), 2.0), 1),
+    "tuned-64": (lambda n: _perturbation_candidates(64, max(n, 1), 2.0), 5),
+    "separated-8": (lambda n: _separated_family(8, 0.3), 2),
+    "vanishing-4": (lambda n: _vanishing_candidates(), None),
+}
+
+
+def _regret_sides(cset, cells):
+    """Both sides of the pathwise identity for one sample's cells.
+
+    The left side is the summed log loss of the predictive mixtures,
+    ``Σ_{k<n} -log(w_k · f(X_{k+1}))``, with the rows ``w_k`` taken from the
+    kernel's ``visit`` at one worker; the right side is the Bayes mixture's
+    log loss ``-log((1/M) Σ_j Π_i f_j(X_i))``, from exactly rounded sums of
+    the same ``log f_j(X_i)`` table entries.  Also returns ``L``, the largest
+    finite ``|log f_j(X_i)|``.
+    """
+    n, m = cells.size, cset.size
+    losses = []
+
+    def visit(k, rows):
+        stop = min(k + rows.shape[0], n)
+        predictive = (rows[:stop - k, 0] * cset.values.T[cells[k:stop]]).sum(axis=1)
+        losses.extend((-np.log(predictive)).tolist())
+
+    _averaged_weights(cset, cells[None], 1, visit)
+    terms = cset.log_table[cells]
+    sums = [math.fsum(column) for column in terms.T.tolist()]
+    top = max(sums)
+    bayes = math.log(m) - top - math.log(math.fsum(math.exp(s - top) for s in sums))
+    finite = np.abs(terms[np.isfinite(terms)])
+    return math.fsum(losses), bayes, float(finite.max(initial=0.0))
+
+
+class TestPathwiseRegret:
+    """The predictive mixtures' summed log loss is the Bayes mixture's
+    (Barron 1987; Yang 2000; Catoni 2004), on every sample.
+
+    Tolerance, with ``u = 2^-53``, ``L`` the largest finite ``|log f_j(X_i)|``
+    and M candidates.  Each addition of the kernel's running log-likelihood
+    at row k rounds by at most ``u·k·L``, so over n rows the sums drift by at
+    most ``u·L·n²/2``.  The identity telescopes through the softmax
+    normalisers, so that drift reaches the left side at most twice: through
+    the rows' local errors and through the last normaliser.  The row-max
+    shift before the softmax rounds by at most ``2u·k·L`` per entry, which
+    adds at most ``u·L·n²``.  The softmax's exp, sum and division, the dot
+    product with ``f(X_{k+1})`` and the log put a relative error of at most
+    ``(2M + 8)·u`` on each predictive density.  Hence, with the factor 2 on
+    ``u·L·n²`` raised to 3 for second-order terms,
+    ``|gap| <= u·(3·L·n·(n + 1) + (2M + 8)·n)``; every other sum is exactly
+    rounded.
+    """
+
+    @pytest.mark.parametrize("n", [0, 1, 100, 10**5])
+    @pytest.mark.parametrize("family", sorted(REGRET_FAMILIES))
+    def test_summed_log_loss_is_the_bayes_mixture_log_loss(self, family, n):
+        build, truth = REGRET_FAMILIES[family]
+        cands = build(n)
+        cset = CandidateSet.from_densities(cands)
+        density = PiecewiseDensity.uniform() if truth is None else cands[truth]
+        cells = cset.cell_indices(sample(density, n, seed=n + len(cands)))
+        left, right, big = _regret_sides(cset, cells)
+        tolerance = 2.0**-53 * (3 * big * n * (n + 1) + (2 * cset.size + 8) * n)
+        assert abs(left - right) <= tolerance
 
 
 class TestAggregate:

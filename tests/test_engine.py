@@ -56,7 +56,6 @@ from densagg.aggregation import (
     _averaged_weights,
     _mixture_values,
     _normalize_log_rows,
-    _weight_blocks,
 )
 from densagg.cli import main
 from densagg.densities import _hellinger_rows, _kl_rows, _l1_rows, _sample_rows
@@ -91,8 +90,9 @@ def _old_sample(density, n, seed):
 
 
 def _float_cumsum_weight_blocks(candidates, cells):
-    """``_weight_blocks`` before narrow blocks paired their columns: a float
-    ``np.cumsum`` below 512 entries per row, one ``np.add`` per row above."""
+    """Yield ``(k, rows)``, the kernel's normalised blocks as they were before
+    narrow blocks paired their columns: a float ``np.cumsum`` below 512
+    entries per row, one ``np.add`` per row above."""
     width = cells.shape[0] * candidates.size
     step = max(1, _BLOCK_ELEMENTS // width)
     carry = np.zeros((cells.shape[0], candidates.size))
@@ -402,16 +402,44 @@ class TestKernelMatchesTheFloatCumsum:
         x = rng.uniform(0.0, 0.8, size=(r_count, n))
         x[:, n // 3] = 0.9  # candidate 0 dies part way through
         cells = cset.cell_indices(x)
-        assert np.array_equal(_averaged_weights(cset, cells, workers),
+        seen = {}
+
+        def visit(k, rows):
+            assert k not in seen
+            seen[k] = rows.copy()  # the worker's buffer is reused
+
+        assert np.array_equal(_averaged_weights(cset, cells, workers, visit),
                               _float_cumsum_averaged_weights(cset, cells))
-        for (k, got), (k0, old) in zip(_weight_blocks(cset, cells),
-                                       _float_cumsum_weight_blocks(cset, cells), strict=True):
-            assert k == k0 and np.array_equal(got, old)
+        expected = dict(_float_cumsum_weight_blocks(cset, cells))
+        assert seen.keys() == expected.keys()
+        for k, rows in expected.items():
+            assert np.array_equal(seen[k], rows)
         if r_count == 1:
-            expected = np.concatenate([b[:, 0] for _, b in
-                                       _float_cumsum_weight_blocks(cset, cells)])
-            assert np.array_equal(progressive_weights(cset, x[0]).weights, expected)
-            assert m == 1 or expected[-1, 0] == 0.0
+            weights = np.concatenate([rows[:, 0] for rows in expected.values()])
+            assert np.array_equal(progressive_weights(cset, x[0]).weights, weights)
+            assert m == 1 or weights[-1, 0] == 0.0
+
+    @pytest.mark.parametrize("m", [3, 64, 1024])
+    def test_trajectory_is_walked_on_one_worker(self, monkeypatch, tmp_path, m):
+        # ``weights`` and ``to_csv`` ask for one worker whatever the CPU
+        # count: blocks visited on helper threads would interleave CSV rows.
+        # Blocks of 2^12 entries keep the sample small; the bits do not
+        # depend on the block size.
+        monkeypatch.setattr(aggregation, "_workers", lambda: 4)
+        monkeypatch.setattr(aggregation, "_BLOCK_ELEMENTS", 2**12)
+        rng = np.random.default_rng(m)
+        cset = _vanishing_family(m, rng)
+        n = 15 * max(1, 2**12 // m) + 3  # sixteen blocks, four workers
+        x = rng.uniform(0.0, 0.8, size=n)
+        x[n // 3] = 0.9  # candidate 0 dies part way through
+        cells = cset.cell_indices(x)
+        trajectory = progressive_weights(cset, x)
+        expected = np.concatenate([b[:, 0] for _, b in
+                                   _float_cumsum_weight_blocks(cset, cells[None])])
+        assert np.array_equal(trajectory.weights, expected)
+        trajectory.to_csv(tmp_path / "got.csv")
+        _float_cumsum_csv(cset, cells, tmp_path / "expected.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
     @pytest.mark.parametrize("workers", WORKERS)
     @pytest.mark.parametrize("width, r_count", KERNEL_WIDTHS)
