@@ -79,9 +79,13 @@ __all__ = [
 #: hand-offs rare.
 _BLOCK_ELEMENTS = 2**17
 
-#: (candidate, set) deviations per chunk of the selector's scores: 2^15
-#: doubles (256 KiB) stay in cache.
+#: Entries per chunk of each of the selector's work arrays, by rows or by
+#: (row, candidate) pairs: 2^15 doubles (256 KiB) stay in cache.
 _SELECT_ELEMENTS = 2**15
+
+#: Probe sets per sample whose deviations bound each selector score from
+#: below; they decide only how many candidates are scored in full.
+_PROBES = 16
 
 #: Blocks whose cumulative sum has at least this many columns (R·M/2
 #: complex ones when R·M is even, else R·M) take it as one vector
@@ -528,29 +532,64 @@ def yatracos_class(candidates: CandidateSet) -> np.ndarray:
 def _select_cells(candidates: CandidateSet, cells: np.ndarray) -> np.ndarray:
     """:func:`yatracos_select` for each row of ``cells`` (R, n), as R indices.
 
-    The class is built once for all rows.  Each row's empirical set masses
-    are sums of cell counts, exact in floating point at any n that fits in
-    memory, so a BLAS product gives the integers an integer product would.
-    Rows are scored one at a time, each score a running maximum over chunks
-    of about ``_SELECT_ELEMENTS`` (candidate, set) deviations, so memory stays
-    bounded for any R; max is exact, so every score is the one a whole
-    (M, sets) matrix per row gives.
+    The class is built once for all rows, which are taken in chunks whose
+    (row, point) offset cells, (row, cell) counts, (row, set) masses and
+    (candidate, row, probe) deviations each hold about ``_SELECT_ELEMENTS``
+    entries (at least one row), so what the rows add to memory does not
+    grow with R.  A chunk's empirical set masses are one product of its
+    cell counts with the mask: sums of integers, exact in floating point at
+    any n that fits in memory, so every row gets the masses a product of its
+    own would give.
+
+    The score of candidate ``i`` is ``max_A |∫_A f_i - P_n(A)|``, and only
+    the argmin is wanted, so each row is scored by bound and prune.  The
+    maximum over ``_PROBES`` probe sets, those where ``P_n`` is farthest
+    from the candidates' mean integral, is a lower bound ``lb_i`` on each
+    score.  The candidate with the smallest ``lb`` is scored over every set,
+    which gives an upper bound ``U`` on the least score.  A candidate with
+    ``lb_i > U`` scores above the least score and cannot win; every other
+    candidate is scored over every set, in chunks of about
+    ``_SELECT_ELEMENTS`` deviations (at least one candidate's), and the
+    first minimum among them wins.  Every candidate attaining the least
+    score has ``lb_i <= U`` and survives, and every compared score is the
+    maximum of the same floats ``set_integrals[i, A] - empirical[A]``, so the
+    selection is the first minimum of the whole (M, sets) score per row.
     """
     masks = yatracos_class(candidates)
     cell_masses = candidates.values * candidates.cell_lengths  # (M, cells)
     set_integrals = cell_masses @ masks.T  # (M, sets)
-    n = cells.shape[1]
+    rows, n = cells.shape
     m, (sets, width) = candidates.size, masks.shape
     members = masks.T.astype(float)  # (cells, sets)
-    step = min(sets, max(1, _SELECT_ELEMENTS // m))
-    scores = np.zeros((cells.shape[0], m))
-    for row, best in zip(cells, scores):
-        empirical = (np.bincount(row, minlength=width) @ members) / n  # (sets,)
-        for s in range(0, sets, step):
-            gaps = set_integrals[:, s:s + step] - empirical[s:s + step]
-            np.abs(gaps, out=gaps)
-            np.maximum(best, gaps.max(axis=1), out=best)
-    return np.argmin(scores, axis=1)  # the first minimum: smallest index
+    mean_integrals = set_integrals.mean(axis=0)
+    probes = min(sets, _PROBES)
+    chunk = max(1, _SELECT_ELEMENTS // max(sets, width, n, m * probes))
+    pairs = max(1, _SELECT_ELEMENTS // sets)
+    chosen = np.empty(rows, dtype=np.intp)
+    for start in range(0, rows, chunk):
+        block = cells[start:start + chunk]
+        r = np.arange(block.shape[0])
+        counts = np.bincount((block + width * r[:, None]).ravel(), minlength=r.size * width)
+        empirical = (counts.reshape(r.size, width) @ members) / n  # (rows, sets)
+        far = empirical - mean_integrals
+        np.abs(far, out=far)
+        probe = np.argpartition(far, sets - probes, axis=1)[:, sets - probes:]
+        gaps = set_integrals[:, probe] - empirical[r[:, None], probe]  # (M, rows, probes)
+        lower = np.abs(gaps, out=gaps).max(axis=2).T  # (rows, M)
+        first = np.argmin(lower, axis=1)
+        gaps = set_integrals[first] - empirical
+        upper = np.abs(gaps, out=gaps).max(axis=1)
+        scores = np.full((r.size, m), np.inf)
+        scores[r, first] = upper
+        live = lower <= upper[:, None]  # strict prune: ties with U stay
+        live[r, first] = False
+        rows_live, cands_live = np.nonzero(live)
+        for p in range(0, rows_live.size, pairs):
+            i, j = rows_live[p:p + pairs], cands_live[p:p + pairs]
+            gaps = set_integrals[j] - empirical[i]
+            scores[i, j] = np.abs(gaps, out=gaps).max(axis=1)
+        chosen[start:start + chunk] = np.argmin(scores, axis=1)  # the first minimum
+    return chosen
 
 
 def yatracos_select(candidates: CandidateSet, x) -> int:

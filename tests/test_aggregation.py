@@ -300,36 +300,44 @@ def _vanishing_candidates():
 REGRET_FAMILIES = {
     "tuned-8": (lambda n: _perturbation_candidates(8, max(n, 1), 2.0), 1),
     "tuned-64": (lambda n: _perturbation_candidates(64, max(n, 1), 2.0), 5),
+    "tuned-256": (lambda n: _perturbation_candidates(256, max(n, 1), 2.0), 17),
     "separated-8": (lambda n: _separated_family(8, 0.3), 2),
     "vanishing-4": (lambda n: _vanishing_candidates(), None),
 }
 
 
-def _regret_sides(cset, cells):
-    """Both sides of the pathwise identity for one sample's cells.
-
-    The left side is the summed log loss of the predictive mixtures,
-    ``Σ_{k<n} -log(w_k · f(X_{k+1}))``, with the rows ``w_k`` taken from the
-    kernel's ``visit`` at one worker; the right side is the Bayes mixture's
-    log loss ``-log((1/M) Σ_j Π_i f_j(X_i))``, from exactly rounded sums of
-    the same ``log f_j(X_i)`` table entries.  Also returns ``L``, the largest
-    finite ``|log f_j(X_i)|``.
-    """
-    n, m = cells.size, cset.size
-    losses = []
+def _summed_log_loss(cset, cells, workers):
+    """``Σ_{k<n} -log(w_k · f(X_{k+1}))``, exactly rounded, with the rows
+    ``w_k`` taken from the kernel's ``visit`` at ``workers`` workers.  Above
+    one worker, blocks are visited on helper threads in any order, so the
+    losses are collected by row and summed in row order."""
+    n = cells.size
+    losses = {}
 
     def visit(k, rows):
         stop = min(k + rows.shape[0], n)
         predictive = (rows[:stop - k, 0] * cset.values.T[cells[k:stop]]).sum(axis=1)
-        losses.extend((-np.log(predictive)).tolist())
+        losses[k] = (-np.log(predictive)).tolist()
 
-    _averaged_weights(cset, cells[None], 1, visit)
-    terms = cset.log_table[cells]
-    sums = [math.fsum(column) for column in terms.T.tolist()]
+    _averaged_weights(cset, cells[None], workers, visit)
+    return math.fsum(loss for k in sorted(losses) for loss in losses[k])
+
+
+def _bayes_log_loss(cset, cells):
+    """The Bayes mixture's log loss ``-log((1/M) Σ_j Π_i f_j(X_i))``, from
+    exactly rounded sums of the ``log f_j(X_i)`` table entries (a cell's
+    entry times its count, in exact rational arithmetic).  Also returns
+    ``L``, the largest finite ``|log f_j(X_i)|``."""
+    counts = np.bincount(cells, minlength=cset.log_table.shape[0])
+    seen = np.flatnonzero(counts)
+    table = cset.log_table[seen]
+    sums = [-math.inf if np.isneginf(column).any() else
+            float(sum(Fraction(int(k)) * Fraction(t) for k, t in zip(counts[seen], column)))
+            for column in table.T.tolist()]
     top = max(sums)
-    bayes = math.log(m) - top - math.log(math.fsum(math.exp(s - top) for s in sums))
-    finite = np.abs(terms[np.isfinite(terms)])
-    return math.fsum(losses), bayes, float(finite.max(initial=0.0))
+    bayes = math.log(cset.size) - top - math.log(math.fsum(math.exp(s - top) for s in sums))
+    finite = np.abs(table[np.isfinite(table)])
+    return bayes, float(finite.max(initial=0.0))
 
 
 class TestPathwiseRegret:
@@ -359,9 +367,13 @@ class TestPathwiseRegret:
         cset = CandidateSet.from_densities(cands)
         density = PiecewiseDensity.uniform() if truth is None else cands[truth]
         cells = cset.cell_indices(sample(density, n, seed=n + len(cands)))
-        left, right, big = _regret_sides(cset, cells)
+        right, big = _bayes_log_loss(cset, cells)
         tolerance = 2.0**-53 * (3 * big * n * (n + 1) + (2 * cset.size + 8) * n)
+        left = _summed_log_loss(cset, cells, 1)
         assert abs(left - right) <= tolerance
+        # The rows are the same at any worker count, and so is their sum.
+        for workers in (2, 3):
+            assert _summed_log_loss(cset, cells, workers) == left
 
 
 class TestAggregate:

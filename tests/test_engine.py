@@ -56,6 +56,7 @@ from densagg.aggregation import (
     _averaged_weights,
     _mixture_values,
     _normalize_log_rows,
+    _select_cells,
 )
 from densagg.cli import main
 from densagg.densities import _hellinger_rows, _kl_rows, _l1_rows, _sample_rows
@@ -68,6 +69,7 @@ from densagg.experiments import (
     build_candidates,
     build_truth,
 )
+from frozen_selector import _old_selector
 
 # ---------------------------------------------------------------------------
 # Frozen copies of the replaced code
@@ -748,24 +750,38 @@ class TestBlockBufferReuse:
 # ---------------------------------------------------------------------------
 
 
-def _exact_risk(cset, truth, n, loss="KL"):
-    """``E loss`` of the mixture on n points from ``truth``, a density on
-    ``cset.grid``: the estimator sees only the sample's cells, so this is a
-    finite sum over all C^n cell sequences, each weighted by the product of
-    the truth's cell masses."""
+def _selected_values(cset, cells):
+    """The selector harness's estimator: the selected candidates' cell values."""
+    return cset.values[_select_cells(cset, cells)]
+
+
+def _frozen_selected_values(cset, cells):
+    """The selector through the frozen per-sample selector it replaced, each
+    row of cells given as its cells' midpoints."""
+    select = _old_selector(cset)
+    mids = (cset.grid[:-1] + cset.grid[1:]) / 2
+    return cset.values[[select(mids[row]) for row in cells]]
+
+
+def _exact_risk(cset, truth, n, loss="KL", estimator=_aggregate_rows):
+    """``E loss`` of ``estimator`` (by default the mixture) on n points from
+    ``truth``, a density on ``cset.grid``: the estimator sees only the
+    sample's cells, so this is a finite sum over all C^n cell sequences, each
+    weighted by the product of the truth's cell masses."""
     masses = truth.values * truth.cell_lengths
     cells = np.indices((masses.size,) * n).reshape(n, -1).T
     prob = np.prod(masses[cells], axis=1)
     live = prob > 0
-    risks = _LOSS_ROWS[loss](truth, cset.grid, _aggregate_rows(cset, cells[live]))
+    risks = _LOSS_ROWS[loss](truth, cset.grid, estimator(cset, cells[live]))
     return math.fsum((prob[live] * risks).tolist())
 
 
 class TestExactExpectation:
     """The engine against the mathematics it estimates, at n = 1 and 2 on the
-    M = 4 worst-case family tuned at n = 3 (32 cells), truth index 1.  The
-    engine's 20,000 replications at n = 2 span two kernel blocks, so on more
-    than one CPU their Monte Carlo means come through the kernel's worker
+    M = 4 worst-case family tuned at n = 3 (32 cells), truth index 1: the
+    mixture's KL, H and L1 risks and the selector's L1 risk.  The engine's
+    20,000 replications at n = 2 span two kernel blocks, so on more than one
+    CPU the mixture's Monte Carlo means come through the kernel's worker
     ring."""
 
     @pytest.fixture(scope="class")
@@ -783,6 +799,20 @@ class TestExactExpectation:
         seeds = [(1, n, r) for r in range(20_000)]
         mean, se = _mean_se(_replication_risks(cset, truth, n, seeds, _aggregate_rows, loss))
         assert 0.0 < se and abs(mean - exact) <= 4 * se
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_selector_monte_carlo_mean_is_within_4_se_of_the_exact_l1(self, family, n):
+        cset, truth = family
+        exact = _exact_risk(cset, truth, n, "L1", _frozen_selected_values)
+        seeds = [(1, n, r) for r in range(20_000)]
+        risks = _replication_risks(cset, truth, n, seeds, _selected_values, "L1")
+        mean, se = _mean_se(risks)
+        if n == 1:
+            # One point never selects the truth, and every other candidate
+            # lies at the same L1 distance from it: the risk is constant.
+            assert se == 0.0 and np.all(risks == exact)
+        else:
+            assert 0.0 < se and abs(mean - exact) <= 4 * se
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_oracle_inequality_holds_exactly(self, family, n):

@@ -2,11 +2,12 @@
 
 ``yatracos_class`` returns the comparison sets as rows of a bool mask, and
 one scorer serves ``yatracos_select`` and the experiment engine's batches.
-Both are checked here against frozen copies of the code they replaced: the
-frozenset class (``_old_yatracos_class``) and the per-sample selector that
-rebuilt it on every call (``_old_yatracos_select``).
+Both are checked here against frozen copies of the code they replaced, in
+``frozen_selector``: the frozenset class (``_old_yatracos_class``) and the
+per-sample selector that rebuilt it on every call (``_old_yatracos_select``).
 """
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -15,41 +16,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import densagg.aggregation as aggregation
-from densagg import CandidateSet, PiecewiseDensity, ValidationError, yatracos_class, yatracos_select
+from densagg import (
+    CandidateSet,
+    PiecewiseDensity,
+    ValidationError,
+    sample,
+    yatracos_class,
+    yatracos_select,
+)
 from densagg.aggregation import _select_cells
 from densagg.experiments import _perturbation_candidates
-
-# ---------------------------------------------------------------------------
-# Frozen copies of the replaced code
-# ---------------------------------------------------------------------------
-
-
-def _old_yatracos_class(candidates):
-    vals = candidates.values
-    sets = {frozenset()}
-    for i in range(vals.shape[0]):
-        gt = vals[i] > vals
-        for j in range(vals.shape[0]):
-            if i != j:
-                sets.add(frozenset(np.flatnonzero(gt[j]).tolist()))
-    return sorted(sets, key=lambda s: (len(s), sorted(s)))
-
-
-def _old_yatracos_select(candidates, x):
-    pts = np.asarray(x, dtype=float)
-    if pts.size == 0:
-        raise ValidationError("yatracos_select needs at least one sample point")
-    counts = np.bincount(candidates.cell_indices(pts), minlength=candidates.values.shape[1])
-    sets = _old_yatracos_class(candidates)
-    masks = np.zeros((len(sets), candidates.values.shape[1]), dtype=bool)
-    for s, cells in enumerate(sets):
-        masks[s, list(cells)] = True
-    cell_masses = candidates.values * candidates.cell_lengths
-    set_integrals = cell_masses @ masks.T
-    empirical = (counts @ masks.T) / pts.size
-    scores = np.max(np.abs(set_integrals - empirical), axis=1)
-    return int(np.argmin(scores))
-
+from frozen_selector import _old_selector, _old_yatracos_class, _old_yatracos_select
 
 # ---------------------------------------------------------------------------
 # Generators
@@ -71,6 +48,12 @@ def families(draw, max_m=70):
         raw[dst] = raw[src]
     grid = np.linspace(0.0, 1.0, cells + 1)
     return CandidateSet(grid, raw / (raw @ np.diff(grid))[:, None])
+
+
+def _tuned(m):
+    """The tuned perturbation family at M = m, n_ref = 1000, with its old selector."""
+    cset = CandidateSet.from_densities(_perturbation_candidates(m, 1000, 2.0))
+    return cset, _old_selector(cset)
 
 
 def _frozensets(masks):
@@ -120,6 +103,12 @@ class TestMaskClass:
 # ---------------------------------------------------------------------------
 
 
+@pytest.fixture(scope="class")
+def tuned():
+    """``_tuned``, built once per M and dropped with the test class."""
+    return functools.cache(_tuned)
+
+
 class TestScorer:
     @settings(max_examples=80, deadline=None)
     @given(families(), st.integers(1, 9), st.integers(1, 40), st.integers(0, 2**32 - 1))
@@ -151,8 +140,9 @@ class TestScorer:
         whole = _select_cells(cset, cells)
         sets = yatracos_class(cset).shape[0]
         monkeypatch.setattr(aggregation, "_SELECT_ELEMENTS", budget)
-        set_step = min(sets, max(1, budget // m))
-        assert set_step < sets  # really split
+        chunk = max(1, budget // max(sets, cset.values.shape[1], x.shape[1],
+                                     m * min(sets, aggregation._PROBES)))
+        assert chunk < x.shape[0]  # the rows really split
         assert np.array_equal(_select_cells(cset, cells), whole)
         assert whole[:6].tolist() == [_old_yatracos_select(cset, row) for row in x[:6]]
 
@@ -168,6 +158,49 @@ class TestScorer:
         _select_cells(cset, cset.cell_indices(_samples(3, 25, 10, cset.values.shape[1])))
         assert calls == [cset]
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([2, 3, 16, 64, 100, 256]), st.integers(0, 255),
+           st.integers(1, 3), st.integers(1, 3000), st.integers(0, 2**32 - 1))
+    def test_tuned_families_up_to_256_select_as_the_old_selector(self, tuned, m, truth, rows,
+                                                                 n, seed):
+        cset, old = tuned(m)
+        x = np.stack([sample(cset.candidate(truth % m), n, seed=(seed, r)) for r in range(rows)])
+        expected = [old(row) for row in x]
+        assert _select_cells(cset, cset.cell_indices(x)).tolist() == expected
+
+    def test_an_earlier_tie_whose_bound_equals_the_upper_bound_wins(self, monkeypatch):
+        # One point per cell of four, so P_n(A) = |A| / 4, and dyadic values:
+        # every deviation is exact.  The sets are {}, {2}, {3}, {0, 2} and
+        # {1, 3}; with one probe it is {3}, where P_n is farthest from the
+        # mean integral.  There candidate 0 deviates by 1/8, its score;
+        # candidate 1 (candidate 0 with cells 2 and 3 swapped) by 0, though
+        # it also scores 1/8.  So candidate 1 has the least lower bound and
+        # sets U = 1/8, candidate 0's lower bound is U exactly, and the tie
+        # goes to candidate 0 only if a bound equal to U is not pruned.
+        # Candidate 2 (lower bound 1/4) is pruned.
+        cset = CandidateSet(np.linspace(0.0, 1.0, 5), np.array([
+            [1.0, 0.5, 1.0, 1.5], [1.0, 0.5, 1.5, 1.0], [0.5, 1.0, 0.5, 2.0],
+        ]))
+        x = np.array([[0.125, 0.375, 0.625, 0.875]])
+        assert _old_yatracos_select(cset, x[0]) == 0
+        monkeypatch.setattr(aggregation, "_PROBES", 1)
+        assert _select_cells(cset, cset.cell_indices(x)).tolist() == [0]
+
+    @pytest.mark.parametrize("probes", [1, 16])
+    def test_identical_candidates_all_survive_and_the_first_wins(self, monkeypatch, probes):
+        # Every lower bound equals the first's, which is at most U.
+        monkeypatch.setattr(aggregation, "_PROBES", probes)
+        cset = CandidateSet.from_densities([PiecewiseDensity([0.0, 0.3, 1.0], [2.0, 4 / 7])] * 6)
+        x = _samples(5, 9, 20, cset.values.shape[1])
+        assert _select_cells(cset, cset.cell_indices(x)).tolist() == [0] * 9
+
+    def test_one_candidate_has_one_set_and_is_selected(self):
+        cset = CandidateSet.from_densities([PiecewiseDensity([0.0, 0.5, 1.0], [1.5, 0.5])])
+        assert yatracos_class(cset).shape == (1, 2)
+        x = _samples(6, 7, 5, 2)
+        assert _select_cells(cset, cset.cell_indices(x)).tolist() == [0] * 7
+        assert yatracos_select(cset, x[0]) == 0
+
     def test_peak_memory_is_bounded_for_many_rows(self):
         cset = CandidateSet.from_densities(_perturbation_candidates(16, 100, 2.0))
         cells = cset.cell_indices(_samples(4, 2**14, 8, cset.values.shape[1]))
@@ -181,6 +214,29 @@ class TestScorer:
         # one (rows, M, sets) deviation array would take rows * M * sets doubles
         assert 8 * rows * cset.size * sets > 200 * 2**20
         assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("width, rows, n", [(2**12, 2**12, 8), (2, 2**9, 2**12)])
+    def test_peak_memory_is_bounded_for_few_sets(self, width, rows, n):
+        # Two candidates have at most three sets, so rows must be chunked by
+        # the cells (the (row, cell) counts) and the sample size (the offset
+        # cells) as well.
+        rng = np.random.default_rng(width)
+        grid = np.linspace(0.0, 1.0, width + 1)
+        raw = rng.uniform(0.5, 1.5, size=(2, width))
+        cset = CandidateSet(grid, raw / (raw @ np.diff(grid))[:, None])
+        cells = rng.integers(0, width, size=(rows, n))
+        tracemalloc.start()
+        try:
+            chosen = _select_cells(cset, cells)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        old = _old_selector(cset)
+        assert chosen[:5].tolist() == [old(grid[c] + 0.5 / width) for c in cells[:5]]
+        # the counts of all rows, or a copy of all their cells, would take
+        # 16 MiB
+        assert 8 * rows * max(width, n) >= 16 * 2**20
+        assert peak < 4 * 2**20
 
 
 # ---------------------------------------------------------------------------
