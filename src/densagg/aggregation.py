@@ -529,10 +529,20 @@ def yatracos_class(candidates: CandidateSet) -> np.ndarray:
     return masks
 
 
-def _select_cells(candidates: CandidateSet, cells: np.ndarray) -> np.ndarray:
+def _selector_tables(candidates: CandidateSet):
+    """What :func:`_select_cells` needs of a family, whatever the sample:
+    the set integrals ``∫_A f_i`` (M, sets), the class as a float mask
+    (cells, sets) and the candidates' mean integral of each set (sets)."""
+    masks = yatracos_class(candidates)
+    set_integrals = (candidates.values * candidates.cell_lengths) @ masks.T
+    return set_integrals, masks.T.astype(float), set_integrals.mean(axis=0)
+
+
+def _select_cells(candidates: CandidateSet, cells: np.ndarray, tables=None) -> np.ndarray:
     """:func:`yatracos_select` for each row of ``cells`` (R, n), as R indices.
 
-    The class is built once for all rows, which are taken in chunks whose
+    ``tables`` are the family's :func:`_selector_tables`, built here when not
+    given: once for all rows, which are taken in chunks whose
     (row, point) offset cells, (row, cell) counts, (row, set) masses and
     (candidate, row, probe) deviations each hold about ``_SELECT_ELEMENTS``
     entries (at least one row), so what the rows add to memory does not
@@ -555,13 +565,11 @@ def _select_cells(candidates: CandidateSet, cells: np.ndarray) -> np.ndarray:
     maximum of the same floats ``set_integrals[i, A] - empirical[A]``, so the
     selection is the first minimum of the whole (M, sets) score per row.
     """
-    masks = yatracos_class(candidates)
-    cell_masses = candidates.values * candidates.cell_lengths  # (M, cells)
-    set_integrals = cell_masses @ masks.T  # (M, sets)
+    if tables is None:
+        tables = _selector_tables(candidates)
+    set_integrals, members, mean_integrals = tables
     rows, n = cells.shape
-    m, (sets, width) = candidates.size, masks.shape
-    members = masks.T.astype(float)  # (cells, sets)
-    mean_integrals = set_integrals.mean(axis=0)
+    m, (width, sets) = candidates.size, members.shape
     probes = min(sets, _PROBES)
     chunk = max(1, _SELECT_ELEMENTS // max(sets, width, n, m * probes))
     pairs = max(1, _SELECT_ELEMENTS // sets)

@@ -58,6 +58,7 @@ from .aggregation import (  # noqa: F401
     CandidateSet,
     _aggregate_rows,
     _select_cells,
+    _selector_tables,
     _workers,
     aggregate,
 )
@@ -436,10 +437,12 @@ def _risk_row(experiment: str, config: ExperimentConfig, m: int, n: int,
                    mean_risk=mean, se=se, oracle_risk=oracle, bound=bound, passed=passed)
 
 
-def _fixed_family_report(config: ExperimentConfig, experiment: str, estimator,
+def _fixed_family_report(config: ExperimentConfig, experiment: str, estimator_for,
                          loss: str, row_bound) -> RiskReport:
     """One row per sample size for a harness that estimates one truth with the
-    config's candidate family; ``row_bound(oracle, M, n)`` is a row's bound."""
+    config's candidate family, through the estimator ``estimator_for(cset)``
+    (see :func:`_replication_risks`); ``row_bound(oracle, M, n)`` is a row's
+    bound."""
     candidates = build_candidates(config)
     cset = CandidateSet.from_densities(candidates, bound=config.A)
     truth = build_truth(config, candidates)
@@ -449,6 +452,7 @@ def _fixed_family_report(config: ExperimentConfig, experiment: str, estimator,
             "every candidate is at infinite KL divergence from the truth; "
             "the oracle bound is vacuous"
         )
+    estimator = estimator_for(cset)
     rows = []
     for n in config.n_values:
         seeds = [(config.seed, n, r) for r in range(config.replications)]
@@ -468,7 +472,7 @@ def run_oracle_experiment(config: ExperimentConfig) -> RiskReport:
     since then no bound is meaningful.  Loss is KL by definition here
     (``config.loss``/``q`` only steer the rate study).
     """
-    return _fixed_family_report(config, "oracle", _aggregate_rows, "KL",
+    return _fixed_family_report(config, "oracle", lambda cset: _aggregate_rows, "KL",
                                 lambda oracle, m, n: math.log(m) / (n + 1))
 
 
@@ -481,8 +485,15 @@ def run_yatracos_experiment(config: ExperimentConfig) -> RiskReport:
     comparison applies.
     """
     return _fixed_family_report(
-        config, "yatracos", lambda cset, cells: cset.values[_select_cells(cset, cells)],
+        config, "yatracos", _selector_estimator,
         "L1", lambda oracle, m, n: 2.0 * oracle + math.sqrt(math.log(m) / n))
+
+
+def _selector_estimator(cset: CandidateSet):
+    """The selector as an estimator of ``cset``'s cell values, with the
+    family's tables built once for every group of replications."""
+    tables = _selector_tables(cset)
+    return lambda candidates, cells: candidates.values[_select_cells(candidates, cells, tables)]
 
 
 @dataclass(frozen=True)

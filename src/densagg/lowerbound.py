@@ -24,8 +24,10 @@ The pieces:
   argument needs (KL budget per word, Hellinger separation per pair) and
   reports each check with its margin.  Each check depends only on its
   class (active bumps, or Hamming distance), so the closed forms run once
-  per class; pair distances come from packed rows and popcounts, one row
-  against all later rows at a time, whenever the report is read or saved.
+  per class; pair distances are read off the word set's span weights (or,
+  for a set that is no span prefix, come from packed rows and popcounts),
+  one row against all later rows at a time, whenever the report is read or
+  saved.
 
 One range rule admits a family, checked only by :class:`PerturbationFamily`:
 its bump height ``a`` has ``0 < a <= 1`` and ``1 + a <= A``, so the member
@@ -59,7 +61,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -243,14 +245,34 @@ def _distance(w1: np.ndarray, w2: np.ndarray) -> int:
     return int(np.count_nonzero(w1 != w2))
 
 
-def _pair_distances(words: np.ndarray):
+def _span_weights(words: np.ndarray) -> np.ndarray | None:
+    """Weights of the span of the rows at ``2^b < m``, word ``i`` the XOR of
+    those rows over the set bits of ``i``, if every row ``i`` is word ``i``;
+    else ``None``.  Built from packed rows by doubling: under ``2m`` words."""
+    packed = np.packbits(words, axis=1)
+    span = np.zeros_like(packed[:1])
+    while span.shape[0] < packed.shape[0]:
+        span = np.concatenate((span, span ^ packed[span.shape[0]]))
+    if not np.array_equal(span[:packed.shape[0]], packed):
+        return None
+    return np.bitwise_count(span).sum(axis=1, dtype=np.int64)
+
+
+def _pair_distances(words: np.ndarray, weights: np.ndarray | None = None):
     """Hamming distances of the 0/1 rows ``i < j``, in row-major order.
 
     Yields, for each row ``i``, the distances to rows ``i+1..m-1`` (empty for
-    the last row), from packed rows and popcounts.
+    the last row).  Given the :func:`_span_weights` of ``words``, they are
+    read off it: rows ``i`` and ``j`` differ by span word ``i ^ j``.  Without
+    it they come from packed rows and popcounts.
     """
+    m = words.shape[0]
+    if weights is not None:
+        for i in range(m):
+            yield weights[np.arange(i + 1, m) ^ i]
+        return
     packed = np.packbits(words, axis=1)
-    for i in range(packed.shape[0]):
+    for i in range(m):
         yield np.bitwise_count(packed[i + 1:] ^ packed[i]).sum(axis=1, dtype=np.int64)
 
 
@@ -260,10 +282,18 @@ class SeparatedSet:
 
     ``words`` is an ``(m, D)`` 0/1 matrix whose first row is the all-zeros
     word.  The separation property is re-verified on construction, so any
-    instance in hand is certified.  Two sets are equal when their words are.
+    instance in hand is certified.  A prefix of a linear span (see
+    :func:`_span_weights`; every built set is one) is certified in
+    ``O(m·D)`` by the span's least nonzero weight: each pair differs by a
+    nonzero span word ``i ^ j``, and each nonzero span word ``k`` is a pair's
+    difference, rows ``0`` and ``k``, or ``k ^ 2^b`` and ``2^b`` for the
+    highest basis row ``2^b``.  Any other set is certified pair by pair.  Two
+    sets are equal when their words are.
     """
 
     words: np.ndarray
+    #: the span weights of a span prefix, else ``None``
+    _weights: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         w = np.asarray(self.words)
@@ -272,14 +302,19 @@ class SeparatedSet:
         w = _check_bits(w)
         if np.any(w[0] != 0):
             raise ValidationError("the first word must be all zeros")
-        # real-valued threshold D/8, checked exactly in integers as 8*dist >= D;
-        # loaded sets need not be linear, so every pair is checked
-        if any(np.any(8 * d < w.shape[1]) for d in _pair_distances(w)):
+        # real-valued threshold D/8, checked exactly in integers as 8*dist >= D
+        weights = _span_weights(w)
+        if weights is not None:
+            separated = 8 * weights[1:].min(initial=w.shape[1]) >= w.shape[1]
+        else:
+            separated = all(np.all(8 * d >= w.shape[1]) for d in _pair_distances(w))
+        if not separated:
             raise ValidationError(
                 f"words are not pairwise {w.shape[1]}/8-separated"
             )
         w.setflags(write=False)
         object.__setattr__(self, "words", w)
+        object.__setattr__(self, "_weights", weights)
 
     def __eq__(self, other):
         return _arrays_equal(self, other, ("words",))
@@ -393,16 +428,18 @@ def build_separated_set(n_bits: int, n_words: int) -> SeparatedSet:
 
 def save_separated_set(words: SeparatedSet, path) -> None:
     """Write one word per line as a 0/1 string."""
-    Path(path).write_text(
-        "".join("".join(str(int(b)) for b in row) + "\n" for row in words.words)
-    )
+    rows = np.pad(words.words + ord("0"), ((0, 0), (0, 1)), constant_values=ord("\n"))
+    Path(path).write_text(rows.tobytes().decode("ascii"))
 
 
 def load_separated_set(path) -> SeparatedSet:
     lines = [ln.strip() for ln in _read_text(path).splitlines() if ln.strip()]
-    if not lines or any(set(ln) - {"0", "1"} or len(ln) != len(lines[0]) for ln in lines):
+    # one byte per character ("?" for non-ASCII); characters below "0" wrap past 1
+    text = "".join(lines).encode("ascii", "replace")
+    bits = np.frombuffer(text, dtype=np.uint8) - np.uint8(ord("0"))
+    if not lines or np.any(bits > 1) or any(len(ln) != len(lines[0]) for ln in lines):
         raise ValidationError(f"{path}: expected lines of 0/1 strings of one length")
-    return SeparatedSet(np.array([[int(c) for c in ln] for ln in lines], dtype=np.uint8))
+    return SeparatedSet(bits.reshape(len(lines), -1))
 
 
 # ---------------------------------------------------------------------------
@@ -521,12 +558,13 @@ class AuditReport:
         """
         w = self.words.words
         m = w.shape[0]
-        active = np.count_nonzero(w, axis=1).tolist()
-        yield "kl_budget[word=", [f"{j}]" for j in range(m)], list(map(kl.__getitem__, active))
+        # object arrays, so that one gather per row picks the entries
+        kl, sep = (np.fromiter(t, dtype=object, count=len(t)) for t in (kl, sep))
+        active = np.count_nonzero(w, axis=1)
+        yield "kl_budget[word=", [f"{j}]" for j in range(m)], kl[active].tolist()
         later = [f"{j})]" for j in range(m)]
-        for i, dist in enumerate(_pair_distances(w)):
-            yield (f"hellinger_separation[pair=({i},", later[i + 1:],
-                   list(map(sep.__getitem__, dist.tolist())))
+        for i, dist in enumerate(_pair_distances(w, self.words._weights)):
+            yield f"hellinger_separation[pair=({i},", later[i + 1:], sep[dist].tolist()
 
     @cached_property
     def checks(self) -> tuple[AuditCheck, ...]:
@@ -589,17 +627,22 @@ class AuditReport:
             for table in (self.kl_classes, self.sep_classes)
         ]
         head = ',\n    {\n      "name": "'
-        chunks = (
-            head + prefix + (head + prefix).join(map(str.__add__, suffixes, entries))
-            for prefix, suffixes, entries in self._rows(*tails)
-            if entries
-        )
+
+        def rows():
+            for prefix, suffixes, entries in self._rows(*tails):
+                # head + prefix, suffix, entry, once per check, in one join
+                parts = [head + prefix] * (3 * len(entries))
+                parts[1::3] = suffixes
+                parts[2::3] = entries
+                yield "".join(parts)
+
+        text = rows()
         with open(path, "w") as fh:
             # the header's closing "\n}" gives way to the checks; the first
             # record (a KL check: there is always one word) drops its comma
             fh.write(json.dumps(self._header(), indent=2)[:-2] + ',\n  "checks": [')
-            fh.write(next(chunks)[1:])
-            fh.writelines(chunks)
+            fh.write(next(text)[1:])
+            fh.writelines(text)
             fh.write(f'\n  ],\n  "all_pass": {json.dumps(self.all_pass)}\n}}\n')
 
 

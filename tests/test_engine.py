@@ -782,7 +782,10 @@ class TestExactExpectation:
     mixture's KL, H and L1 risks and the selector's L1 risk.  The engine's
     20,000 replications at n = 2 span two kernel blocks, so on more than one
     CPU the mixture's Monte Carlo means come through the kernel's worker
-    ring."""
+    ring.  Two more truths lie off the candidates: the uniform density
+    written on the family's grid (a truth spec of its own; as a function it
+    equals the zero word's member), and the mirror of candidate 1, whose
+    bumps go down then up, which no member does."""
 
     @pytest.fixture(scope="class")
     def family(self):
@@ -790,6 +793,16 @@ class TestExactExpectation:
         truth = cset.candidate(1)
         assert np.array_equal(truth.breakpoints, cset.grid)
         return cset, truth
+
+    @pytest.fixture(scope="class", params=["uniform", "mirror"])
+    def off_family(self, request):
+        cset = CandidateSet.from_densities(_perturbation_candidates(4, 3, 2.0), bound=2.0)
+        if request.param == "uniform":
+            values = np.ones(cset.values.shape[1])
+        else:
+            values = cset.values[1].reshape(-1, 2)[:, ::-1].ravel()
+            assert not any(np.array_equal(values, row) for row in cset.values)
+        return cset, PiecewiseDensity(cset.grid, values)
 
     @pytest.mark.parametrize("loss", ["KL", "H", "L1"])
     @pytest.mark.parametrize("n", [1, 2])
@@ -820,6 +833,42 @@ class TestExactExpectation:
         exact = _exact_risk(cset, truth, n)
         oracle = min(_kl_rows(truth, cset.grid, cset.values).tolist())
         assert exact - oracle <= math.log(cset.size) / (n + 1)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_off_family_monte_carlo_means_are_within_4_se_of_the_exact_risks(self, off_family,
+                                                                              n):
+        # one harness run gives the mixtures; every loss is read off them
+        cset, truth = off_family
+        mixtures = []
+
+        def recorded(candidates, cells):
+            mixtures.append(_aggregate_rows(candidates, cells))
+            return mixtures[-1]
+
+        seeds = [(1, n, r) for r in range(20_000)]
+        risks = {"KL": _replication_risks(cset, truth, n, seeds, recorded, "KL")}
+        for loss in ("H", "L1"):
+            risks[loss] = _LOSS_ROWS[loss](truth, cset.grid, np.concatenate(mixtures))
+        for loss, values in risks.items():
+            mean, se = _mean_se(values)
+            assert 0.0 < se and abs(mean - _exact_risk(cset, truth, n, loss)) <= 4 * se, loss
+        oracle = min(_kl_rows(truth, cset.grid, cset.values).tolist())
+        assert _exact_risk(cset, truth, n) - oracle <= math.log(cset.size) / (n + 1)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_off_family_selector_mean_is_within_4_se_of_the_exact_l1(self, off_family, n):
+        cset, truth = off_family
+        exact = _exact_risk(cset, truth, n, "L1", _frozen_selected_values)
+        seeds = [(1, n, r) for r in range(20_000)]
+        risks = _replication_risks(cset, truth, n, seeds, _selected_values, "L1")
+        mean, se = _mean_se(risks)
+        if n == 1:
+            # one point selects the same candidate in every cell the truth
+            # charges: the uniform itself, or for the mirror a member at one
+            # L1 distance from it
+            assert se == 0.0 and np.all(risks == exact)
+        else:
+            assert 0.0 < se and abs(mean - exact) <= 4 * se
 
 
 # ---------------------------------------------------------------------------
@@ -954,6 +1003,22 @@ class TestHarnessesMatchTheReplicationLoops:
         for cfg in (_config(), _config(M=16, candidate_spec={"kind": "perturbation"}, A=2.0)):
             assert run_oracle_experiment(cfg).rows == _old_oracle_experiment(cfg).rows
             assert run_yatracos_experiment(cfg).rows == _old_yatracos_experiment(cfg).rows
+
+    def test_selector_tables_are_built_once_per_family(self, monkeypatch):
+        import densagg.experiments as ex
+
+        cfg = _config(M=16, candidate_spec={"kind": "perturbation"}, A=2.0)
+        expected = _old_yatracos_experiment(cfg).rows
+        calls, build = [], aggregation.yatracos_class
+
+        def counting(candidates):
+            calls.append(candidates.size)
+            return build(candidates)
+
+        monkeypatch.setattr(aggregation, "yatracos_class", counting)
+        monkeypatch.setattr(ex, "_GROUP_POINTS", 200)  # n = 1, 25, 90 in 1, 3, 12 groups
+        assert run_yatracos_experiment(cfg).rows == expected
+        assert calls == [16]
 
     @pytest.mark.parametrize("loss, q", [("KL", 1.0), ("H", 1.0), ("L1", 1.0),
                                          ("KL", 2.0), ("H", 2.0)])

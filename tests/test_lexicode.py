@@ -1,15 +1,18 @@
 """The separated set as a linear lexicode, and the audit by distance class.
 
 ``build_separated_set`` searches only the basis words of the lexicode and
-XORs the rest; ``audit_hypotheses`` evaluates the closed forms once per
-class (active bumps, Hamming distance), and ``AuditReport.save`` streams
-the JSON row by row.  They are checked here against frozen copies of the
-code they replaced: the chunked first-fit scanner (``_old_greedy_scan``),
-the basis search that restarted above the span's maximum
-(``_old_basis_search``), the per-word, per-pair audit loop (``_old_audit``)
-and the whole-report ``json.dumps`` writer (``_old_save``).  Past the sizes
-those copies reach in seconds, the basis words of the M = 1024 family are
-pinned (``_BASIS_80_1024``).
+XORs the rest; ``SeparatedSet`` certifies a prefix of a linear span by the
+span's weights and any other set pair by pair; ``audit_hypotheses``
+evaluates the closed forms once per class (active bumps, Hamming distance),
+and ``AuditReport.save`` streams the JSON row by row.  They are checked here
+against brute force and against frozen copies of the code they replaced:
+the chunked first-fit scanner (``_old_greedy_scan``), the basis search that
+restarted above the span's maximum (``_old_basis_search``), the per-word,
+per-pair audit loop (``_old_audit``), the whole-report ``json.dumps`` writer
+(``_old_save``) and the per-character word-file writer and reader
+(``_old_save_words``, ``_old_load_words``).  Past the sizes those copies
+reach in seconds, the basis words of the M = 1024 family are pinned
+(``_BASIS_80_1024``).
 """
 
 import json
@@ -39,7 +42,8 @@ from densagg import (
     min_bump_count,
     save_separated_set,
 )
-from densagg.lowerbound import _hellinger_sq, _pair_distances
+from densagg.densities import _read_text
+from densagg.lowerbound import _hellinger_sq, _pair_distances, _span_weights
 
 # ---------------------------------------------------------------------------
 # Frozen copies of the replaced code
@@ -105,6 +109,19 @@ def _old_basis_search(n_bits, n_words):
         else:
             start += chunk
     return span[:n_words].tolist()
+
+
+def _old_save_words(words, path):
+    Path(path).write_text(
+        "".join("".join(str(int(b)) for b in row) + "\n" for row in words.words)
+    )
+
+
+def _old_load_words(path):
+    lines = [ln.strip() for ln in _read_text(path).splitlines() if ln.strip()]
+    if not lines or any(set(ln) - {"0", "1"} or len(ln) != len(lines[0]) for ln in lines):
+        raise ValidationError(f"{path}: expected lines of 0/1 strings of one length")
+    return SeparatedSet(np.array([[int(c) for c in ln] for ln in lines], dtype=np.uint8))
 
 
 def _old_bits(values, n_bits):
@@ -211,6 +228,32 @@ def _audit_cases(draw):
     else:
         words = _random_separated_set(family.n_bumps, m, draw(st.integers(0, 2**32 - 1)))
     return family, words, n
+
+
+def _span_rows(basis, m):
+    """Rows ``0..m-1`` of the span of ``basis`` (0/1 rows), row ``i`` the XOR
+    of the basis rows over the set bits of ``i``."""
+    rows = np.zeros((m, basis.shape[1]), dtype=np.uint8)
+    for i in range(m):
+        for b in range(basis.shape[0]):
+            if i >> b & 1:
+                rows[i] ^= basis[b]
+    return rows
+
+
+@st.composite
+def _span_prefixes(draw):
+    """Span prefixes of ``k`` random basis rows, sparse enough that some are
+    not separated, with every ``m`` that holds all ``k`` basis rows."""
+    n_bits, k = draw(st.integers(1, 40)), draw(st.integers(0, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    basis = (rng.random((k, n_bits)) < draw(st.floats(0.02, 0.6))).astype(np.uint8)
+    return _span_rows(basis, draw(st.integers(2 ** (k - 1) + 1 if k else 1, 2**k)))
+
+
+def _brute_distances(words):
+    return [int(np.count_nonzero(words[i] != words[j]))
+            for i in range(len(words)) for j in range(i + 1, len(words))]
 
 
 def _max_words(n_bits):
@@ -329,6 +372,115 @@ class TestPairDistances:
         assert peak < 16 * 2**20
 
 
+class TestSpanCertificate:
+    @settings(max_examples=200, deadline=None)
+    @given(_span_prefixes())
+    def test_span_prefixes_are_certified_as_brute_force_certifies_them(self, words):
+        distances = _brute_distances(words)
+        weights = _span_weights(words)
+        assert weights is not None and weights.size < 2 * len(words)
+        # every pair differs by a nonzero span word, and every nonzero span
+        # word is the difference of a pair: the span's least nonzero weight
+        # is the least pair distance
+        assert set(distances) == set(weights[1:].tolist())
+        assert np.concatenate(list(_pair_distances(words, weights))).tolist() == distances
+        if all(8 * d >= words.shape[1] for d in distances):
+            assert np.array_equal(SeparatedSet(words)._weights, weights)
+        else:
+            with pytest.raises(ValidationError, match="separated"):
+                SeparatedSet(words)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 24), st.integers(0, 2**32 - 1),
+           st.floats(0.05, 0.6))
+    def test_any_set_is_accepted_exactly_when_every_pair_is_separated(self, m, n_bits, seed, p):
+        words = (np.random.default_rng(seed).random((m, n_bits)) < p).astype(np.uint8)
+        words[0] = 0
+        basis = words[[2**b for b in range(m.bit_length()) if 2**b < m]]
+        prefix = np.array_equal(words, _span_rows(basis, m))
+        assert (_span_weights(words) is not None) == prefix
+        if all(8 * d >= n_bits for d in _brute_distances(words)):
+            assert (SeparatedSet(words)._weights is not None) == prefix
+        else:
+            with pytest.raises(ValidationError, match="separated"):
+                SeparatedSet(words)
+
+    @pytest.mark.parametrize("basis, light", [
+        (["11", "111"], [3]),
+        (["11", "1100", "1110"], [6, 7]),
+    ])
+    def test_a_light_span_word_past_the_last_row_is_a_pair_distance(self, basis, light):
+        # 16-bit words, threshold 2; every row weighs 2 or more, but span
+        # words past the last row (m - 1 = 2, or 4) weigh 1: 11 ^ 111, and
+        # 1100 ^ 1110 and 11 ^ 1100 ^ 1110.  Rows 1 and 2, or rows 2 and 4
+        # and rows 3 and 4, are that far apart.
+        basis = np.array([[int(c) for c in f"{int(g, 2):016b}"] for g in basis], dtype=np.uint8)
+        words = _span_rows(basis, 2 ** (len(basis) - 1) + 1)
+        weights = _span_weights(words)
+        assert np.count_nonzero(words, axis=1)[1:].min() >= 2
+        assert [i for i, v in enumerate(weights) if v < 2] == [0, *light]
+        assert min(_brute_distances(words)) == 1
+        with pytest.raises(ValidationError, match="separated"):
+            SeparatedSet(words)
+
+    def test_built_sets_certify_without_the_pairwise_walk(self, monkeypatch):
+        def walk(*args):
+            raise AssertionError("the pairwise walk ran")
+
+        monkeypatch.setattr(densagg.lowerbound, "_pair_distances", walk)
+        words = build_separated_set(80, 1024)
+        assert words._weights.size == 1024 and words._weights[1:].min() == 10
+        with pytest.raises(AssertionError, match="pairwise walk"):
+            _random_separated_set(16, 4, 0)
+
+
+class TestWordFiles:
+    @pytest.mark.parametrize("words", [
+        build_separated_set(80, 1024), build_separated_set(5, 1), _random_separated_set(40, 30, 3),
+    ], ids=["lexicode-1024", "one-word", "nonlinear"])
+    def test_writer_matches_the_old_writer_and_reads_back(self, words, tmp_path):
+        save_separated_set(words, tmp_path / "new.txt")
+        _old_save_words(words, tmp_path / "old.txt")
+        assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
+        loaded = load_separated_set(tmp_path / "new.txt")
+        assert loaded == words
+        assert (loaded._weights is None) == (words._weights is None)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_reader_matches_the_old_reader_on_any_text(self, tmp_path_factory, data):
+        width = data.draw(st.integers(1, 8))
+        word = st.integers(0, 2**width - 1).map(lambda v: format(v, f"0{width}b"))
+        space = st.sampled_from(["", " ", "\t", "\u3000", " \x0c "])
+        other = st.sampled_from(list("2a/\x00é\u3000\U0001f600"))
+        line = st.one_of(
+            word,
+            st.tuples(space, word, space).map("".join),
+            space,
+            # a word of the right width with one character that is not 0/1
+            st.tuples(word, st.integers(0, width - 1), other).map(
+                lambda t: t[0][:t[1]] + t[2] + t[0][t[1] + 1:]),
+            st.integers(1, 9).flatmap(lambda k: st.integers(0, 2**k - 1).map(
+                lambda v: format(v, f"0{k}b"))),
+            st.text(st.sampled_from(list("01 \t\r\x0b\x1c\x85\u2028\u3000é2a/\x00")),
+                    max_size=10),
+        )
+        lines = data.draw(st.lists(line, max_size=12))
+        if data.draw(st.booleans()):
+            lines.insert(0, "0" * width)
+        text = data.draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+        path = tmp_path_factory.getbasetemp() / "hypothesis-words.txt"
+        path.write_bytes((text + data.draw(st.sampled_from(["", "\n"]))).encode())
+
+        def outcome(load):
+            try:
+                return load(path).words.tolist()
+            except ValidationError as exc:
+                return str(exc)
+
+        assert outcome(load_separated_set) == outcome(_old_load_words)
+
+
 # ---------------------------------------------------------------------------
 # The audit
 # ---------------------------------------------------------------------------
@@ -365,7 +517,7 @@ class TestFailureCount:
 
 
 class TestVectorisedAudit:
-    @pytest.mark.parametrize("m", [16, 64, 256])
+    @pytest.mark.parametrize("m", [16, 64, 256, 300])
     def test_report_json_is_byte_identical_to_the_old_audit(self, m, tmp_path):
         family = choose_parameters(m, 1000, 2.0)
         words = build_separated_set(family.n_bumps, m)
