@@ -1,40 +1,11 @@
 """Progressive-mixture aggregation and minimum-distance selection.
 
-Given a finite family of candidate densities and an i.i.d. sample, two
-procedures are provided:
-
-* :func:`aggregate` — the progressive mixture.  After each prefix of the
-  sample the candidates are reweighted by their likelihood so far (equal
-  weights before any data); the estimator is the candidate mixture under
-  the time-average of those weight vectors.  Its expected Kullback-Leibler
-  risk is within ``log(M)/(n+1)`` of the best candidate's risk.
-* :func:`yatracos_select` — picks the candidate whose cell-set integrals
-  best match empirical frequencies over all comparison sets
-  ``{f_i > f_j}``, which controls total-variation-type risk.  The sets are
-  rows of a (sets × cells) bool mask (:func:`yatracos_class`), built once
-  per call of the scorer, which takes R samples at once.
-
 Weight arithmetic is carried out in the log domain throughout, so long
 samples and vanishing likelihoods are handled without under/overflow: a
 candidate that assigns zero likelihood to any observed prefix point has
-weight exactly 0 from that row onward.
-
-The (n+1)×M matrix of weight rows is never held whole.  Each sample point
-is reduced once to its shared-grid cell; ``CandidateSet.log_table`` holds
-``log f_j`` per cell, so a block of log-likelihood terms is a row gather
-with no ``log`` per point.  One block kernel, :func:`_averaged_weights`,
-walks the rows and hands two running sums from block to block, so the
-averaged vector is bit-identical to the full-matrix computation at any
-worker count; :class:`WeightTrajectory` rebuilds the full matrix through
-the same kernel at one worker, and only when ``weights`` is read.
-
-The kernel takes R samples of one size at once, as cells of shape (R, n),
-and acts on each replication's entries exactly as it would for that sample
-alone, so batched and one-sample results are equal bit for bit;
-:func:`progressive_weights` and :func:`aggregate` are the R = 1 case.  The
-experiment harnesses batch the replications of a cell through
-:func:`_aggregate_rows`, and those of the selector through
-:func:`_select_cells`.
+weight exactly 0 from that row onward.  The batched forms, which take R
+samples as cells of shape (R, n), act on each sample exactly as on it
+alone, so batched and one-sample results are equal bit for bit.
 """
 
 from __future__ import annotations
@@ -474,7 +445,8 @@ def _check_aggregable(candidates: CandidateSet) -> None:
 
 
 def aggregate(candidates: CandidateSet, x) -> PiecewiseDensity:
-    """The progressive-mixture density for a sample.
+    """The progressive-mixture density for a sample, whose expected
+    Kullback-Leibler risk is within ``log(M)/(n+1)`` of the best candidate's.
 
     The mixing vector is the average of the :func:`progressive_weights`
     rows; with an empty sample this is the plain equal-weight mixture.
@@ -606,6 +578,7 @@ def yatracos_select(candidates: CandidateSet, x) -> int:
     Score of candidate ``i`` is ``sup_A |∫_A f_i - P_n(A)|`` over the
     comparison sets ``A`` of :func:`yatracos_class`, with ``P_n`` the
     empirical measure; the smallest index attaining the minimal score wins.
+    This controls total-variation-type risk.
     The sample must be one-dimensional and nonempty.
     """
     cells = _sample_cells(candidates, x)

@@ -1,42 +1,16 @@
 """Seeded Monte Carlo experiments certifying the risk bounds.
 
-Three harnesses, all driven by one JSON-serialisable :class:`ExperimentConfig`:
-
-* :func:`run_oracle_experiment` — mean Kullback-Leibler risk of the
-  progressive mixture vs. the best single candidate plus ``log(M)/(n+1)``.
-* :func:`run_yatracos_experiment` — mean L1 risk of the minimum-distance
-  selector vs. ``3 * min_j + sqrt(log(M)/n)``.
-* :func:`run_rate_study` — log-log regression of worst-case excess risk
-  against ``log(M)/n`` across several family sizes and sample sizes; the
-  fitted slope certifies the rate.
-
-Determinism: replication ``r`` at sample size ``n`` (and family size ``M``,
-truth index ``t`` where applicable) draws from a generator seeded with the
-tuple ``(seed, n, r)`` / ``(seed, M, n, t, r)``, so reports — and the CSV
-files written from them — are byte-identical across reruns with the same
-numpy version, BLAS kernel and SIMD target, whatever the number of CPUs the
-weight kernel and the rate study's truths run on.  Every row's ``pass`` flag
-applies the uniform rule ``excess <= bound + 3 * se`` (the rate study
-instead flags rows whose excess is unusable for the fit).
-
-One engine, :func:`_replication_risks`, runs every harness cell: it draws
-the samples of all replications of a (family, truth, n) cell, one
-generator stream per replication, maps them to the candidates' grid cells
-once, estimates from the cells together and scores them row by row; the
-oracle and selector harnesses share one loop over sample sizes.  The
-progressive mixture runs the block kernel of
-:mod:`densagg.aggregation` on (rows, R, M) blocks; the selector builds its
-comparison-set masks once per group and scores every row against them.
-Each replication's arithmetic is that of ``sample``,
-``aggregate``/``yatracos_select`` and the loss called on it alone, in the
-same order, so reports are bit-identical to a loop over replications.
-Replications are grouped so that one group holds at most ``_GROUP_POINTS``
-(2^20) sample points, which bounds memory for any n × replications; the
-criterion-7 rate study (n <= 1600, 40 replications) runs each cell as one
-group.  The oracle harness runs the weight kernel on one worker per CPU,
-as :func:`~densagg.aggregation.aggregate` does; the rate study runs each
-cell's truths on threads, one per CPU, and each truth's kernel on one
-worker (see :func:`run_rate_study`).  The selector harness is serial.
+Three harnesses (the oracle experiment, the selector experiment and the rate
+study) are driven by one JSON-serialisable :class:`ExperimentConfig`.
+Replication ``r`` at sample size ``n`` (and family size ``M``, truth index
+``t`` where applicable) draws from a generator seeded with the tuple
+``(seed, n, r)`` / ``(seed, M, n, t, r)``, and sees the arithmetic of
+``sample``, the estimator and the loss called on it alone, in the same order.
+So reports, and the CSV files written from them, are byte-identical across
+reruns with the same numpy version, BLAS kernel and SIMD target, whatever the
+number of CPUs the weight kernel and the rate study's truths run on.  Every
+row's ``pass`` flag applies the uniform rule ``excess <= bound + 3 * se``
+(the rate study instead flags rows whose excess is unusable for the fit).
 """
 
 from __future__ import annotations

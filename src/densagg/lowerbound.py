@@ -1,59 +1,16 @@
 """Worst-case perturbation families with certified information bounds.
 
-The hardest instances for density aggregation are built here: a uniform
-density carrying many small paired up/down bumps, indexed by binary words.
-Switching bumps on or off moves the density by a computable amount in
-Hellinger or total-variation distance while keeping the product-measure
-Kullback-Leibler divergence small, which is exactly the trade-off that
-forces the ``log(M)/n`` aggregation price.
+A *family* is the uniform density on [0, 1] carrying ``D`` paired up/down
+bumps of height ``a``; a binary word of length ``D`` selects which bumps are
+active, and so one member.  Switching bumps moves a member in Hellinger or
+L1 distance while the product KL against the uniform stays small, the
+trade-off that forces the ``log(M)/n`` aggregation price.  One range rule
+admits a family, checked only by :class:`PerturbationFamily`: ``0 < a <= 1``
+and ``1 + a <= A``, so the member values ``1 ± a`` lie in ``[0, A]``.
 
-The pieces:
-
-* :func:`choose_parameters` — bump count and amplitude tuned to a target
-  family size ``M``, sample size ``n``, and sup bound ``A``.
-* :func:`build_separated_set` — the greedy (first-fit, lexicographic)
-  packing of binary words with pairwise Hamming distance at least ``D/8``,
-  always containing the all-zeros word: the binary lexicode, a linear code
-  (Conway & Sloane 1986) whose basis words are at most 64 bits wide.
-  Deterministic: bit-for-bit reproducible.
-* :func:`perturbed_density` — the density for one word.
-* ``analytic_*`` — closed forms for the pairwise distances and the
-  sample-size-``n`` product KL, each of which the exact cell-wise
-  integrators of :mod:`densagg.densities` must reproduce.
-* :func:`audit_hypotheses` — checks every hypothesis the lower-bound
-  argument needs (KL budget per word, Hellinger separation per pair) and
-  reports each check with its margin.  Each check depends only on its
-  class (active bumps, or Hamming distance), so the closed forms run once
-  per class; pair distances are read off the word set's span weights (or,
-  for a set that is no span prefix, come from packed rows and popcounts),
-  one row against all later rows at a time, whenever the report is read or
-  saved.
-
-One range rule admits a family, checked only by :class:`PerturbationFamily`:
-its bump height ``a`` has ``0 < a <= 1`` and ``1 + a <= A``, so the member
-values ``1 ± a`` lie in ``[0, A]``.  For a tuned family, whose bump height
-is ``sqrt(log(M)/n) / 4``, that reads ``log(M) <= 16 * min(1, A-1)² * n``.
-
-Records hold only what they use and check it on construction: a family
-derives its bump count from its size and holds no sample size (the
-amplitude encodes the one it was tuned to); an audit report checks its
-sample size and word length, and derives its class tables from its family
-and sample size.
-
-Closed forms (``a = amplitude / D`` is the bump height, ``ρ`` the Hamming
-distance, ``s`` the number of active bumps, ``u, v = sqrt(1 ± a)``):
-
-* squared Hellinger: ``(ρ / D) * (2 - u - v)``, computed as
-  ``(ρ / D) * 2a² / ((u + v)(1 + u)(1 + v))``;
-* L1: ``amplitude * ρ / D²``;
-* KL of the n-fold product vs. uniform:
-  ``n * s * ((1+a) log(1+a) + (1-a) log(1-a)) / (2 D)``, the bracket
-  computed as ``log1p(-a²) + a (log1p(a) - log1p(-a))`` (with
-  ``log1p(a) + log1p(-a)`` for ``log1p(-a²)`` once ``a >= 0.5``), and as
-  ``2 log 2`` at ``a = 1``.
-
-The direct brackets sum terms of size 1 or ``a`` to about ``a²``, which
-cancels as ``n`` grows; the computed forms stay near machine precision.
+A *separated set* is an ``(m, D)`` 0/1 matrix of words, the first all zeros,
+at pairwise Hamming distance at least ``D/8``; :class:`SeparatedSet`
+certifies it on construction, so any instance in hand is one.
 """
 
 from __future__ import annotations
@@ -245,6 +202,12 @@ def _distance(w1: np.ndarray, w2: np.ndarray) -> int:
     return int(np.count_nonzero(w1 != w2))
 
 
+def _separation_floor(n_bits: int) -> int:
+    """``ceil(n_bits/8)``: an integer distance ``d`` meets the real threshold
+    ``n_bits/8`` exactly when ``d >= _separation_floor(n_bits)``."""
+    return (n_bits + 7) // 8
+
+
 def _span_weights(words: np.ndarray) -> np.ndarray | None:
     """Weights of the span of the rows at ``2^b < m``, word ``i`` the XOR of
     those rows over the set bits of ``i``, if every row ``i`` is word ``i``;
@@ -302,12 +265,12 @@ class SeparatedSet:
         w = _check_bits(w)
         if np.any(w[0] != 0):
             raise ValidationError("the first word must be all zeros")
-        # real-valued threshold D/8, checked exactly in integers as 8*dist >= D
+        floor = _separation_floor(w.shape[1])
         weights = _span_weights(w)
         if weights is not None:
-            separated = 8 * weights[1:].min(initial=w.shape[1]) >= w.shape[1]
+            separated = weights[1:].min(initial=floor) >= floor
         else:
-            separated = all(np.all(8 * d >= w.shape[1]) for d in _pair_distances(w))
+            separated = all(np.all(d >= floor) for d in _pair_distances(w))
         if not separated:
             raise ValidationError(
                 f"words are not pairwise {w.shape[1]}/8-separated"
@@ -390,7 +353,7 @@ def build_separated_set(n_bits: int, n_words: int) -> SeparatedSet:
             f"infeasible request: need 2^({n_bits}/8) >= {n_words} "
             f"(exactly: 2^{n_bits} >= {n_words}^8) to pack the set"
         )
-    thr = (n_bits + 7) // 8  # 8*d >= n_bits  <=>  d >= ceil(n_bits/8) for integer d
+    thr = _separation_floor(n_bits)
     span = np.zeros(1, dtype=np.uint64)
     pivots, length = [], 0  # leading bits of the basis words; bit length of the last
     while span.size < n_words:
@@ -448,14 +411,23 @@ def load_separated_set(path) -> SeparatedSet:
 
 
 def _hellinger_sq(family: PerturbationFamily, rho):
-    """Squared Hellinger distance at Hamming distance ``rho`` (scalar or array)."""
+    """Squared Hellinger distance at Hamming distance ``rho`` (scalar or array),
+    ``(rho / D) * (2 - u - v)`` with ``u, v = sqrt(1 ± a)``, ``a`` the bump
+    height.  That form sums terms of size 1 to about ``a²``, which cancels as
+    ``n`` grows; it is computed as ``(rho / D) * 2a² / ((u + v)(1 + u)(1 +
+    v))``, which stays near machine precision."""
     a = family.bump_height
     up, down = math.sqrt(1.0 + a), math.sqrt(1.0 - a)
     return (rho / family.n_bumps) * (2.0 * a * a / ((up + down) * (1.0 + up) * (1.0 + down)))
 
 
 def _kl_product(family: PerturbationFamily, active, n: int):
-    """Product KL of a member with ``active`` bumps (scalar or array) vs. uniform."""
+    """Product KL of a member with ``active`` bumps (scalar or array) vs. uniform,
+    ``n * active * ((1+a) log(1+a) + (1-a) log(1-a)) / (2 D)``.  That bracket
+    sums terms of size ``a`` to about ``a²``, which cancels as ``n`` grows; it
+    is computed as ``log1p(-a²) + a (log1p(a) - log1p(-a))``, with ``log1p(a) +
+    log1p(-a)`` for ``log1p(-a²)`` once ``a >= 0.5``, and as ``2 log 2`` at
+    ``a = 1``, which stays near machine precision."""
     a = family.bump_height
     if a < 1.0:
         both = math.log1p(-a * a) if a < 0.5 else math.log1p(a) + math.log1p(-a)
@@ -512,8 +484,8 @@ class AuditReport:
     achieved, passed)`` entry per class and kind from the first two, in
     :attr:`kl_classes` and :attr:`sep_classes`.  :attr:`checks` names every
     check on first read, and :attr:`n_failed` counts failures without
-    naming any; :meth:`save` streams the JSON one row of words at a time, in
-    memory linear in ``M``.  Two reports are equal when their family,
+    naming any; :meth:`save` streams the JSON that :meth:`to_dict` parses,
+    in memory linear in ``M``.  Two reports are equal when their family,
     sample size and words are, which fix the class tables; ``SeparatedSet``
     compares its words by value, so the generated ``==`` and ``hash`` hold.
     Construction checks the sample size and that the words have one bit per
@@ -580,7 +552,7 @@ class AuditReport:
         or 0 without one when no class a check can fall in fails (pairs of
         a separated set are at distance ``ceil(D/8)`` or more)."""
         kl, sep = ([not e[2] for e in t] for t in (self.kl_classes, self.sep_classes))
-        if not any(kl) and not any(sep[(self.family.n_bumps + 7) // 8:]):
+        if not any(kl) and not any(sep[_separation_floor(self.family.n_bumps):]):
             return 0
         return sum(sum(entries) for _, _, entries in self._rows(kl, sep))
 
@@ -589,8 +561,12 @@ class AuditReport:
         """Whether every check passes."""
         return self.n_failed == 0
 
-    def _header(self) -> dict:
-        return {
+    def _text(self):
+        """Yield the report's JSON text, ``json.dumps(report, indent=2) + "\\n"``
+        byte for byte, in chunks (the header, one per row of words, the footer),
+        never built whole; ``report`` holds the header keys, ``"checks"`` (a
+        record per check, in :attr:`checks` order) and ``"all_pass"``."""
+        header = {
             "M": self.family.family_size,
             "n": self.sample_size,
             "A": self.family.bound,
@@ -598,26 +574,6 @@ class AuditReport:
             "L": self.family.amplitude,
             "curvature_const": HELLINGER_CURVATURE,
         }
-
-    def to_dict(self) -> dict:
-        return {
-            **self._header(),
-            "checks": [
-                {
-                    "name": c.name,
-                    "bound": c.bound,
-                    "achieved": c.achieved,
-                    "pass": c.passed,
-                }
-                for c in self.checks
-            ],
-            "all_pass": self.all_pass,
-        }
-
-    def save(self, path) -> None:
-        """Write ``json.dumps(self.to_dict(), indent=2) + "\\n"``, byte for
-        byte, without building it: each class's record tail is rendered once
-        by ``json.dumps`` and the records go out one row at a time."""
         tails = [
             [
                 f'",\n      "bound": {json.dumps(bound)},\n      "achieved": '
@@ -627,23 +583,27 @@ class AuditReport:
             for table in (self.kl_classes, self.sep_classes)
         ]
         head = ',\n    {\n      "name": "'
+        # the header's closing "\n}" gives way to the checks; the first
+        # record (a KL check: there is always one word) drops its comma
+        yield json.dumps(header, indent=2)[:-2] + ',\n  "checks": ['
+        for k, (prefix, suffixes, entries) in enumerate(self._rows(*tails)):
+            # head + prefix, suffix, entry, once per check, in one join
+            parts = [head + prefix] * (3 * len(entries))
+            parts[1::3] = suffixes
+            parts[2::3] = entries
+            text = "".join(parts)
+            yield text[1:] if k == 0 else text
+        yield f'\n  ],\n  "all_pass": {json.dumps(self.all_pass)}\n}}\n'
 
-        def rows():
-            for prefix, suffixes, entries in self._rows(*tails):
-                # head + prefix, suffix, entry, once per check, in one join
-                parts = [head + prefix] * (3 * len(entries))
-                parts[1::3] = suffixes
-                parts[2::3] = entries
-                yield "".join(parts)
+    def to_dict(self) -> dict:
+        """The report as :meth:`save` writes it, parsed."""
+        return json.loads("".join(self._text()))
 
-        text = rows()
+    def save(self, path) -> None:
+        """Write the report's JSON, ``json.dumps(self.to_dict(), indent=2) +
+        "\\n"``, one row of words at a time."""
         with open(path, "w") as fh:
-            # the header's closing "\n}" gives way to the checks; the first
-            # record (a KL check: there is always one word) drops its comma
-            fh.write(json.dumps(self._header(), indent=2)[:-2] + ',\n  "checks": [')
-            fh.write(next(text)[1:])
-            fh.writelines(text)
-            fh.write(f'\n  ],\n  "all_pass": {json.dumps(self.all_pass)}\n}}\n')
+            fh.writelines(self._text())
 
 
 def audit_hypotheses(

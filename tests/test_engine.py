@@ -70,6 +70,7 @@ from densagg.experiments import (
     build_truth,
 )
 from frozen_selector import _old_selector
+from test_aggregation import _separated_family
 
 # ---------------------------------------------------------------------------
 # Frozen copies of the replaced code
@@ -785,7 +786,10 @@ class TestExactExpectation:
     ring.  Two more truths lie off the candidates: the uniform density
     written on the family's grid (a truth spec of its own; as a function it
     equals the zero word's member), and the mirror of candidate 1, whose
-    bumps go down then up, which no member does."""
+    bumps go down then up, which no member does.  The oracle inequality is
+    also checked exactly on the separated family of ``TestPathwiseRegret``
+    (M = 8, ε = 0.3, truth 2), where the equal-weight mixture violates it at
+    n = 2."""
 
     @pytest.fixture(scope="class")
     def family(self):
@@ -833,6 +837,13 @@ class TestExactExpectation:
         exact = _exact_risk(cset, truth, n)
         oracle = min(_kl_rows(truth, cset.grid, cset.values).tolist())
         assert exact - oracle <= math.log(cset.size) / (n + 1)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_oracle_inequality_holds_exactly_on_the_separated_family(self, n):
+        candidates = _separated_family(8, 0.3)
+        cset, truth = CandidateSet.from_densities(candidates), candidates[2]
+        oracle = min(_kl_rows(truth, cset.grid, cset.values).tolist())
+        assert _exact_risk(cset, truth, n) - oracle <= math.log(cset.size) / (n + 1)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_off_family_monte_carlo_means_are_within_4_se_of_the_exact_risks(self, off_family,
