@@ -15,7 +15,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .densities import (
     _cell_indices,
     _check_breakpoints,
     _check_density_rows,
+    _union_grid,
     _values_on,
     validate_class,
 )
@@ -127,7 +128,7 @@ class CandidateSet:
                         f"candidate {j} is outside the bounded density class "
                         f"(bound {bound!r})"
                     )
-        grid = reduce(np.union1d, (f.breakpoints for f in densities))
+        grid = _union_grid([f.breakpoints for f in densities])
         vals = np.stack([_values_on(f, grid) for f in densities])
         return cls(grid, vals)
 

@@ -264,6 +264,23 @@ def _values_on(f: PiecewiseFunction, grid: np.ndarray) -> np.ndarray:
     return f.values[_cell_lookup(f.breakpoints, grid[:-1])]
 
 
+def _union_grid(grids) -> np.ndarray:
+    """The sorted distinct points of a sequence of grids, as the fold
+    ``reduce(np.union1d, grids)`` gives them.
+
+    One stable sort of all the points, then the first of each run of equal
+    ones: so where the grids start at ``-0.0`` and ``0.0`` the first grid's
+    zero is kept, as the fold keeps it with numpy 2.4.  ``np.union1d`` would
+    import ``numpy.ma``, which nothing here uses, on its first call.
+    """
+    points = np.concatenate(grids)
+    points.sort(kind="stable")
+    first = np.empty(points.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(points[1:], points[:-1], out=first[1:])
+    return points[first]
+
+
 def common_refinement(
     f: PiecewiseFunction, g: PiecewiseFunction
 ) -> tuple[PiecewiseFunction, PiecewiseFunction]:
@@ -273,7 +290,7 @@ def common_refinement(
     breakpoints, which is what makes the cell-wise loss formulas exact.
     Input types are preserved (a density refines to a density).
     """
-    grid = np.union1d(f.breakpoints, g.breakpoints)
+    grid = _union_grid((f.breakpoints, g.breakpoints))
     return type(f)(grid, _values_on(f, grid)), type(g)(grid, _values_on(g, grid))
 
 
@@ -299,7 +316,7 @@ def renormalize(f: PiecewiseFunction) -> PiecewiseDensity:
 def _loss_cells(f: PiecewiseFunction, grid: np.ndarray, rows: np.ndarray):
     """Cell lengths of the union of ``f``'s grid and ``grid``, with ``f``'s
     values and each row's values (cell values on ``grid``) on it."""
-    fine = np.union1d(f.breakpoints, grid)
+    fine = _union_grid((f.breakpoints, grid))
     idx = _cell_lookup(grid, fine[:-1])
     # take, not rows[:, idx]: the latter is column-major, and a strided
     # row changes the summation order of the per-row dot products.

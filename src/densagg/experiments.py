@@ -53,10 +53,10 @@ from .densities import (
 )
 from .lowerbound import (
     AuditReport,
+    _member_values,
     audit_hypotheses,
     build_separated_set,
     choose_parameters,
-    perturbed_density,
 )
 
 __all__ = [
@@ -266,18 +266,44 @@ def load_config(path) -> ExperimentConfig:
     return ExperimentConfig.from_dict(obj)
 
 
-def _perturbation_candidates(M: int, n_ref: int, bound: float) -> list[PiecewiseDensity]:
+def _perturbation_set(M: int, n_ref: int, bound: float) -> CandidateSet:
+    """The worst-case family tuned to ``(M, n_ref, bound)``, its members'
+    values built on their one grid in one array op.  :class:`PerturbationFamily`
+    guarantees that they lie in the bounded class, so none is checked alone."""
     family = choose_parameters(M, n_ref, bound)
     words = build_separated_set(family.n_bumps, M)
-    return [perturbed_density(family, w) for w in words.words]
+    return CandidateSet(*_member_values(family, words.words))
+
+
+def _perturbation_candidates(M: int, n_ref: int, bound: float) -> list[PiecewiseDensity]:
+    cset = _perturbation_set(M, n_ref, bound)
+    return [cset.candidate(j) for j in range(cset.size)]
+
+
+def _reference_size(config: ExperimentConfig) -> int:
+    """The sample size a config's perturbation family is tuned to."""
+    return config.candidate_spec.get("n_ref", max(config.n_values))
+
+
+def _candidate_set(config: ExperimentConfig):
+    """``(cset, truth)`` for a config: bit for bit ``CandidateSet.from_densities(
+    build_candidates(config), bound=config.A)`` and :func:`build_truth`.  A
+    perturbation family skips the refinement and the per-candidate class
+    checks; a listed family keeps both, and its truth is the listed density."""
+    spec = config.candidate_spec
+    if spec["kind"] != "perturbation":
+        candidates = build_candidates(config)
+        return (CandidateSet.from_densities(candidates, bound=config.A),
+                build_truth(config, candidates))
+    cset = _perturbation_set(config.M, _reference_size(config), config.A)
+    return cset, _truth(config, cset.size, cset.candidate)
 
 
 def build_candidates(config: ExperimentConfig) -> list[PiecewiseDensity]:
     """Materialise the candidate family a config describes."""
     spec = config.candidate_spec
     if spec["kind"] == "perturbation":
-        n_ref = spec.get("n_ref", max(config.n_values))
-        return _perturbation_candidates(config.M, n_ref, config.A)
+        return _perturbation_candidates(config.M, _reference_size(config), config.A)
     if spec["kind"] == "files":
         densities = [load_density(p) for p in spec["paths"]]
     else:
@@ -294,14 +320,19 @@ def build_candidates(config: ExperimentConfig) -> list[PiecewiseDensity]:
 
 def build_truth(config: ExperimentConfig, candidates) -> PiecewiseDensity:
     """Materialise the sampling density a config describes."""
+    return _truth(config, len(candidates), candidates.__getitem__)
+
+
+def _truth(config: ExperimentConfig, size: int, candidate) -> PiecewiseDensity:
+    """:func:`build_truth` for ``size`` candidates, ``candidate(j)`` the ``j``-th."""
     spec = config.truth_spec
     if spec["kind"] == "candidate":
         index = spec["index"]
-        if not 0 <= index < len(candidates):
+        if not 0 <= index < size:
             raise ValidationError(
-                f"truth_spec.index must be in 0..{len(candidates) - 1}, got {index!r}"
+                f"truth_spec.index must be in 0..{size - 1}, got {index!r}"
             )
-        return candidates[index]
+        return candidate(index)
     if spec["kind"] == "uniform":
         return PiecewiseDensity.uniform()
     if spec["kind"] == "file":
@@ -417,9 +448,7 @@ def _fixed_family_report(config: ExperimentConfig, experiment: str, estimator_fo
     config's candidate family, through the estimator ``estimator_for(cset)``
     (see :func:`_replication_risks`); ``row_bound(oracle, M, n)`` is a row's
     bound."""
-    candidates = build_candidates(config)
-    cset = CandidateSet.from_densities(candidates, bound=config.A)
-    truth = build_truth(config, candidates)
+    cset, truth = _candidate_set(config)
     oracle = min(_LOSS_ROWS[loss](truth, cset.grid, cset.values).tolist())
     if not math.isfinite(oracle):  # only KL can be infinite
         raise ValidationError(
@@ -546,8 +575,7 @@ def run_rate_study(config: ExperimentConfig) -> RateStudyResult:
     with ThreadPoolExecutor(max_workers=_workers()) as pool:
         for m in config.M_values:
             for n in config.n_values:
-                candidates = _perturbation_candidates(m, n, config.A)
-                cset = CandidateSet.from_densities(candidates, bound=config.A)
+                cset = _perturbation_set(m, n, config.A)
 
                 def truth_risks(t):
                     seeds = [(config.seed, m, n, t, r) for r in range(config.replications)]

@@ -172,23 +172,29 @@ def _check_word(word, n_bumps: int) -> np.ndarray:
     return _check_bits(w)
 
 
-def perturbed_density(family: PerturbationFamily, word) -> PiecewiseDensity:
-    """The family member selected by a binary word.
+def _member_values(family: PerturbationFamily, words: np.ndarray):
+    """``(grid, values)``: the family's grid ``arange(2D + 1) / (2D)`` and the
+    (m, 2D) cell values of the members selected by the rows of ``words``, a
+    0/1 matrix checked by :func:`_check_bits`, in one array op.
 
     Cell ``j`` (1-based) of the uniform grid carries the paired bump iff
     ``word[j-1] == 1``; active cells take values ``(1 + a, 1 - a)`` on
-    their two halves, inactive cells stay at 1.  The result is an exact
-    density bounded by the family's sup bound.
+    their two halves, inactive cells stay at 1.  Each row is an exact
+    density in ``[0, A]``, by the range rule of :class:`PerturbationFamily`.
     """
-    w = _check_word(word, family.n_bumps)
     D = family.n_bumps
     a = family.bump_height
-    grid = np.arange(2 * D + 1) / (2.0 * D)
-    vals = np.ones(2 * D)
-    active = w == 1
-    vals[0::2][active] = 1.0 + a
-    vals[1::2][active] = 1.0 - a
-    return PiecewiseDensity(grid, vals)
+    vals = np.ones((words.shape[0], D, 2))
+    vals[words == 1] = (1.0 + a, 1.0 - a)
+    return np.arange(2 * D + 1) / (2.0 * D), vals.reshape(-1, 2 * D)
+
+
+def perturbed_density(family: PerturbationFamily, word) -> PiecewiseDensity:
+    """The family member selected by a binary word: the one-word case of
+    :func:`_member_values`, an exact density bounded by the family's sup
+    bound."""
+    grid, vals = _member_values(family, _check_word(word, family.n_bumps)[None])
+    return PiecewiseDensity(grid, vals[0])
 
 
 def hamming_distance(word1, word2) -> int:
@@ -520,41 +526,53 @@ class AuditReport:
         sep = _hellinger_sq(self.family, np.arange(self.family.n_bumps + 1)).tolist()
         return tuple((floor, v, v >= floor) for v in sep)
 
-    def _rows(self, kl, sep):
+    def _rows(self):
         """Yield the checks in report order, one row at a time, as
-        ``(prefix, suffixes, entries)``: check ``k`` of a row is named
-        ``prefix + suffixes[k]``, and ``entries[k]`` is its class's entry of
-        ``kl`` (indexed by active bumps) or ``sep`` (indexed by Hamming
-        distance).  The first row holds every word's KL check; then each
-        word's row holds its separation checks against the later words.
+        ``(prefix, suffixes, kind, classes)``: check ``k`` of a row is named
+        ``prefix + suffixes[k]`` and falls in class ``classes[k]`` of the
+        kind's table, ``kind`` 0 for :attr:`kl_classes` (indexed by active
+        bumps), 1 for :attr:`sep_classes` (indexed by Hamming distance).  The
+        first row holds every word's KL check; then each word's row holds its
+        separation checks against the later words.
         """
         w = self.words.words
         m = w.shape[0]
-        # object arrays, so that one gather per row picks the entries
-        kl, sep = (np.fromiter(t, dtype=object, count=len(t)) for t in (kl, sep))
-        active = np.count_nonzero(w, axis=1)
-        yield "kl_budget[word=", [f"{j}]" for j in range(m)], kl[active].tolist()
+        yield "kl_budget[word=", [f"{j}]" for j in range(m)], 0, np.count_nonzero(w, axis=1)
         later = [f"{j})]" for j in range(m)]
         for i, dist in enumerate(_pair_distances(w, self.words._weights)):
-            yield f"hellinger_separation[pair=({i},", later[i + 1:], sep[dist].tolist()
+            yield f"hellinger_separation[pair=({i},", later[i + 1:], 1, dist
+
+    def _failing(self):
+        """Per kind, whether each class fails, as a bool array; ``None`` when
+        no check can fail: no KL class fails, and no separation class at
+        distance ``ceil(D/8)`` or more, where every pair of a separated set
+        lies."""
+        kl, sep = (np.array([not e[2] for e in t]) for t in (self.kl_classes, self.sep_classes))
+        if not kl.any() and not sep[_separation_floor(self.family.n_bumps):].any():
+            return None
+        return kl, sep
 
     @cached_property
     def checks(self) -> tuple[AuditCheck, ...]:
+        # object arrays, so that one gather per row picks the entries
+        tables = [np.fromiter(t, dtype=object, count=len(t))
+                  for t in (self.kl_classes, self.sep_classes)]
         return tuple(
             AuditCheck(prefix + suffix, *entry)
-            for prefix, suffixes, entries in self._rows(self.kl_classes, self.sep_classes)
-            for suffix, entry in zip(suffixes, entries)
+            for prefix, suffixes, kind, classes in self._rows()
+            for suffix, entry in zip(suffixes, tables[kind][classes].tolist())
         )
 
     @cached_property
     def n_failed(self) -> int:
         """How many checks fail, counted from the class verdicts in one walk,
-        or 0 without one when no class a check can fall in fails (pairs of
-        a separated set are at distance ``ceil(D/8)`` or more)."""
-        kl, sep = ([not e[2] for e in t] for t in (self.kl_classes, self.sep_classes))
-        if not any(kl) and not any(sep[_separation_floor(self.family.n_bumps):]):
+        or 0 without one when :meth:`_failing` says none can; :meth:`save`
+        counts them in its own walk and leaves the count here."""
+        failing = self._failing()
+        if failing is None:
             return 0
-        return sum(sum(entries) for _, _, entries in self._rows(kl, sep))
+        return sum(int(np.count_nonzero(failing[kind][classes]))
+                   for _, _, kind, classes in self._rows())
 
     @property
     def all_pass(self) -> bool:
@@ -565,7 +583,9 @@ class AuditReport:
         """Yield the report's JSON text, ``json.dumps(report, indent=2) + "\\n"``
         byte for byte, in chunks (the header, one per row of words, the footer),
         never built whole; ``report`` holds the header keys, ``"checks"`` (a
-        record per check, in :attr:`checks` order) and ``"all_pass"``."""
+        record per check, in :attr:`checks` order) and ``"all_pass"``.  The
+        failing checks are counted in the same walk, for the footer and
+        :attr:`n_failed`."""
         header = {
             "M": self.family.family_size,
             "n": self.sample_size,
@@ -574,26 +594,32 @@ class AuditReport:
             "L": self.family.amplitude,
             "curvature_const": HELLINGER_CURVATURE,
         }
-        tails = [
-            [
-                f'",\n      "bound": {json.dumps(bound)},\n      "achieved": '
-                f'{json.dumps(achieved)},\n      "pass": {json.dumps(passed)}\n    }}'
-                for bound, achieved, passed in table
-            ]
-            for table in (self.kl_classes, self.sep_classes)
-        ]
+        tails = []
+        for table in (self.kl_classes, self.sep_classes):
+            # one bound per table, and two verdicts
+            bound = f'",\n      "bound": {json.dumps(table[0][0])},\n      "achieved": '
+            verdict = [f',\n      "pass": {json.dumps(v)}\n    }}' for v in (False, True)]
+            tails.append(np.array([bound + json.dumps(achieved) + verdict[passed]
+                                   for _, achieved, passed in table], dtype=object))
+        failing, n_failed = self._failing(), 0
         head = ',\n    {\n      "name": "'
         # the header's closing "\n}" gives way to the checks; the first
         # record (a KL check: there is always one word) drops its comma
         yield json.dumps(header, indent=2)[:-2] + ',\n  "checks": ['
-        for k, (prefix, suffixes, entries) in enumerate(self._rows(*tails)):
+        for k, (prefix, suffixes, kind, classes) in enumerate(self._rows()):
+            entries = tails[kind][classes].tolist()
             # head + prefix, suffix, entry, once per check, in one join
             parts = [head + prefix] * (3 * len(entries))
             parts[1::3] = suffixes
             parts[2::3] = entries
             text = "".join(parts)
             yield text[1:] if k == 0 else text
-        yield f'\n  ],\n  "all_pass": {json.dumps(self.all_pass)}\n}}\n'
+            if failing is not None:
+                n_failed += int(np.count_nonzero(failing[kind][classes]))
+        # cached_property reads the instance dict, which a frozen dataclass
+        # leaves writable
+        self.__dict__.setdefault("n_failed", n_failed)
+        yield f'\n  ],\n  "all_pass": {json.dumps(n_failed == 0)}\n}}\n'
 
     def to_dict(self) -> dict:
         """The report as :meth:`save` writes it, parsed."""

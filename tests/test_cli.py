@@ -641,6 +641,49 @@ class TestMisuse:
                   "--out", str(files / "audit.json"), "--set-out", str(files / "words.txt")])
 
 
+def test_no_command_imports_numpy_ma(tmp_path):
+    """Every subcommand runs in one fresh interpreter without loading
+    ``numpy.ma``, which no densagg code uses (``np.union1d`` loads it)."""
+    cands = [*TWO_STEPS, {"breakpoints": [0.0, 0.25, 1.0], "values": [0.4, 1.2]}]
+    (tmp_path / "cands.json").write_text(json.dumps(cands))
+    (tmp_path / "sample.txt").write_text("0.1\n0.2\n0.7\n0.3\n0.45\n")
+    inline = {"kind": "inline", "densities": cands}
+    perturbation = {"kind": "perturbation"}
+    configs = {
+        "oracle": {"M": 3, "candidate_spec": inline},
+        "selector": {"M": 3, "candidate_spec": inline},
+        "selector-family": {"M": 8, "candidate_spec": perturbation},
+        "rate": {"M": 2, "M_values": [2, 4], "n_values": [20, 40, 80], "loss": "H", "q": 2,
+                 "candidate_spec": perturbation},
+    }
+    for name, cfg in configs.items():
+        cfg = {"seed": 5, "n_values": [20, 40], "replications": 3, "A": 2.0,
+               "truth_spec": {"kind": "candidate", "index": 1}, **cfg}
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+    runs = [
+        ["aggregate", "--candidates", "cands.json", "--sample", "sample.txt",
+         "--out", "agg.json", "--weights-out", "weights.csv"],
+        ["yatracos", "--candidates", "cands.json", "--sample", "sample.txt", "--out", "sel.json"],
+        ["lowerbound-audit", "--M", "4", "--n", "100", "--A", "2", "--out", "audit.json",
+         "--set-out", "words.txt"],
+        ["oracle-exp", "--config", "oracle.json", "--out", "oracle.csv"],
+        ["yatracos-exp", "--config", "selector.json", "--out", "selector.csv"],
+        ["yatracos-exp", "--config", "selector-family.json", "--out", "family.csv"],
+        ["rate-study", "--config", "rate.json", "--out", "rate.csv", "--fit-out", "fit.json"],
+    ]
+    child = ("import json, sys\nfrom densagg.cli import main\n"
+             "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+             "print(json.dumps([codes, 'numpy.ma' in sys.modules]))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", child, json.dumps(runs)], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout)
+    assert codes == [0] * len(runs), proc.stderr
+    assert not loaded
+
+
 def load_density_obj(obj):
     from densagg.densities import _density_from_obj
 

@@ -7,6 +7,7 @@ Loss values are checked against independent adaptive-quadrature oracles
 import json
 import math
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from densagg import (
     validate_class,
 )
 from densagg.aggregation import CandidateSet
-from densagg.densities import _SAMPLE_CHUNK, _cell_lookup, _guide_table
+from densagg.densities import _SAMPLE_CHUNK, _cell_lookup, _guide_table, _union_grid
 from densagg.experiments import _perturbation_candidates
 
 # Oracle values, fixed by adaptive quadrature of the integrands
@@ -173,6 +174,41 @@ class TestRefinement:
         rf, rg = common_refinement(step, g)
         assert isinstance(rf, PiecewiseDensity) and isinstance(rg, PiecewiseDensity)
         assert rf.integral() == pytest.approx(1.0, abs=MASS_TOL)
+
+
+@st.composite
+def grid_lists(draw):
+    """One to six grids of unequal lengths from ``-0.0`` or ``0.0`` to 1,
+    whose inner points often repeat across grids."""
+    pool = draw(st.lists(st.floats(1e-9, 1.0, exclude_max=True), min_size=1, max_size=8))
+    inner = st.sampled_from(pool) | st.floats(1e-9, 1.0, exclude_max=True)
+    grids = []
+    for _ in range(draw(st.integers(1, 6))):
+        points = draw(st.lists(inner, max_size=10, unique=True))
+        zero = draw(st.sampled_from([0.0, -0.0]))
+        grids.append(np.array([zero, *sorted(points), 1.0]))
+    return grids
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_lists())
+def test_union_grid_equals_the_union1d_fold(grids):
+    got = _union_grid(grids)
+    fold = reduce(np.union1d, grids)
+    # value for value; past the zero, bit for bit
+    assert got.shape == fold.shape and np.array_equal(got, fold)
+    assert got[1:].tobytes() == fold[1:].tobytes()
+    # the first grid's zero is kept
+    assert np.signbit(got[0]) == np.signbit(grids[0][0])
+
+
+def test_candidate_sets_and_refinements_keep_the_first_zero():
+    f = PiecewiseDensity([-0.0, 0.5, 1.0], [1.5, 0.5])
+    g = PiecewiseDensity([0.0, 0.25, 1.0], [2.0, 2.0 / 3.0])
+    assert np.signbit(CandidateSet.from_densities([f, g]).grid[0])
+    assert not np.signbit(CandidateSet.from_densities([g, f]).grid[0])
+    assert np.signbit(common_refinement(f, g)[0].breakpoints[0])
+    assert not np.signbit(common_refinement(g, f)[1].breakpoints[0])
 
 
 class TestKL:

@@ -28,7 +28,16 @@ from densagg import (
     run_yatracos_experiment,
     validate_class,
 )
-from densagg.densities import FunctionClass
+from densagg.aggregation import CandidateSet
+from densagg.densities import FunctionClass, PiecewiseDensity
+from densagg.lowerbound import (
+    PerturbationFamily,
+    _member_values,
+    build_separated_set,
+    choose_parameters,
+    min_bump_count,
+    perturbed_density,
+)
 
 THREE_INLINE = {
     "kind": "inline",
@@ -244,6 +253,82 @@ class TestDescriptors:
         cfg = quick_config(truth_spec={"kind": "candidate", "index": 7})
         with pytest.raises(ValidationError, match="index"):
             build_truth(cfg, build_candidates(cfg))
+
+
+def _one_word_member(family, word):
+    """A family member built one word at a time, as before the batched builder."""
+    D, a = family.n_bumps, family.bump_height
+    vals = np.ones(2 * D)
+    active = np.asarray(word) == 1
+    vals[0::2][active] = 1.0 + a
+    vals[1::2][active] = 1.0 - a
+    return PiecewiseDensity(np.arange(2 * D + 1) / (2.0 * D), vals)
+
+
+def _same_bits(a, b):
+    """Equal grids, values and log tables, byte for byte (so -inf for -inf)."""
+    return all(getattr(a, f).tobytes() == getattr(b, f).tobytes()
+               and getattr(a, f).shape == getattr(b, f).shape
+               for f in ("grid", "values", "log_table"))
+
+
+class TestFamilyBuilder:
+    @pytest.mark.parametrize("m", [2, 3, 4, 16, 64, 256])
+    @pytest.mark.parametrize("n", [1, 7, 1000, 10**6])
+    def test_the_direct_set_equals_the_refined_members(self, m, n):
+        direct = experiments._perturbation_set(m, n, 2.0)
+        refined = CandidateSet.from_densities(
+            experiments._perturbation_candidates(m, n, 2.0), bound=2.0)
+        assert _same_bits(direct, refined)
+        family = choose_parameters(m, n, 2.0)
+        words = build_separated_set(family.n_bumps, m).words
+        old = CandidateSet.from_densities([_one_word_member(family, w) for w in words])
+        assert _same_bits(direct, old)
+        for j, w in enumerate(words):
+            member = perturbed_density(family, w)
+            assert member.values.tobytes() == direct.values[j].tobytes()
+            assert member.breakpoints.tobytes() == direct.grid.tobytes()
+
+    @pytest.mark.parametrize("m", [2, 3, 16, 64])
+    def test_bump_height_one_gives_equal_infinite_logs(self, m):
+        # a = 1 and A = 2: the members reach 0 and A, the edges of the range rule
+        D = min_bump_count(m)
+        family = PerturbationFamily(amplitude=float(D), bound=2.0, family_size=m)
+        assert family.bump_height == 1.0
+        words = build_separated_set(D, m).words
+        direct = CandidateSet(*_member_values(family, words))
+        refined = CandidateSet.from_densities(
+            [perturbed_density(family, w) for w in words], bound=2.0)
+        old = CandidateSet.from_densities([_one_word_member(family, w) for w in words])
+        assert _same_bits(direct, refined) and _same_bits(direct, old)
+        assert np.isneginf(direct.log_table).any() and direct.values.max() == 2.0
+
+    @pytest.mark.parametrize("truth", [0, 5, 63])
+    def test_the_harness_family_and_truth_equal_the_listed_ones(self, truth, monkeypatch):
+        cfg = quick_config(M=64, A=2.0, n_values=(500, 2000),
+                           truth_spec={"kind": "candidate", "index": truth},
+                           candidate_spec={"kind": "perturbation"})
+        candidates = build_candidates(cfg)
+        listed = CandidateSet.from_densities(candidates, bound=2.0)
+        listed_truth = build_truth(cfg, candidates)
+        # the perturbation family is built without refining or checking members
+        monkeypatch.setattr(CandidateSet, "from_densities", None)
+        cset, got = experiments._candidate_set(cfg)
+        assert _same_bits(cset, listed)
+        assert got == listed_truth
+        assert got.breakpoints.tobytes() == listed_truth.breakpoints.tobytes()
+        with pytest.raises(ValidationError, match=r"index must be in 0\.\.63, got 64"):
+            experiments._candidate_set(replace(cfg, truth_spec={"kind": "candidate", "index": 64}))
+
+    def test_listed_families_keep_their_checks_and_their_truth(self):
+        cfg = quick_config(A=1.5)  # 1.6 exceeds the bound
+        with pytest.raises(ValidationError, match="candidate 0 is outside"):
+            experiments._candidate_set(cfg)
+        # the truth is the listed density, not its refinement onto the set's grid
+        cfg = quick_config(truth_spec={"kind": "candidate", "index": 2})
+        cset, truth = experiments._candidate_set(cfg)
+        assert truth == build_candidates(cfg)[2] and truth.breakpoints.tolist() == [0.0, 1.0]
+        assert cset.grid.tolist() == [0.0, 0.5, 1.0]
 
 
 class TestOracleExperiment:

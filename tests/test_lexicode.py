@@ -515,6 +515,32 @@ class TestFailureCount:
             assert [e[2] for e in report.sep_classes[thr:thr + 2]] == [False, True]
         assert report.n_failed == failed
 
+    @pytest.mark.parametrize("case", ["passing", "loud", "undersampled"])
+    def test_save_walks_the_pairs_once_and_leaves_the_count(self, case, tmp_path, monkeypatch):
+        family = choose_parameters(64, 1000, 2.0)
+        words = build_separated_set(family.n_bumps, 64)
+        n = 3 if case == "undersampled" else 1000
+        if case == "loud":
+            family = replace(family, amplitude=6 * family.amplitude)
+        header, checks = _old_audit(family, words, n)
+        failed = sum(not c.passed for c in checks)
+        assert (failed > 0) == (case != "passing")
+        walks = []
+
+        def counted(*args):
+            walks.append(args)
+            return _pair_distances(*args)
+
+        monkeypatch.setattr(densagg.lowerbound, "_pair_distances", counted)
+        report = audit_hypotheses(family, words, n)
+        report.save(tmp_path / "audit.json")
+        assert (report.n_failed, report.all_pass) == (failed, failed == 0)
+        assert len(walks) == 1
+        assert (tmp_path / "audit.json").read_bytes() == _old_save(header, checks).encode()
+        # a fresh report counts the same, in a walk of its own unless none can fail
+        assert audit_hypotheses(family, words, n).n_failed == failed
+        assert len(walks) == (1 if case == "passing" else 2)
+
 
 class TestVectorisedAudit:
     @pytest.mark.parametrize("m", [16, 64, 256, 300])
