@@ -46,9 +46,8 @@ __all__ = [
 ]
 
 #: Entries per block of weight rows: 2^17 doubles (1 MiB).  The kernel's
-#: workers, and the rate study's truth threads, take turns at the
-#: interpreter lock between numpy calls; blocks this large keep those
-#: hand-offs rare.
+#: workers take turns at the interpreter lock between numpy calls; blocks
+#: this large keep those hand-offs rare.
 _BLOCK_ELEMENTS = 2**17
 
 #: Entries per chunk of each of the selector's work arrays, by rows or by
@@ -283,12 +282,68 @@ def _cumulative_log_likelihoods(log_table: np.ndarray, idx: np.ndarray, out: np.
     return terms
 
 
+#: ``busy`` is true on each thread of a :func:`_deal` call with several
+#: workers: the thread holds its CPU, so its own calls take one worker.
+_dealt = threading.local()
+
+
 def _workers() -> int:
-    """The CPUs this process may run on: ``taskset -c 0`` makes it one."""
+    """The CPUs this process may run on (``taskset -c 0`` makes it one), or
+    1 on a thread that :func:`_deal` runs among others."""
+    if getattr(_dealt, "busy", False):
+        return 1
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def _run_workers(work, workers: int, release=lambda: None) -> None:
+    """``work(w)`` for each worker ``w < workers``: worker 0 on the calling
+    thread, each other on a helper thread started here.  Returns, or raises
+    what stopped the calling thread (a helper failing to start), after
+    every started helper has ended; ``release()`` runs before such a raise.
+    """
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
+    try:
+        for thread in threads:
+            thread.start()
+        work(0)
+    except BaseException:
+        release()
+        raise
+    finally:
+        for thread in threads:
+            if thread.ident is not None:
+                thread.join()
+
+
+def _deal(count: int, run) -> None:
+    """``run(i)`` for each task ``i < count``, dealt in order to ``_workers()``
+    workers, each taking the next task when done with its last.  Once a
+    task fails the workers take no more; the error raised is the least
+    failing ``i``'s, as in a loop.  A lone task runs on the calling thread
+    with every worker.
+    """
+    tasks, errors = iter(range(count)), {}
+    workers = max(1, min(_workers(), count))
+
+    def work(w):
+        busy = getattr(_dealt, "busy", False)
+        _dealt.busy = busy or workers > 1
+        try:
+            for i in tasks:  # shared by the workers: each task is taken once
+                if errors:
+                    return
+                run(i)
+        except BaseException as exc:  # raised again by the calling thread
+            errors[i] = exc
+        finally:
+            _dealt.busy = busy
+
+    _run_workers(work, workers)
+    if errors:
+        raise errors[min(errors)]
 
 
 class _Abandoned(Exception):
@@ -369,18 +424,8 @@ def _averaged_weights(candidates: CandidateSet, cells: np.ndarray,
             errors[b] = exc
             outbox.put(None)
 
-    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
-    try:
-        for thread in threads:
-            thread.start()
-        work(0)
-    except BaseException:
-        inboxes[1 % workers].put(None)  # a thread failed to start: release the others
-        raise
-    finally:
-        for thread in threads:
-            if thread.ident is not None:
-                thread.join()
+    # if a helper fails to start, the stop mark releases those that did
+    _run_workers(work, workers, lambda: inboxes[1 % workers].put(None))
     if errors:
         raise errors[min(errors)]
     # the last block posted its two carries to the inbox of the block after it
@@ -457,18 +502,16 @@ def aggregate(candidates: CandidateSet, x) -> PiecewiseDensity:
     return mixture(candidates, progressive_weights(candidates, x).averaged)
 
 
-def _aggregate_rows(candidates: CandidateSet, cells: np.ndarray,
-                    workers: int | None = None) -> np.ndarray:
+def _aggregate_rows(candidates: CandidateSet, cells: np.ndarray) -> np.ndarray:
     """:func:`aggregate` for each row of ``cells`` (R, n), the shared-grid
     cells of R samples, as (R, cells) values on the grid.
 
     The same operations as R calls of :func:`aggregate`, on (rows, R, M)
-    blocks and ``workers`` kernel workers (see :func:`_averaged_weights`);
+    blocks and ``_workers()`` kernel workers (see :func:`_averaged_weights`);
     every row is checked as :func:`aggregate` checks its result.
     """
     _check_aggregable(candidates)
-    averaged = _averaged_weights(candidates, cells, workers)
-    values = _mixture_values(candidates, averaged)
+    values = _mixture_values(candidates, _averaged_weights(candidates, cells))
     _check_density_rows(values, candidates.cell_lengths)
     return values
 

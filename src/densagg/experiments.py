@@ -5,12 +5,14 @@ study) are driven by one JSON-serialisable :class:`ExperimentConfig`.
 Replication ``r`` at sample size ``n`` (and family size ``M``, truth index
 ``t`` where applicable) draws from a generator seeded with the tuple
 ``(seed, n, r)`` / ``(seed, M, n, t, r)``, and sees the arithmetic of
-``sample``, the estimator and the loss called on it alone, in the same order.
-So reports, and the CSV files written from them, are byte-identical across
-reruns with the same numpy version, BLAS kernel and SIMD target, whatever the
-number of CPUs the weight kernel and the rate study's truths run on.  Every
-row's ``pass`` flag applies the uniform rule ``excess <= bound + 3 * se``
-(the rate study instead flags rows whose excess is unusable for the fit).
+``sample``, the estimator and the loss called on it alone, in the same order,
+whichever group of replications it is batched in (the rate study's groups
+span a cell's truths).  So reports, and the CSV files written from them, are
+byte-identical across reruns with the same numpy version, BLAS kernel and
+SIMD target, whatever the number of CPUs the groups and the weight kernel
+are dealt to.  Every row's ``pass`` flag applies the uniform rule
+``excess <= bound + 3 * se`` (the rate study instead flags rows whose
+excess is unusable for the fit).
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import math
 import numbers
 import sys
 from dataclasses import MISSING, dataclass, fields
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -31,9 +32,9 @@ import numpy as np
 from .aggregation import (  # noqa: F401
     CandidateSet,
     _aggregate_rows,
+    _deal,
     _select_cells,
     _selector_tables,
-    _workers,
     aggregate,
 )
 from .densities import (
@@ -92,8 +93,9 @@ _LOSS_ROWS = {
 }
 
 #: Largest number of sample points (replications × n) drawn and aggregated
-#: together; replications of larger cells run in several groups.
-_GROUP_POINTS = 2**20
+#: together, on one worker; the replications of larger calls run in several
+#: groups, dealt to the workers.
+_GROUP_POINTS = 2**18
 
 #: Keys each descriptor kind takes, each with its type or, for an integer
 #: key, its least value; all are required except ``n_ref``.
@@ -391,36 +393,57 @@ class RiskReport:
                 ])
 
 
-def _replication_risks(
-    candidates: CandidateSet, truth: PiecewiseDensity, n: int, seeds, estimator, loss: str
-) -> np.ndarray:
-    """Loss ``loss`` from ``truth`` to the estimate of each replication.
+def _replication_risks(candidates: CandidateSet, pairs, n: int, estimator,
+                       loss: str) -> list[np.ndarray]:
+    """Loss ``loss`` from each pair's truth to the estimate of each of its
+    replications: one array per ``(truth, seeds)`` pair of ``pairs``.
 
-    Replication ``r`` estimates from ``sample(truth, n, seeds[r])``, mapped
-    once to the candidates' shared-grid cells.  ``estimator(candidates,
+    Replication ``r`` of a pair estimates from ``sample(truth, n, seeds[r])``,
+    mapped once to the candidates' shared-grid cells.  ``estimator(candidates,
     cells)`` maps a batch of such cells (R, n) to the estimates' cell values
-    on the candidates' grid (R, cells).  Replications run in groups of at
-    most ``_GROUP_POINTS`` sample points.  When a group fails, the error
-    names the first of its replications that fails alone: the one a loop
-    over replications would have stopped at.
+    on the candidates' grid (R, cells).  The pairs' replications are taken in
+    order, in groups of at most ``_GROUP_POINTS`` sample points that may span
+    pairs, each drawn, estimated in one estimator call and scored by one of
+    the workers the groups are dealt to (``aggregation._deal``).  When a
+    group fails, the error names the first of its replications that fails
+    alone: the one a loop over the replications would have stopped at.
     """
+    sizes = [len(seeds) for _, seeds in pairs]
+    ends = np.cumsum(sizes).tolist()
+    risks = np.empty(ends[-1])
     group = max(1, _GROUP_POINTS // n)
-    risks = []
-    for start in range(0, len(seeds), group):
-        cells = _cell_lookup(candidates.grid, _sample_rows(truth, n, seeds[start:start + group]))
+
+    def run_group(g):
+        start, stop = g * group, min(g * group + group, ends[-1])
+        # (truth, seeds, draw index of seeds[0], draws lo..hi - 1) of each
+        # pair with draws in the group, the draws numbered across the pairs
+        runs = [(*pair, end - size, max(start, end - size), min(stop, end))
+                for pair, size, end in zip(pairs, sizes, ends)
+                if end - size < stop and start < end]
+        cells = None
+        for truth, seeds, begin, lo, hi in runs:
+            drawn = _cell_lookup(candidates.grid,
+                                 _sample_rows(truth, n, seeds[lo - begin:hi - begin]))
+            if cells is None:  # after the first draw, which rejects samples too large to hold
+                cells = np.empty((stop - start, n), dtype=np.intp)
+            cells[lo - start:hi - start] = drawn
         try:
             values = estimator(candidates, cells)
         except ValidationError:
             # Each row's arithmetic is the same alone as in the batch, so
             # some row fails alone too.
-            for r in range(cells.shape[0]):
-                try:
-                    estimator(candidates, cells[r:r + 1])
-                except ValidationError as exc:
-                    raise ValidationError(f"replication {start + r}: {exc}") from None
+            for truth, seeds, begin, lo, hi in runs:
+                for i in range(lo - start, hi - start):
+                    try:
+                        estimator(candidates, cells[i:i + 1])
+                    except ValidationError as exc:
+                        raise ValidationError(f"replication {start + i - begin}: {exc}") from None
             raise
-        risks.append(_LOSS_ROWS[loss](truth, candidates.grid, values))
-    return np.concatenate(risks)
+        for truth, seeds, begin, lo, hi in runs:
+            risks[lo:hi] = _LOSS_ROWS[loss](truth, candidates.grid, values[lo - start:hi - start])
+
+    _deal(-(-ends[-1] // group), run_group)
+    return np.split(risks, ends[:-1])
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
@@ -459,7 +482,7 @@ def _fixed_family_report(config: ExperimentConfig, experiment: str, estimator_fo
     rows = []
     for n in config.n_values:
         seeds = [(config.seed, n, r) for r in range(config.replications)]
-        risks = _replication_risks(cset, truth, n, seeds, estimator, loss)
+        risks, = _replication_risks(cset, [(truth, seeds)], n, estimator, loss)
         rows.append(_risk_row(experiment, config, cset.size, n, *_mean_se(risks),
                               oracle, row_bound(oracle, cset.size, n)))
     return RiskReport(tuple(rows))
@@ -546,12 +569,6 @@ def run_rate_study(config: ExperimentConfig) -> RateStudyResult:
     Requires the perturbation candidate kind (the study is about the
     worst-case family, which must be re-tuned per cell), at least two
     distinct family sizes, and at least three distinct sample sizes.
-
-    A cell's truths run concurrently on a pool of ``_workers()`` threads
-    (``taskset -c 0`` makes one) and are read in truth order, so neither the
-    result nor the error raised, the first failing truth's, depends on the
-    worker count.  Peak memory grows to one group of replications per worker.
-    Each truth runs the weight kernel on one worker, its own thread.
     """
     if config.candidate_spec.get("kind") != "perturbation":
         raise ValidationError(
@@ -565,33 +582,22 @@ def run_rate_study(config: ExperimentConfig) -> RateStudyResult:
         raise ValidationError(
             "the rate study needs at least three distinct sample sizes in n_values"
         )
-    # Imported here, so that no other command pays its ~6 ms of import time.
-    from concurrent.futures import ThreadPoolExecutor
-
-    # The truth threads fill the CPUs already; kernel helper threads on top
-    # of them made the criterion-7 study about 11% slower on 2 CPUs.
-    one_worker = partial(_aggregate_rows, workers=1)
     rows = []
-    with ThreadPoolExecutor(max_workers=_workers()) as pool:
-        for m in config.M_values:
-            for n in config.n_values:
-                cset = _perturbation_set(m, n, config.A)
-
-                def truth_risks(t):
-                    seeds = [(config.seed, m, n, t, r) for r in range(config.replications)]
-                    return _replication_risks(cset, cset.candidate(t), n, seeds,
-                                              one_worker, config.loss)
-
-                worst_mean, worst_se = -math.inf, 0.0
-                # map yields in truth order, and on an error cancels what has not started
-                for losses in pool.map(truth_risks, range(cset.size)):
-                    mean, se = _mean_se(np.array([v ** config.q for v in losses.tolist()]))
-                    if mean > worst_mean:
-                        worst_mean, worst_se = mean, se
-                valid = worst_mean > 0 and math.isfinite(worst_mean)
-                # the truth is a family member, so the oracle risk is 0
-                rows.append(_risk_row("rate", config, m, n, worst_mean, worst_se,
-                                      0.0, math.log(m) / n, passed=valid))
+    for m in config.M_values:
+        for n in config.n_values:
+            cset = _perturbation_set(m, n, config.A)
+            pairs = [(cset.candidate(t),
+                      [(config.seed, m, n, t, r) for r in range(config.replications)])
+                     for t in range(cset.size)]
+            worst_mean, worst_se = -math.inf, 0.0
+            for losses in _replication_risks(cset, pairs, n, _aggregate_rows, config.loss):
+                mean, se = _mean_se(np.array([v ** config.q for v in losses.tolist()]))
+                if mean > worst_mean:
+                    worst_mean, worst_se = mean, se
+            valid = worst_mean > 0 and math.isfinite(worst_mean)
+            # the truth is a family member, so the oracle risk is 0
+            rows.append(_risk_row("rate", config, m, n, worst_mean, worst_se,
+                                  0.0, math.log(m) / n, passed=valid))
     fit = [(math.log(r.bound), math.log(r.mean_risk)) for r in rows if r.passed]
     if len(fit) < 2:
         raise ValidationError(

@@ -359,11 +359,11 @@ class TestPathwiseRegret:
     rounded.
     """
 
-    # n = 10^6 on the M = 8 family only, to keep the suite short; the bound
-    # grows as n², yet rows shifted by one still fail it there
+    # n = 10^6 on the tuned families only, to keep the suite short; the
+    # bound grows as n², yet rows shifted by one still fail it there
     @pytest.mark.parametrize("family, n", [
         *((family, n) for family in sorted(REGRET_FAMILIES) for n in (0, 1, 100, 10**5)),
-        ("tuned-8", 10**6),
+        ("tuned-8", 10**6), ("tuned-64", 10**6), ("tuned-256", 10**6),
     ])
     def test_summed_log_loss_is_the_bayes_mixture_log_loss(self, family, n):
         build, truth = REGRET_FAMILIES[family]

@@ -357,8 +357,16 @@ class TestBatchedKernel:
                            "likelihood on the first 8 sample points"):
             _averaged_weights(cset, cset.cell_indices(x), workers)
 
-    @pytest.mark.parametrize("m, r_count", [(8, 3), (64, 40)])
-    def test_aggregate_rows_are_aggregates(self, m, r_count):
+    @pytest.mark.parametrize("workers", WORKERS)
+    @pytest.mark.parametrize("block_elements", [_BLOCK_ELEMENTS, 2**12])
+    @pytest.mark.parametrize("m, r_count", [(8, 3), (64, 40), (64, 1)])
+    def test_aggregate_rows_are_aggregates(self, monkeypatch, m, r_count, block_elements,
+                                           workers):
+        # a ring of at most one worker per full block: blocks of 2^12
+        # entries give every call at least two, default ones leave the
+        # calls of 1 and 3 samples on the calling thread
+        monkeypatch.setattr(aggregation, "_workers", lambda: workers)
+        monkeypatch.setattr(aggregation, "_BLOCK_ELEMENTS", block_elements)
         cands = _perturbation_candidates(m, 400, 2.0)
         cset = CandidateSet.from_densities(cands)
         seeds = [(5, r) for r in range(r_count)]
@@ -653,6 +661,72 @@ class TestKernelWorkers:
         _assert_all_joined(helpers.started)
 
 
+
+class TestDeal:
+    """Tasks dealt to the workers: order of errors, nesting, thread lifetimes."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_every_task_runs_once_and_no_helper_outlives_the_call(self, monkeypatch,
+                                                                 helpers, workers):
+        monkeypatch.setattr(aggregation, "_workers", lambda: workers)
+        ran = []
+        _bounded(lambda: aggregation._deal(7, ran.append))
+        assert sorted(ran) == list(range(7))
+        assert len(helpers.started) == workers - 1
+        _assert_all_joined(helpers.started)
+
+    def test_the_error_raised_is_the_least_failing_tasks(self, monkeypatch, helpers):
+        # task 1 fails once task 3 has failed, on whichever worker did not
+        # take 1, and the error raised is still 1's; no task after 3 starts
+        monkeypatch.setattr(aggregation, "_workers", lambda: 2)
+        ran, three_failed = [], threading.Event()
+
+        def run(i):
+            ran.append(i)
+            if i == 1:
+                assert three_failed.wait(10)
+            if i == 3:
+                three_failed.set()
+            if i in (1, 3):
+                raise ValueError(f"task {i}")
+
+        with pytest.raises(ValueError, match="^task 1$"):
+            _bounded(lambda: aggregation._deal(9, run))
+        assert sorted(ran) == [0, 1, 2, 3]
+        _assert_all_joined(helpers.started)
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_dealt_tasks_see_one_worker_and_a_lone_task_sees_all(self, monkeypatch,
+                                                                 helpers, fails):
+        monkeypatch.setattr(aggregation.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        seen = []
+
+        def run(i):
+            seen.append(aggregation._workers())
+            if fails:
+                raise ValueError("fails")
+
+        for count in (1, 4):
+            seen.clear()
+            try:
+                _bounded(lambda: aggregation._deal(count, run))
+            except ValueError:
+                pass
+            assert set(seen) == ({3} if count == 1 else {1})
+            # the calling thread has every worker again, on success and on error
+            assert aggregation._workers() == 3
+        # so a kernel call in a dealt task walks alone, whatever its blocks
+        cset, cells, _ = _worker_case(monkeypatch)
+        before = len(helpers.started)
+        results = [None] * 2
+        _bounded(lambda: aggregation._deal(
+            2, lambda i: results.__setitem__(i, _averaged_weights(cset, cells))))
+        assert len(helpers.started) - before == 1  # the engine's helper, not the ring's
+        expected = _float_cumsum_averaged_weights(cset, cells)
+        assert all(np.array_equal(r, expected) for r in results)
+        _assert_all_joined(helpers.started)
+
+
 def _decimal_averaged_weights(cset, cells):
     """The averaged weights from their definition, in 40-digit decimal: row
     ``k`` of replication ``r`` is ``Π_{i<=k} f_j(X_i)``, normalised, for
@@ -788,8 +862,10 @@ class TestExactExpectation:
     equals the zero word's member), and the mirror of candidate 1, whose
     bumps go down then up, which no member does.  The oracle inequality is
     also checked exactly on the separated family of ``TestPathwiseRegret``
-    (M = 8, ε = 0.3, truth 2), where the equal-weight mixture violates it at
-    n = 2."""
+    at four (M, ε), where the equal-weight mixture violates it (at M = 8,
+    ε = 0.3 only at n = 2).  At ε = 0 every candidate vanishes off its own
+    cell, so one point zeroes all weights but the truth's; a kernel that
+    read a zero likelihood as 1 would violate it there."""
 
     @pytest.fixture(scope="class")
     def family(self):
@@ -814,7 +890,8 @@ class TestExactExpectation:
         cset, truth = family
         exact = _exact_risk(cset, truth, n, loss)
         seeds = [(1, n, r) for r in range(20_000)]
-        mean, se = _mean_se(_replication_risks(cset, truth, n, seeds, _aggregate_rows, loss))
+        risks, = _replication_risks(cset, [(truth, seeds)], n, _aggregate_rows, loss)
+        mean, se = _mean_se(risks)
         assert 0.0 < se and abs(mean - exact) <= 4 * se
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -822,7 +899,7 @@ class TestExactExpectation:
         cset, truth = family
         exact = _exact_risk(cset, truth, n, "L1", _frozen_selected_values)
         seeds = [(1, n, r) for r in range(20_000)]
-        risks = _replication_risks(cset, truth, n, seeds, _selected_values, "L1")
+        risks, = _replication_risks(cset, [(truth, seeds)], n, _selected_values, "L1")
         mean, se = _mean_se(risks)
         if n == 1:
             # One point never selects the truth, and every other candidate
@@ -839,9 +916,11 @@ class TestExactExpectation:
         assert exact - oracle <= math.log(cset.size) / (n + 1)
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_oracle_inequality_holds_exactly_on_the_separated_family(self, n):
-        candidates = _separated_family(8, 0.3)
-        cset, truth = CandidateSet.from_densities(candidates), candidates[2]
+    @pytest.mark.parametrize("m, eps, index", [(8, 0.3, 2), (4, 0.1, 1), (16, 0.2, 5),
+                                               (4, 0.0, 1)])
+    def test_oracle_inequality_holds_exactly_on_the_separated_family(self, m, eps, index, n):
+        candidates = _separated_family(m, eps)
+        cset, truth = CandidateSet.from_densities(candidates), candidates[index]
         oracle = min(_kl_rows(truth, cset.grid, cset.values).tolist())
         assert _exact_risk(cset, truth, n) - oracle <= math.log(cset.size) / (n + 1)
 
@@ -857,7 +936,7 @@ class TestExactExpectation:
             return mixtures[-1]
 
         seeds = [(1, n, r) for r in range(20_000)]
-        risks = {"KL": _replication_risks(cset, truth, n, seeds, recorded, "KL")}
+        risks = {"KL": _replication_risks(cset, [(truth, seeds)], n, recorded, "KL")[0]}
         for loss in ("H", "L1"):
             risks[loss] = _LOSS_ROWS[loss](truth, cset.grid, np.concatenate(mixtures))
         for loss, values in risks.items():
@@ -871,7 +950,7 @@ class TestExactExpectation:
         cset, truth = off_family
         exact = _exact_risk(cset, truth, n, "L1", _frozen_selected_values)
         seeds = [(1, n, r) for r in range(20_000)]
-        risks = _replication_risks(cset, truth, n, seeds, _selected_values, "L1")
+        risks, = _replication_risks(cset, [(truth, seeds)], n, _selected_values, "L1")
         mean, se = _mean_se(risks)
         if n == 1:
             # one point selects the same candidate in every cell the truth
@@ -1037,6 +1116,15 @@ class TestHarnessesMatchTheReplicationLoops:
         cfg = ExperimentConfig(seed=5, loss=loss, q=q, **RATE)
         assert run_rate_study(cfg).report.rows == _old_rate_rows(cfg)
 
+    @pytest.mark.parametrize("loss", ["KL", "L1"])
+    def test_rate_study_in_groups_that_span_truths(self, monkeypatch, loss):
+        import densagg.experiments as ex
+
+        # groups of 10, 3 and 1 rows against truths of 9 replications
+        monkeypatch.setattr(ex, "_GROUP_POINTS", 200)
+        cfg = ExperimentConfig(seed=5, loss=loss, q=2.0, **RATE)
+        assert run_rate_study(cfg).report.rows == _old_rate_rows(cfg)
+
     def test_engine_names_a_replication_whose_weights_die(self):
         # The truth puts mass where both candidates vanish: the oracle
         # experiment refuses it up front (infinite oracle KL), and the
@@ -1057,7 +1145,7 @@ class TestHarnessesMatchTheReplicationLoops:
         seeds = [(1, r) for r in range(6)]
         with pytest.raises(ValidationError,
                            match=r"^replication \d: every candidate has zero likelihood"):
-            _replication_risks(cset, PiecewiseDensity.uniform(), 10, seeds,
+            _replication_risks(cset, [(PiecewiseDensity.uniform(), seeds)], 10,
                                _aggregate_rows, "KL")
 
     def test_engine_names_the_first_failing_replication_in_order(self, monkeypatch):
@@ -1082,7 +1170,7 @@ class TestHarnessesMatchTheReplicationLoops:
         with pytest.raises(ValidationError, match="^every candidate .* first 3 sample points"):
             _aggregate_rows(cset, cset.cell_indices(batch))
         with pytest.raises(ValidationError) as info:
-            _replication_risks(cset, truth, 20, seeds, _aggregate_rows, "KL")
+            _replication_risks(cset, [(truth, seeds)], 20, _aggregate_rows, "KL")
         assert str(info.value) == f"replication 2: {expected}"
 
     def test_cli_exits_1_when_weights_die(self, tmp_path, capsys):
@@ -1099,3 +1187,54 @@ class TestHarnessesMatchTheReplicationLoops:
         assert main(["oracle-exp", "--config", str(path),
                      "--out", str(tmp_path / "r.csv")]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+
+class TestEngineOnSeveralPairs:
+    """One engine call on several ``(truth, seeds)`` pairs, whose groups of
+    replications span pairs, against one call per pair."""
+
+    @pytest.mark.parametrize("loss", ["KL", "H", "L1"])
+    @pytest.mark.parametrize("estimator", ["mixture", "selector"])
+    def test_equals_the_per_pair_calls_at_every_group_size(self, monkeypatch, loss, estimator):
+        import densagg.experiments as ex
+
+        cset = CandidateSet.from_densities(_perturbation_candidates(8, 30, 2.0), bound=2.0)
+        run = _aggregate_rows if estimator == "mixture" else ex._selector_estimator(cset)
+        truths = [cset.candidate(t) for t in range(4)] + [PiecewiseDensity.uniform()]
+        pairs = [(truth, [(9, t, r) for r in range(k)])
+                 for t, (truth, k) in enumerate(zip(truths, (3, 1, 4, 2, 5)))]
+        n = 30
+        alone = [_replication_risks(cset, [pair], n, run, loss)[0].tolist() for pair in pairs]
+        # groups of 1 to 15 rows cut the 15 replications at every offset of every pair
+        for rows in range(1, 16):
+            monkeypatch.setattr(ex, "_GROUP_POINTS", rows * n + n - 1)
+            got = _replication_risks(cset, pairs, n, run, loss)
+            assert [risks.tolist() for risks in got] == alone, rows
+
+    def test_an_error_names_the_first_failing_replication_in_draw_order(self, monkeypatch):
+        import densagg.experiments as ex
+
+        # As in the one-pair test above: seeds[2] dies on its 18th point and
+        # seeds[3] on its 3rd; seeds 0 and 1 live.  One group of four rows
+        # spans two pairs, so the batch fails at seeds[3]'s third point, and
+        # the error names whichever comes first in draw order, with its own
+        # index in its pair.
+        monkeypatch.setattr(ex, "_GROUP_POINTS", 80)
+        left = PiecewiseDensity([0.0, 0.5, 1.0], [2.0, 0.0])
+        cset = CandidateSet.from_densities(
+            [left, PiecewiseDensity([0.0, 0.25, 1.0], [4.0, 0.0])])
+        truth = PiecewiseDensity([0.0, 0.5, 1.0], [1.96, 0.04])
+        seeds = [(90, r) for r in range(4)]
+
+        def message(seed):
+            return str(pytest.raises(
+                ValidationError, aggregate, cset, sample(truth, 20, seed=seed)).value)
+
+        for pairs, expected in (
+            ([(truth, seeds[:3]), (truth, seeds[3:])], f"replication 2: {message(seeds[2])}"),
+            ([(truth, seeds[3:]), (truth, seeds[:3])], f"replication 0: {message(seeds[3])}"),
+            ([(truth, seeds[:2]), (truth, seeds[2:])], f"replication 0: {message(seeds[2])}"),
+        ):
+            with pytest.raises(ValidationError) as info:
+                _replication_risks(cset, pairs, 20, _aggregate_rows, "KL")
+            assert str(info.value) == expected

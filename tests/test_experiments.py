@@ -5,7 +5,6 @@ import json
 import math
 import sys
 import threading
-import time
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -13,6 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import densagg.aggregation as aggregation
 import densagg.experiments as experiments
 from densagg import (
     CSV_HEADER,
@@ -479,106 +479,126 @@ class TestRateStudy:
 
 
 
-class TestRateStudyPool:
-    """The truths of a cell run on a thread pool of ``_workers()`` threads."""
+class TestRateStudyBatches:
+    """A cell's truths go through the engine together, in groups of
+    replications that may span truths.  A cell's groups are dealt to the
+    workers, and each walks the kernel alone; a lone group's kernel call
+    has every worker."""
 
     @staticmethod
     def _config(**overrides):
         return quick_config(candidate_spec={"kind": "perturbation"}, A=2.0, M_values=(8, 4),
                             n_values=(50, 100, 200), replications=6, **overrides)
 
-    @staticmethod
-    def _failing_on_truths_2_and_5(monkeypatch, later=0.0):
-        """Truths 2 and 5 fail, truth 2 only after 0.2 s, and truths after 2
-        take ``later`` seconds.  Returns the threads and truths the tasks ran on."""
-        real, ran = experiments._replication_risks, []
-
-        def failing(cset, truth, n, seeds, estimator, loss):
-            t = seeds[0][3]
-            ran.append((threading.current_thread(), t))
-            if t == 2:
-                time.sleep(0.2)
-            if t in (2, 5):
-                raise ValidationError(f"truth {t} fails")
-            time.sleep(later if t > 2 else 0.0)
-            return real(cset, truth, n, seeds, estimator, loss)
-
-        monkeypatch.setattr(experiments, "_replication_risks", failing)
-        return ran
-
     @pytest.mark.parametrize("loss", ["KL", "H", "L1"])
-    def test_reports_do_not_depend_on_the_worker_count(self, monkeypatch, tmp_path, loss):
+    def test_reports_do_not_depend_on_workers_or_groups(self, monkeypatch, tmp_path, loss):
         cfg = self._config(loss=loss, q=2.0)
-        results = []
+
+        def run(name):
+            result = run_rate_study(cfg)
+            result.report.to_csv(tmp_path / f"{name}.csv")
+            (tmp_path / f"{name}.json").write_text(json.dumps(result.fit_dict()))
+            return [(tmp_path / f"{name}.{ext}").read_bytes() for ext in ("csv", "json")]
+
+        expected = run("default")
+        # blocks of 2^10 entries give most calls several full blocks, so the
+        # kernel starts a helper for each worker past the first
+        monkeypatch.setattr(aggregation, "_BLOCK_ELEMENTS", 2**10)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # threads hand the lock over as often as they can
         try:
-            for workers in (1, 2, 3):
-                monkeypatch.setattr(experiments, "_workers", lambda w=workers: w)
-                results.append(run_rate_study(cfg))
-                results[-1].report.to_csv(tmp_path / f"{workers}.csv")
+            # groups of 800 points (16, 8 and 4 rows) split truths of 6 replications
+            for group in (experiments._GROUP_POINTS, 800):
+                monkeypatch.setattr(experiments, "_GROUP_POINTS", group)
+                for workers in (1, 2, 3):
+                    monkeypatch.setattr(aggregation, "_workers", lambda w=workers: w)
+                    assert run(f"{group}-{workers}") == expected
         finally:
             sys.setswitchinterval(interval)
-        assert results[0] == results[1] == results[2]
-        texts = [(tmp_path / f"{w}.csv").read_bytes() for w in (1, 2, 3)]
-        assert texts[0] == texts[1] == texts[2]
 
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_an_error_is_the_first_failing_truths(self, monkeypatch, workers):
-        # with three workers truth 5 fails first in time; the serial loop stops at 2
-        self._failing_on_truths_2_and_5(monkeypatch)
-        monkeypatch.setattr(experiments, "_workers", lambda: workers)
-        with pytest.raises(ValidationError, match="^truth 2 fails$"):
-            run_rate_study(self._config())
-
-    def test_truths_not_started_at_an_error_are_cancelled(self, monkeypatch):
-        ran = self._failing_on_truths_2_and_5(monkeypatch, later=0.1)
-        monkeypatch.setattr(experiments, "_workers", lambda: 1)
-        with pytest.raises(ValidationError, match="^truth 2 fails$"):
-            run_rate_study(self._config())
-        assert [t for _, t in ran][:3] == [0, 1, 2]
-        assert len(ran) < 8  # of the first cell's 8 truths
-
-    def test_truths_run_the_kernel_on_one_worker(self, monkeypatch):
-        # blocks of one row: every kernel call has many blocks, so a kernel
-        # worker ring would start helper threads; the oracle harness does
-        import densagg.aggregation as aggregation
-
-        started = []
+    @staticmethod
+    def _recorded_helpers(monkeypatch):
+        """Record the helper threads started, and per batched kernel call its
+        n, its samples, the workers it sees and, when it sees more than one
+        (it then runs alone), the helpers started during it; the process may
+        run on three CPUs."""
+        started, calls = [], []
 
         class Recorded(threading.Thread):
             def start(self):
                 started.append(self)
                 super().start()
 
-        monkeypatch.setattr(aggregation, "_BLOCK_ELEMENTS", 1)
+        rows = experiments._aggregate_rows
+
+        def recorded_rows(candidates, cells):
+            before, free = len(started), aggregation._workers()
+            try:
+                return rows(candidates, cells)
+            finally:
+                calls.append((cells.shape[1], cells.shape[0], free,
+                              len(started) - before if free > 1 else None))
+
         monkeypatch.setattr(aggregation, "threading", SimpleNamespace(Thread=Recorded))
-        monkeypatch.setattr(aggregation, "_workers", lambda: 3)
-        monkeypatch.setattr(experiments, "_workers", lambda: 3)
+        monkeypatch.setattr(aggregation.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(experiments, "_aggregate_rows", recorded_rows)
+        return started, calls
+
+    def test_groups_are_dealt_and_no_helper_outlives_the_study(self, monkeypatch):
+        # Groups of 2400 points: at n = 50 each cell is one group, at n = 100
+        # the M = 8 cell is two, at n = 200 the cells are four (M = 8) and two
+        # (M = 4).  The engine starts a helper per group past the first, up
+        # to two, and a dealt group's kernel sees one worker.  Blocks of
+        # 2^12 entries give the lone groups 5 (M = 8, n = 50), 1 and 2 full
+        # blocks of the ring, so they start 2, 0 and 1 kernel helpers.
+        started, calls = self._recorded_helpers(monkeypatch)
+        monkeypatch.setattr(experiments, "_GROUP_POINTS", 2400)
+        monkeypatch.setattr(aggregation, "_BLOCK_ELEMENTS", 2**12)
         run_rate_study(self._config())
-        assert started == []
-        run_oracle_experiment(quick_config(n_values=(5,), replications=2))
-        assert len(started) == 2
-        for thread in started:
-            thread.join(timeout=10)
-            assert not thread.is_alive()
+        assert sorted(calls, key=repr) == sorted(
+            [(50, 48, 3, 2), (50, 24, 3, 0), (100, 24, 3, 1)]
+            + [(100, 24, 1, None)] * 2 + [(200, 12, 1, None)] * 6, key=repr)
+        assert len(started) == (1 + 2 + 1) + (2 + 0 + 1)
+        assert not any(thread.is_alive() for thread in started)
 
-    def test_no_pool_thread_outlives_the_study(self, monkeypatch):
-        real, threads = experiments._replication_risks, set()
+    def test_no_kernel_helper_outlives_a_failing_study(self, monkeypatch):
+        started, calls = self._recorded_helpers(monkeypatch)
+        monkeypatch.setattr(aggregation, "_BLOCK_ELEMENTS", 2**10)
+        real = aggregation._normalize_log_rows
 
-        def recording(*args):
-            threads.add(threading.current_thread())
-            return real(*args)
+        def failing(log_w, first_row=0):
+            current = threading.current_thread()
+            if current in started:
+                raise RuntimeError(f"helper {started.index(current) + 1} fails")
+            return real(log_w, first_row)
 
-        monkeypatch.setattr(experiments, "_workers", lambda: 3)
-        monkeypatch.setattr(experiments, "_replication_risks", recording)
-        run_rate_study(self._config())
-        assert threads and threading.main_thread() not in threads
-        assert not any(t.is_alive() for t in threads)
-        ran = self._failing_on_truths_2_and_5(monkeypatch)
-        with pytest.raises(ValidationError, match="^truth 2 fails$"):
+        monkeypatch.setattr(aggregation, "_normalize_log_rows", failing)
+        # the first cell is one group, whose kernel walks on a ring of three
+        # workers; both helpers fail, and the error raised is the first
+        # failing block's, helper 1's
+        with pytest.raises(RuntimeError, match="^helper 1 fails$"):
             run_rate_study(self._config())
-        assert not any(t.is_alive() for t, _ in ran)
+        assert calls == [(50, 48, 3, 2)]
+        assert not any(thread.is_alive() for thread in started)
+
+    def test_no_engine_helper_outlives_a_failing_study(self, monkeypatch):
+        # groups of one replication, dealt to three workers; the helpers'
+        # groups fail, and the error raised is the first failing group's
+        started, calls = self._recorded_helpers(monkeypatch)
+        monkeypatch.setattr(experiments, "_GROUP_POINTS", 50)
+        rows = experiments._aggregate_rows
+
+        def failing(candidates, cells):
+            current = threading.current_thread()
+            if current in started:
+                raise RuntimeError(f"group of helper {started.index(current) + 1} fails")
+            return rows(candidates, cells)
+
+        monkeypatch.setattr(experiments, "_aggregate_rows", failing)
+        with pytest.raises(RuntimeError, match="^group of helper [12] fails$"):
+            run_rate_study(self._config())
+        assert len(started) == 2
+        assert not any(thread.is_alive() for thread in started)
 
 
 class TestLowerboundAuditRunner:
