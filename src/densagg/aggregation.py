@@ -26,6 +26,7 @@ from .densities import (
     ValidationError,
     _arrays_equal,
     _arrays_hash,
+    _cell_dtype,
     _cell_indices,
     _check_breakpoints,
     _check_density_rows,
@@ -161,7 +162,10 @@ class WeightTrajectory:
     over all ``n + 1`` rows, i.e. the mixing vector the aggregate uses.
 
     Built by :func:`progressive_weights`, which stores only ``averaged``
-    and the sample's cell indices.  The (n+1)×M ``weights`` matrix is
+    and the sample's shared-grid cell indices.  :func:`progressive_weights`
+    stores ``cells`` in the narrowest unsigned dtype that holds the grid's
+    cells (``uint8`` up to 256 cells), so never subtract from them; any
+    integer dtype is accepted.  The (n+1)×M ``weights`` matrix is
     computed on first access, by the same block kernel at one worker;
     :meth:`to_csv` streams its blocks without keeping the matrix.  The
     kernel's gather does not check its indices, so ``cells`` are checked
@@ -275,8 +279,8 @@ def _cumulative_log_likelihoods(log_table: np.ndarray, idx: np.ndarray, out: np.
     if chains.shape[1] % 2 == 0:
         chains = chains.view(np.complex128)
     if chains.shape[1] >= _ROW_LOOP_WIDTH:
-        for i in range(1, chains.shape[0]):
-            np.add(chains[i - 1], chains[i], out=chains[i])
+        for prev, row in zip(chains, chains[1:]):
+            np.add(prev, row, out=row)
     else:
         np.cumsum(chains, axis=0, out=chains)
     return terms
@@ -435,8 +439,10 @@ def _averaged_weights(candidates: CandidateSet, cells: np.ndarray,
 
 
 def _sample_cells(candidates: CandidateSet, x) -> np.ndarray:
-    """Shared-grid cells of a one-dimensional sample."""
-    cells = candidates.cell_indices(x)
+    """Shared-grid cells of a one-dimensional sample, in the grid's
+    :func:`_cell_dtype`: one byte per point on grids of up to 256 cells."""
+    cells = _cell_indices(candidates.grid, x, "sample points",
+                          _cell_dtype(candidates.values.shape[1]))
     if cells.ndim != 1:
         raise ValidationError(f"the sample must be one-dimensional, got shape {cells.shape}")
     return cells

@@ -186,8 +186,9 @@ def _check_density_rows(values: np.ndarray, lens: np.ndarray, label: str | None 
             raise ValidationError(msg if label is None else f"{label} {j}: {msg}")
 
 
-def _cell_indices(breakpoints: np.ndarray, x, what: str) -> np.ndarray:
-    """Cell of each point on the grid ``breakpoints``; ``x = 1`` is in the last cell.
+def _cell_indices(breakpoints: np.ndarray, x, what: str, dtype=np.intp) -> np.ndarray:
+    """Cell of each point on the grid ``breakpoints``, as ``dtype``; ``x = 1``
+    is in the last cell.
 
     Rejects any point that is not a finite number in ``[0, 1]``: ``min`` and
     ``max`` propagate NaN, and NaN fails both comparisons.
@@ -195,25 +196,37 @@ def _cell_indices(breakpoints: np.ndarray, x, what: str) -> np.ndarray:
     pts = np.asarray(x, dtype=float)
     if pts.size and not (pts.min() >= 0.0 and pts.max() <= 1.0):
         raise ValidationError(f"{what} must be finite and lie in [0, 1]")
-    return _cell_lookup(breakpoints, pts)
+    return _cell_lookup(breakpoints, pts, dtype)
 
 
-def _cell_lookup(edges: np.ndarray, x) -> np.ndarray:
+def _cell_dtype(cells: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds every cell index of a grid of
+    ``cells`` cells: ``uint8`` up to 256 cells, ``uint16`` up to 65,536, then
+    ``uint32`` up to 2^32.  Its indices are unsigned, so never subtract from
+    them."""
+    return np.min_scalar_type(cells - 1)
+
+
+def _cell_lookup(edges: np.ndarray, x, dtype=np.intp) -> np.ndarray:
     """Cell of each point on the nondecreasing ``edges``: for finite points,
     equal to ``np.searchsorted(edges[:-1], x, side="right") - 1``, so points
     at or past the last edge are in the last cell.
 
     Found in the guide table of :func:`_guide_table` when there is one,
-    else by ``np.searchsorted``; points run in chunks of ``_SAMPLE_CHUNK``.
+    else by ``np.searchsorted``; points run in chunks of ``_SAMPLE_CHUNK``,
+    each counted in an ``intp`` buffer and written out as ``dtype``.  An
+    unsigned ``dtype`` (see :func:`_cell_dtype`) holds the cells of points at
+    or above the first edge only.
     """
     left = edges[:-1]
     pts = np.asarray(x, dtype=float)
-    out = np.empty(pts.shape, dtype=np.intp)
+    out = np.empty(pts.shape, dtype=dtype)
     table = _guide_table(left)
     next_left = np.append(left, np.nan)  # no step past the last edge
     flat = out.reshape(-1)
+    buffer = np.empty(min(flat.size, _SAMPLE_CHUNK), dtype=np.intp)
     for i, v in _chunks(pts.reshape(-1)):
-        count = flat[i:i + v.size]
+        count = buffer[:v.size]
         if table is None:
             count[...] = np.searchsorted(left, v, side="right")
         else:
@@ -226,7 +239,8 @@ def _cell_lookup(edges: np.ndarray, x) -> np.ndarray:
             np.take(start, bucket.astype(np.intp), out=count, mode="clip")
             for _ in range(steps):
                 count += next_left[count] <= v
-        count -= 1
+        count -= 1  # in intp: points below the first edge count -1
+        flat[i:i + v.size] = count
     return out[()]  # a scalar for a scalar point, as from np.searchsorted
 
 
@@ -400,12 +414,13 @@ def _sample_rows(density: PiecewiseDensity, n: int, seeds) -> np.ndarray:
         np.random.default_rng(seed).random(n, out=row)
     masses = density.values * density.cell_lengths
     cdf = np.concatenate(([0.0], np.cumsum(masses)))
+    # The lookup can only land on a zero-mass cell in the float corner
+    # v >= cdf[-1]; there v - cdf[idx] >= 0, and dividing it by inf puts the
+    # point at the cell's left edge.
+    divisors = np.where(masses > 0, masses, np.inf)
     for _, v in _chunks(u.reshape(-1)):
         idx = _cell_lookup(cdf, v)
-        # The lookup can only land on a zero-mass cell in the float corner
-        # v >= cdf[-1]; guard the division anyway.
-        m = masses[idx]
-        frac = np.where(m > 0, (v - cdf[idx]) / np.where(m > 0, m, 1.0), 0.0)
+        frac = (v - cdf[idx]) / divisors[idx]
         x = density.breakpoints[idx] + frac * density.cell_lengths[idx]
         np.clip(x, 0.0, 1.0, out=v)
     return u

@@ -40,6 +40,7 @@ from .aggregation import (  # noqa: F401
 from .densities import (
     PiecewiseDensity,
     ValidationError,
+    _cell_dtype,
     _cell_lookup,
     _density_from_obj,
     _hellinger_rows,
@@ -399,47 +400,54 @@ def _replication_risks(candidates: CandidateSet, pairs, n: int, estimator,
     replications: one array per ``(truth, seeds)`` pair of ``pairs``.
 
     Replication ``r`` of a pair estimates from ``sample(truth, n, seeds[r])``,
-    mapped once to the candidates' shared-grid cells.  ``estimator(candidates,
-    cells)`` maps a batch of such cells (R, n) to the estimates' cell values
-    on the candidates' grid (R, cells).  The pairs' replications are taken in
-    order, in groups of at most ``_GROUP_POINTS`` sample points that may span
-    pairs, each drawn, estimated in one estimator call and scored by one of
-    the workers the groups are dealt to (``aggregation._deal``).  When a
-    group fails, the error names the first of its replications that fails
-    alone: the one a loop over the replications would have stopped at.
+    mapped once to the candidates' shared-grid cells, held in the grid's
+    ``densities._cell_dtype``.  ``estimator(candidates, cells)`` maps a batch
+    of such cells (R, n) to the estimates' cell values on the candidates'
+    grid (R, cells).  The pairs' replications are taken in order, in groups
+    of at most ``_GROUP_POINTS`` sample points that may span pairs, each
+    drawn, estimated in one estimator call and scored by one of the workers
+    the groups are dealt to (``aggregation._deal``).  When a group fails,
+    the error names the first of its replications that fails alone: the one
+    a loop over the replications would have stopped at, as ``truth {t},
+    replication {r}`` for replication ``r`` of pair ``t`` when there are
+    several pairs (the rate study's pairs are its truths, in order), else as
+    ``replication {r}``.
     """
     sizes = [len(seeds) for _, seeds in pairs]
     ends = np.cumsum(sizes).tolist()
     risks = np.empty(ends[-1])
     group = max(1, _GROUP_POINTS // n)
+    dtype = _cell_dtype(candidates.values.shape[1])
 
     def run_group(g):
         start, stop = g * group, min(g * group + group, ends[-1])
-        # (truth, seeds, draw index of seeds[0], draws lo..hi - 1) of each
-        # pair with draws in the group, the draws numbered across the pairs
-        runs = [(*pair, end - size, max(start, end - size), min(stop, end))
-                for pair, size, end in zip(pairs, sizes, ends)
+        # (pair index, truth, seeds, draw index of seeds[0], draws lo..hi - 1)
+        # of each pair with draws in the group, the draws numbered across the pairs
+        runs = [(t, *pair, end - size, max(start, end - size), min(stop, end))
+                for t, (pair, size, end) in enumerate(zip(pairs, sizes, ends))
                 if end - size < stop and start < end]
         cells = None
-        for truth, seeds, begin, lo, hi in runs:
+        for _, truth, seeds, begin, lo, hi in runs:
             drawn = _cell_lookup(candidates.grid,
-                                 _sample_rows(truth, n, seeds[lo - begin:hi - begin]))
+                                 _sample_rows(truth, n, seeds[lo - begin:hi - begin]), dtype)
             if cells is None:  # after the first draw, which rejects samples too large to hold
-                cells = np.empty((stop - start, n), dtype=np.intp)
+                cells = np.empty((stop - start, n), dtype=dtype)
             cells[lo - start:hi - start] = drawn
         try:
             values = estimator(candidates, cells)
         except ValidationError:
             # Each row's arithmetic is the same alone as in the batch, so
             # some row fails alone too.
-            for truth, seeds, begin, lo, hi in runs:
+            for t, truth, seeds, begin, lo, hi in runs:
                 for i in range(lo - start, hi - start):
                     try:
                         estimator(candidates, cells[i:i + 1])
                     except ValidationError as exc:
-                        raise ValidationError(f"replication {start + i - begin}: {exc}") from None
+                        which = f"truth {t}, " if len(pairs) > 1 else ""
+                        raise ValidationError(
+                            f"{which}replication {start + i - begin}: {exc}") from None
             raise
-        for truth, seeds, begin, lo, hi in runs:
+        for _, truth, seeds, begin, lo, hi in runs:
             risks[lo:hi] = _LOSS_ROWS[loss](truth, candidates.grid, values[lo - start:hi - start])
 
     _deal(-(-ends[-1] // group), run_group)

@@ -35,8 +35,14 @@ from densagg import (
     save_sample,
     validate_class,
 )
-from densagg.aggregation import CandidateSet
-from densagg.densities import _SAMPLE_CHUNK, _cell_lookup, _guide_table, _union_grid
+from densagg.aggregation import CandidateSet, _sample_cells, progressive_weights
+from densagg.densities import (
+    _SAMPLE_CHUNK,
+    _cell_dtype,
+    _cell_lookup,
+    _guide_table,
+    _union_grid,
+)
 from densagg.experiments import _perturbation_candidates
 
 # Oracle values, fixed by adaptive quadrature of the integrands
@@ -348,6 +354,11 @@ def test_cell_lookup_matches_the_searches_it_replaced(case):
     # grid, so they lie below the last edge
     below = x < edges[-1]
     assert np.array_equal(got[below], np.searchsorted(edges, x[below], side="right") - 1)
+    # the compact lookup, for the points at or above the first edge
+    dtype = _cell_dtype(edges.size - 1)
+    inside = x >= edges[0]
+    compact = _cell_lookup(edges, x[inside], dtype)
+    assert compact.dtype == dtype and np.array_equal(compact, got[inside])
 
 
 class TestGuideTable:
@@ -368,6 +379,9 @@ class TestGuideTable:
         rows = x[:3 * (x.size // 3)].reshape(3, -1)
         got = _cell_lookup(edges, rows)
         assert got.shape == rows.shape and np.array_equal(got, _searched(edges, rows))
+        rows = np.abs(rows)
+        got = _cell_lookup(edges, rows, np.uint8)
+        assert got.dtype == np.uint8 and np.array_equal(got, _searched(edges, rows))
 
     @pytest.mark.parametrize("repeat", [False, True])
     @pytest.mark.parametrize("size", [2, 16, 17, 100])
@@ -412,6 +426,31 @@ class TestGuideTable:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 10**6 + 6 * 2**20  # the output and a few chunks
+
+
+class TestCellDtype:
+    @pytest.mark.parametrize("cells, dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16),
+                                              (65_536, np.uint16), (65_537, np.uint32)])
+    def test_grids_at_each_width_map_back_every_cell(self, cells, dtype):
+        assert _cell_dtype(cells) == dtype
+        grid = np.linspace(0.0, 1.0, cells + 1)
+        x = np.concatenate((grid, np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf),
+                            (grid[:-1] + grid[1:]) / 2, [1.0]))
+        x = x[(x >= 0.0) & (x <= 1.0)]
+        got = _cell_lookup(grid, x, dtype)
+        assert got.dtype == dtype and np.array_equal(got, _searched(grid, x))
+        assert np.array_equal(_cell_lookup(grid, grid[:-1], dtype), np.arange(cells))
+        assert _cell_lookup(grid, 1.0, dtype) == cells - 1
+        # a sample's cells take the compact dtype; the public lookups stay intp
+        cset = CandidateSet(grid, np.ones((1, cells)))
+        assert _sample_cells(cset, x).dtype == dtype
+        assert progressive_weights(cset, x[:100]).cells.dtype == dtype
+        for public in (cset.cell_indices(x), PiecewiseFunction(grid, np.ones(cells)).cell_index(x)):
+            assert public.dtype == np.intp and np.array_equal(public, got)
+
+    def test_the_widest_grids_take_uint32_then_uint64(self):
+        assert _cell_dtype(2**32) == np.uint32
+        assert _cell_dtype(2**32 + 1) == np.uint64
 
 
 class TestSampling:

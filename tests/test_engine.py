@@ -37,6 +37,7 @@ from densagg import (
     RiskReport,
     RiskRow,
     ValidationError,
+    WeightTrajectory,
     aggregate,
     hellinger_distance,
     kl_divergence,
@@ -984,6 +985,31 @@ class TestSampleRows:
             n = 2 * 2**16 + 5
             assert np.array_equal(sample(d, n, seed=seed), _old_sample(d, n, seed))
 
+    @pytest.mark.parametrize("values", [
+        [0.513, 0.0, 4.486999999999999, 0.0, 0.0],  # trailing zero-mass cells
+        [1.015, 0.0, 1.5, 0.0, 1.2424999999999997],  # a positive last cell
+    ])
+    def test_zero_mass_cells_take_the_old_guarded_division(self, monkeypatch, values):
+        # Both cumulative masses end just below 1, so variates at and past
+        # cdf[-1] reach the corner where the lookup's cell can have zero mass.
+        d = PiecewiseDensity([0.0, 0.2, 0.3, 0.5, 0.6, 1.0], values)
+        cdf = np.concatenate(([0.0], np.cumsum(d.values * d.cell_lengths)))
+        assert cdf[-1] < 1.0
+        u = np.concatenate((cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0),
+                            np.linspace(cdf[-1], np.nextafter(1.0, 0.0), 5),
+                            np.random.default_rng(0).random(50)))
+        u = u[u < 1.0]
+
+        class Variates:
+            def random(self, n, out=None):
+                if out is None:
+                    return u[:n].copy()
+                out[...] = u[:n]
+                return out
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Variates())
+        assert np.array_equal(sample(d, u.size, seed=0), _old_sample(d, u.size, 0))
+
     @pytest.mark.parametrize("n", [0, 1, 7, 2**16 + 3])
     def test_rows_are_stacked_samples(self, n):
         d = PiecewiseDensity([0.0, 0.2, 0.7, 1.0], [2.0, 0.0, 1.0 / 0.3 - 4.0 / 3.0])
@@ -1217,8 +1243,8 @@ class TestEngineOnSeveralPairs:
         # As in the one-pair test above: seeds[2] dies on its 18th point and
         # seeds[3] on its 3rd; seeds 0 and 1 live.  One group of four rows
         # spans two pairs, so the batch fails at seeds[3]'s third point, and
-        # the error names whichever comes first in draw order, with its own
-        # index in its pair.
+        # the error names whichever comes first in draw order, by its pair
+        # and its own index in that pair.
         monkeypatch.setattr(ex, "_GROUP_POINTS", 80)
         left = PiecewiseDensity([0.0, 0.5, 1.0], [2.0, 0.0])
         cset = CandidateSet.from_densities(
@@ -1230,11 +1256,59 @@ class TestEngineOnSeveralPairs:
             return str(pytest.raises(
                 ValidationError, aggregate, cset, sample(truth, 20, seed=seed)).value)
 
+        # the last two orders both fail at a replication 0, of different truths
         for pairs, expected in (
-            ([(truth, seeds[:3]), (truth, seeds[3:])], f"replication 2: {message(seeds[2])}"),
-            ([(truth, seeds[3:]), (truth, seeds[:3])], f"replication 0: {message(seeds[3])}"),
-            ([(truth, seeds[:2]), (truth, seeds[2:])], f"replication 0: {message(seeds[2])}"),
+            ([(truth, seeds[:3]), (truth, seeds[3:])],
+             f"truth 0, replication 2: {message(seeds[2])}"),
+            ([(truth, seeds[3:]), (truth, seeds[:3])],
+             f"truth 0, replication 0: {message(seeds[3])}"),
+            ([(truth, seeds[:2]), (truth, seeds[2:])],
+             f"truth 1, replication 0: {message(seeds[2])}"),
         ):
             with pytest.raises(ValidationError) as info:
                 _replication_risks(cset, pairs, 20, _aggregate_rows, "KL")
             assert str(info.value) == expected
+
+
+class TestCompactCells:
+    """Cells held in the grid's narrowest unsigned dtype, as sampling stores
+    them, against the same cells as ``intp``: every result bit for bit."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("width, dtype", [(96, np.uint8), (300, np.uint16)])
+    def test_weights_risks_and_selections_do_not_depend_on_the_index_dtype(
+            self, monkeypatch, tmp_path, workers, width, dtype):
+        import densagg.experiments as ex
+
+        monkeypatch.setattr(aggregation, "_workers", lambda: workers)
+        monkeypatch.setattr(aggregation, "_BLOCK_ELEMENTS", 2**12)
+        rng = np.random.default_rng(width)
+        cset = _family(rng.uniform(0.2, 3.0, size=(64, width)))
+        traj = progressive_weights(cset, rng.random(3000))
+        wide = WeightTrajectory(cset, traj.cells.astype(np.intp), traj.averaged)
+        assert traj.cells.dtype == dtype
+        assert np.array_equal(traj.averaged, _averaged_weights(cset, wide.cells[None])[0])
+        assert np.array_equal(traj.weights, wide.weights)
+        traj.to_csv(tmp_path / "compact.csv")
+        wide.to_csv(tmp_path / "wide.csv")
+        assert (tmp_path / "compact.csv").read_bytes() == (tmp_path / "wide.csv").read_bytes()
+        rows = traj.cells.reshape(10, 300)
+        assert np.array_equal(_select_cells(cset, rows), _select_cells(cset, rows.astype(np.intp)))
+        # 24 replications in groups of 20 rows (the row loop) and 4 (the
+        # float cumulative sum), the first spanning the three truths
+        monkeypatch.setattr(ex, "_GROUP_POINTS", 20 * 200)
+        pairs = [(cset.candidate(t), [(4, t, r) for r in range(8)]) for t in range(3)]
+        for estimator, loss in ((_aggregate_rows, "KL"), (ex._selector_estimator(cset), "L1")):
+            seen = []
+
+            def compact(candidates, cells, estimator=estimator):
+                seen.append(cells.dtype)
+                return estimator(candidates, cells)
+
+            def intp(candidates, cells, estimator=estimator):
+                return estimator(candidates, cells.astype(np.intp))
+
+            got = _replication_risks(cset, pairs, 200, compact, loss)
+            expected = _replication_risks(cset, pairs, 200, intp, loss)
+            assert seen == [dtype, dtype]
+            assert [r.tolist() for r in got] == [r.tolist() for r in expected]

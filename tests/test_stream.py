@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import densagg.aggregation as aggregation
 from densagg import (
     CandidateSet,
     PiecewiseDensity,
@@ -172,3 +173,20 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20 < full_matrix / 6
+
+    def test_progressive_weights_holds_one_byte_per_point(self, monkeypatch):
+        # 96 cells take uint8 cells; with intp cells the lookup alone held
+        # 8 bytes per point (about 9.8 MiB here at two workers)
+        monkeypatch.setattr(aggregation, "_workers", lambda: 2)
+        rng = np.random.default_rng(12)
+        cset = _family(rng.uniform(0.2, 3.0, size=(64, 96)))
+        n = 10**6
+        x = rng.random(n)
+        tracemalloc.start()
+        try:
+            traj = progressive_weights(cset, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert traj.cells.nbytes == n
+        assert peak < n + 3 * 2**20
