@@ -394,8 +394,9 @@ def l1_distance(f: PiecewiseFunction, g: PiecewiseFunction) -> float:
 # Sampling
 # ---------------------------------------------------------------------------
 
-#: Points per chunk of the CDF inversion; bounds its temporaries at ~4 MiB.
-_SAMPLE_CHUNK = 2**16
+#: Points per chunk of the CDF inversion and of the cell lookup: each of
+#: their temporaries is 128 KiB, about 1 MiB in all.
+_SAMPLE_CHUNK = 2**14
 
 
 def _sample_rows(density: PiecewiseDensity, n: int, seeds) -> np.ndarray:
@@ -437,7 +438,7 @@ def sample(density: PiecewiseDensity, n: int, seed) -> np.ndarray:
     ``seed`` is anything :func:`numpy.random.default_rng` accepts (ints and
     tuples of ints included).  The inversion runs in chunks of
     ``_SAMPLE_CHUNK`` points written over the variates, so memory is the
-    output plus a few MiB of temporaries.
+    output plus about 1 MiB of temporaries.
     """
     return _sample_rows(density, n, [seed])[0]
 

@@ -30,6 +30,7 @@ import numpy as np
 # ``aggregate`` is not called here, but perfbench's tracer test looks it up
 # by this name; the harnesses reach the same code through ``_aggregate_rows``.
 from .aggregation import (  # noqa: F401
+    _BLOCK_ELEMENTS,
     CandidateSet,
     _aggregate_rows,
     _deal,
@@ -404,19 +405,21 @@ def _replication_risks(candidates: CandidateSet, pairs, n: int, estimator,
     ``densities._cell_dtype``.  ``estimator(candidates, cells)`` maps a batch
     of such cells (R, n) to the estimates' cell values on the candidates'
     grid (R, cells).  The pairs' replications are taken in order, in groups
-    of at most ``_GROUP_POINTS`` sample points that may span pairs, each
-    drawn, estimated in one estimator call and scored by one of the workers
-    the groups are dealt to (``aggregation._deal``).  When a group fails,
-    the error names the first of its replications that fails alone: the one
-    a loop over the replications would have stopped at, as ``truth {t},
-    replication {r}`` for replication ``r`` of pair ``t`` when there are
-    several pairs (the rate study's pairs are its truths, in order), else as
-    ``replication {r}``.
+    that may span pairs, of at most ``_GROUP_POINTS`` sample points and at
+    most ``_BLOCK_ELEMENTS // (8·M)`` replications, so that every kernel
+    block of a group holds at least 8 rows.  Each group is drawn, estimated
+    in one estimator call and scored by one of the workers the groups are
+    dealt to (``aggregation._deal``).  When a group fails, the error names
+    the first of its replications that fails alone: the one a loop over the
+    replications would have stopped at, as ``truth {t}, replication {r}``
+    for replication ``r`` of pair ``t`` when there are several pairs (the
+    rate study's pairs are its truths, in order), else as ``replication
+    {r}``.
     """
     sizes = [len(seeds) for _, seeds in pairs]
     ends = np.cumsum(sizes).tolist()
     risks = np.empty(ends[-1])
-    group = max(1, _GROUP_POINTS // n)
+    group = max(1, min(_GROUP_POINTS // n, _BLOCK_ELEMENTS // (8 * candidates.size)))
     dtype = _cell_dtype(candidates.values.shape[1])
 
     def run_group(g):

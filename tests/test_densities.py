@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+import densagg.densities as densities
 from densagg import (
     MASS_TOL,
     FunctionClass,
@@ -382,6 +383,19 @@ class TestGuideTable:
         rows = np.abs(rows)
         got = _cell_lookup(edges, rows, np.uint8)
         assert got.dtype == np.uint8 and np.array_equal(got, _searched(edges, rows))
+
+    @pytest.mark.parametrize("chunk", [2**16, 2**14, 1000])
+    def test_cells_do_not_depend_on_the_chunk_size(self, monkeypatch, chunk):
+        rng = np.random.default_rng(9)
+        grid = CandidateSet.from_densities(_perturbation_candidates(64, 1000, 2.0)).grid
+        clustered = np.concatenate(([0.0], 0.5 + np.arange(1, 40) / 2**20, [1.0]))
+        assert _guide_table(grid[:-1]) is not None and _guide_table(clustered[:-1]) is None
+        cases = [(edges, rng.random(c + e), dtype) for c in (1000, 2**14, 2**16) for e in (-1, 0, 1)
+                 for edges in (grid, clustered) for dtype in (np.intp, np.uint8)]
+        expected = [_cell_lookup(*case) for case in cases]
+        monkeypatch.setattr(densities, "_SAMPLE_CHUNK", chunk)
+        assert all(np.array_equal(_cell_lookup(*case), cells)
+                   for case, cells in zip(cases, expected))
 
     @pytest.mark.parametrize("repeat", [False, True])
     @pytest.mark.parametrize("size", [2, 16, 17, 100])

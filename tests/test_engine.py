@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import densagg.aggregation as aggregation
+import densagg.densities as densities
 from densagg import (
     CandidateSet,
     ExperimentConfig,
@@ -1029,6 +1030,31 @@ class TestSampleRows:
             tracemalloc.stop()
         assert peak < 16 * 2**20  # the output alone is 7.6 MiB
 
+    def test_a_group_draw_holds_its_output_and_one_chunk(self):
+        # a rate-study group's draw at M = 64: 40 rows of 1600 points,
+        # 0.49 MiB, inverted in chunks of 2^14 points (128 KiB temporaries)
+        d = _perturbation_candidates(64, 1600, 2.0)[3]
+        seeds = [(1, 64, 1600, 3, r) for r in range(40)]
+        _sample_rows(d, 1600, seeds)
+        tracemalloc.start()
+        try:
+            rows = _sample_rows(d, 1600, seeds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < rows.nbytes + 2**20
+
+    @pytest.mark.parametrize("chunk", [2**16, 2**14, 1000])
+    def test_samples_do_not_depend_on_the_chunk_size(self, monkeypatch, chunk):
+        d = _perturbation_candidates(64, 1000, 2.0)[5]
+        sizes = [c + e for c in (1000, 2**14, 2**16) for e in (-1, 0, 1)]
+        seeds = [(6, r) for r in range(3)]
+        expected = ([sample(d, n, seed=n) for n in sizes]
+                    + [_sample_rows(d, n // 3, seeds) for n in sizes])
+        monkeypatch.setattr(densities, "_SAMPLE_CHUNK", chunk)
+        got = [sample(d, n, seed=n) for n in sizes] + [_sample_rows(d, n // 3, seeds) for n in sizes]
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
 
 # ---------------------------------------------------------------------------
 # Losses
@@ -1312,3 +1338,53 @@ class TestCompactCells:
             expected = _replication_risks(cset, pairs, 200, intp, loss)
             assert seen == [dtype, dtype]
             assert [r.tolist() for r in got] == [r.tolist() for r in expected]
+
+
+class TestGroupLayout:
+    """Groups of replications whose (R, M) weight rows fill at most an eighth
+    of a kernel block, against other layouts of the same replications."""
+
+    def test_a_rate_study_cell_at_m_64_holds_a_few_blocks(self, monkeypatch):
+        # the (M, n) = (64, 100) cell of the criterion-7 study: 64 truths of
+        # 40 replications, in 10 groups of 256 walked in blocks of 8 rows
+        import densagg.experiments as ex
+
+        monkeypatch.setattr(aggregation, "_workers", lambda: 1)
+        cset = ex._perturbation_set(64, 100, 2.0)
+        pairs = [(cset.candidate(t), [(1, 64, 100, t, r) for r in range(40)])
+                 for t in range(cset.size)]
+        _replication_risks(cset, pairs[:1], 100, _aggregate_rows, "KL")
+        tracemalloc.start()
+        try:
+            _replication_risks(cset, pairs, 100, _aggregate_rows, "KL")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("estimator", ["mixture", "selector"])
+    def test_risks_do_not_depend_on_the_layout(self, monkeypatch, workers, estimator):
+        import densagg.experiments as ex
+
+        monkeypatch.setattr(aggregation, "_workers", lambda: workers)
+        cset = ex._perturbation_set(64, 100, 2.0)
+        run = _aggregate_rows if estimator == "mixture" else ex._selector_estimator(cset)
+        loss = "KL" if estimator == "mixture" else "L1"
+        pairs = [(cset.candidate(t), [(2, t, r) for r in range(50)]) for t in range(6)]
+        rows = []
+
+        def recorded(candidates, cells):
+            rows.append(cells.shape[0])
+            return run(candidates, cells)
+
+        def risks():
+            rows.clear()
+            return [r.tolist() for r in _replication_risks(cset, pairs, 100, recorded, loss)]
+
+        capped = risks()
+        assert sorted(rows) == [44, 256]  # 2^17 // 8 entries hold 256 rows of 64
+        monkeypatch.setattr(ex, "_BLOCK_ELEMENTS", 2**30)  # uncapped: one group
+        assert risks() == capped and rows == [300]
+        monkeypatch.setattr(ex, "_GROUP_POINTS", 100)  # one group per replication
+        assert risks() == capped and rows == [1] * 300
