@@ -302,50 +302,39 @@ def _workers() -> int:
         return os.cpu_count() or 1
 
 
-def _run_workers(work, workers: int, release=lambda: None) -> None:
-    """``work(w)`` for each worker ``w < workers``: worker 0 on the calling
-    thread, each other on a helper thread started here.  Returns, or raises
-    what stopped the calling thread (a helper failing to start), after
-    every started helper has ended; ``release()`` runs before such a raise.
-    """
-    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
-    try:
-        for thread in threads:
-            thread.start()
-        work(0)
-    except BaseException:
-        release()
-        raise
-    finally:
-        for thread in threads:
-            if thread.ident is not None:
-                thread.join()
-
-
-def _deal(count: int, run) -> None:
-    """``run(i)`` for each task ``i < count``, dealt in order to ``_workers()``
-    workers, each taking the next task when done with its last.  Once a
-    task fails the workers take no more; the error raised is the least
-    failing ``i``'s, as in a loop.  A lone task runs on the calling thread
-    with every worker.
+def _deal(count: int, run, workers: int | None = None) -> None:
+    """``run(i)`` for each task ``i < count``, dealt in order to ``workers``
+    workers (by default ``_workers()``, never more than tasks), each taking
+    the next task when done with its last: the calling thread, and a helper
+    thread started here for each other.  Once a task fails the workers take
+    no more; the error raised is the least failing ``i``'s, as in a loop, or
+    what stopped a helper from starting, once every started helper has
+    ended.  A lone task runs on the calling thread with every worker.
     """
     tasks, errors = iter(range(count)), {}
-    workers = max(1, min(_workers(), count))
+    workers = max(1, min(_workers() if workers is None else workers, count))
 
-    def work(w):
+    def work():
         busy = getattr(_dealt, "busy", False)
         _dealt.busy = busy or workers > 1
         try:
-            for i in tasks:  # shared by the workers: each task is taken once
-                if errors:
-                    return
+            # checked before a task is taken, so every task taken is run
+            while not errors and (i := next(tasks, None)) is not None:
                 run(i)
         except BaseException as exc:  # raised again by the calling thread
             errors[i] = exc
         finally:
             _dealt.busy = busy
 
-    _run_workers(work, workers)
+    threads = [threading.Thread(target=work) for _ in range(1, workers)]
+    try:
+        for thread in threads:
+            thread.start()
+        work()
+    finally:
+        for thread in threads:
+            if thread.ident is not None:
+                thread.join()
     if errors:
         raise errors[min(errors)]
 
@@ -359,83 +348,72 @@ def _averaged_weights(candidates: CandidateSet, cells: np.ndarray,
     """Column means of the weight rows, (R, M), for cell indices ``cells`` (R, n).
 
     The rows are walked in blocks laid out (rows, R, M), of
-    ``_BLOCK_ELEMENTS // (R·M)`` rows each, dealt round-robin to ``workers``
-    workers (by default ``_workers()``, at most one per full block, so a
-    call of fewer than two full blocks starts no helper); the calling thread
-    is worker 0.  Each worker gathers its block, waits in its inbox for the
-    two (R, M) carries of the block before it and posts its own to the next
-    block's worker: the cumulative log-likelihood, added into the block's
-    first row before its cumulative sum, and the running sum of weight rows,
-    added into its first normalised row before the column sum.  Every
-    column thus gets the additions of one cumulative sum and one column sum
-    down the whole trajectory, in order, so the result is bit-identical to
-    the full-matrix computation at any worker count, in O(block) memory per
-    worker.
+    ``_BLOCK_ELEMENTS // (R·M)`` rows each, dealt by :func:`_deal` to
+    ``workers`` workers (by default ``_workers()``, at most one per full
+    block, so a call of fewer than two full blocks starts no helper), each
+    with one block buffer for all its blocks.  Block ``b`` gathers its
+    cells, takes the two (R, M) carries of the block before it from
+    ``carries[b]`` and posts its own to ``carries[b + 1]``: the cumulative
+    log-likelihood, added into the block's first row before its cumulative
+    sum, and the running sum of weight rows, added into its first normalised
+    row before the column sum.  Every column thus gets the additions of one
+    cumulative sum and one column sum down the whole trajectory, in order,
+    so the result is bit-identical to the full-matrix computation at any
+    worker count, in O(block) memory per worker.
 
     ``visit(k, rows)`` sees the prior row (``k = 0``) and then each
     normalised block, ``rows[0]`` being row ``k``, before the running sum is
     added into it; at one worker the calls come in block order on the
     calling thread.  A block is a view of its worker's buffer, which the
-    next block overwrites.
+    worker's next block overwrites.
 
-    A worker that fails or is abandoned posts ``None`` in place of its
-    block's missing carry, which abandons the next block, and so on down the
-    line; blocks before the earliest failure never wait on it and run to
-    the end.  The error raised is therefore the earliest failing block's,
-    as in a serial walk, and no helper thread outlives the call.
+    A block that fails or is abandoned posts ``None`` in place of its
+    missing carry, which abandons the next block, and so on down the line.
+    Blocks are taken in order, so each waits only on earlier blocks that a
+    worker holds, and blocks before the earliest failure run to the end:
+    the error raised is the earliest failing block's, as in a serial walk.
     """
     shape = (cells.shape[0], candidates.size)
     step = max(1, _BLOCK_ELEMENTS // (shape[0] * shape[1]))
     blocks = -(-cells.shape[1] // step)
-    # A helper costs a thread start, a few hundred microseconds on a 2-CPU
-    # Xeon: a call whose second block is a short tail ran slower with one.
-    workers = max(1, min(_workers() if workers is None else workers, cells.shape[1] // step))
     # Imported here, so that commands that never run the kernel do not pay
     # its ~1.5 ms of import time.
     from queue import SimpleQueue
 
-    inboxes = [SimpleQueue() for _ in range(workers)]
+    carries = [SimpleQueue() for _ in range(blocks + 1)]
     prior = _normalize_log_rows(np.zeros((1, *shape)))
     visit(0, prior)
-    inboxes[0].put(np.zeros(shape))
-    inboxes[0].put(prior[0])
-    errors = {}
+    carries[0].put(np.zeros(shape))
+    carries[0].put(prior[0])
+    own = threading.local()
 
-    def work(w):
-        inbox, outbox = inboxes[w], inboxes[(w + 1) % workers]
-
+    def run(b):
         def carry():
-            value = inbox.get()
+            value = carries[b].get()
             if value is None:
                 raise _Abandoned
             return value
 
-        b = w  # a failure before the loop is charged to the worker's first block
+        start = b * step
         try:
-            buffer = np.empty((min(step, cells.shape[1]), *shape))
-            for b in range(w, blocks, workers):
-                start = b * step
-                terms = _cumulative_log_likelihoods(
-                    candidates.log_table, cells[:, start:start + step].T, buffer, carry)
-                outbox.put(terms[-1].copy())
-                block = _normalize_log_rows(terms, start + 1)
-                visit(start + 1, block)
-                block[0] += carry()
-                outbox.put(block.sum(axis=0))
-        except _Abandoned:
-            outbox.put(None)
-        except BaseException as exc:  # raised again by the calling thread
-            errors[b] = exc
-            outbox.put(None)
+            if not hasattr(own, "buffer"):
+                own.buffer = np.empty((min(step, cells.shape[1]), *shape))
+            terms = _cumulative_log_likelihoods(
+                candidates.log_table, cells[:, start:start + step].T, own.buffer, carry)
+            carries[b + 1].put(terms[-1].copy())
+            block = _normalize_log_rows(terms, start + 1)
+            visit(start + 1, block)
+            block[0] += carry()
+            carries[b + 1].put(block.sum(axis=0))
+        except BaseException:
+            carries[b + 1].put(None)
+            raise
 
-    # if a helper fails to start, the stop mark releases those that did
-    _run_workers(work, workers, lambda: inboxes[1 % workers].put(None))
-    if errors:
-        raise errors[min(errors)]
-    # the last block posted its two carries to the inbox of the block after it
-    last = inboxes[blocks % workers]
-    last.get()
-    return last.get() / (cells.shape[1] + 1)
+    # A helper costs a thread start, a few hundred microseconds on a 2-CPU
+    # Xeon: a call whose second block is a short tail ran slower with one.
+    _deal(blocks, run, min(_workers() if workers is None else workers, cells.shape[1] // step))
+    carries[blocks].get()
+    return carries[blocks].get() / (cells.shape[1] + 1)
 
 
 def _sample_cells(candidates: CandidateSet, x) -> np.ndarray:

@@ -212,20 +212,29 @@ def _cell_lookup(edges: np.ndarray, x, dtype=np.intp) -> np.ndarray:
     equal to ``np.searchsorted(edges[:-1], x, side="right") - 1``, so points
     at or past the last edge are in the last cell.
 
-    Found in the guide table of :func:`_guide_table` when there is one,
-    else by ``np.searchsorted``; points run in chunks of ``_SAMPLE_CHUNK``,
-    each counted in an ``intp`` buffer and written out as ``dtype``.  An
+    Counted by :func:`_chunk_cells` and written out as ``dtype``.  An
     unsigned ``dtype`` (see :func:`_cell_dtype`) holds the cells of points at
     or above the first edge only.
     """
-    left = edges[:-1]
     pts = np.asarray(x, dtype=float)
     out = np.empty(pts.shape, dtype=dtype)
+    flat = out.reshape(-1)
+    for i, count in _chunk_cells(edges, pts.reshape(-1)):
+        flat[i:i + count.size] = count
+    return out[()]  # a scalar for a scalar point, as from np.searchsorted
+
+
+def _chunk_cells(edges: np.ndarray, flat: np.ndarray):
+    """``(start, cells)`` per chunk of ``_SAMPLE_CHUNK`` points of ``flat``:
+    their :func:`_cell_lookup` cells in one ``intp`` buffer, which the next
+    chunk overwrites, found in a guide table (:func:`_guide_table`) built
+    once for all chunks when there is one, else by ``np.searchsorted``."""
+    left = edges[:-1]
     table = _guide_table(left)
     next_left = np.append(left, np.nan)  # no step past the last edge
-    flat = out.reshape(-1)
     buffer = np.empty(min(flat.size, _SAMPLE_CHUNK), dtype=np.intp)
-    for i, v in _chunks(pts.reshape(-1)):
+    for i in range(0, flat.size, _SAMPLE_CHUNK):
+        v = flat[i:i + _SAMPLE_CHUNK]
         count = buffer[:v.size]
         if table is None:
             count[...] = np.searchsorted(left, v, side="right")
@@ -235,13 +244,12 @@ def _cell_lookup(edges: np.ndarray, x, dtype=np.intp) -> np.ndarray:
             bucket *= k
             np.floor(bucket, out=bucket)
             bucket += 1  # start[0] is for points below 0
-            # every bucket is in range; "clip" writes into ``out`` unbuffered
+            # every bucket is in range; "clip" writes into ``count`` unbuffered
             np.take(start, bucket.astype(np.intp), out=count, mode="clip")
             for _ in range(steps):
                 count += next_left[count] <= v
         count -= 1  # in intp: points below the first edge count -1
-        flat[i:i + v.size] = count
-    return out[()]  # a scalar for a scalar point, as from np.searchsorted
+        yield i, count
 
 
 def _guide_table(left: np.ndarray):
@@ -264,12 +272,6 @@ def _guide_table(left: np.ndarray):
     inside = np.append(np.searchsorted(left, lows, side="left"), left.size) - start
     steps = int(inside.max())
     return (k, start, steps) if steps <= (left.size - 1).bit_length() else None
-
-
-def _chunks(flat: np.ndarray):
-    """``(start, piece)`` over ``flat`` in pieces of ``_SAMPLE_CHUNK``."""
-    for start in range(0, flat.size, _SAMPLE_CHUNK):
-        yield start, flat[start:start + _SAMPLE_CHUNK]
 
 
 def _values_on(f: PiecewiseFunction, grid: np.ndarray) -> np.ndarray:
@@ -419,8 +421,9 @@ def _sample_rows(density: PiecewiseDensity, n: int, seeds) -> np.ndarray:
     # v >= cdf[-1]; there v - cdf[idx] >= 0, and dividing it by inf puts the
     # point at the cell's left edge.
     divisors = np.where(masses > 0, masses, np.inf)
-    for _, v in _chunks(u.reshape(-1)):
-        idx = _cell_lookup(cdf, v)
+    flat = u.reshape(-1)
+    for i, idx in _chunk_cells(cdf, flat):
+        v = flat[i:i + idx.size]
         frac = (v - cdf[idx]) / divisors[idx]
         x = density.breakpoints[idx] + frac * density.cell_lengths[idx]
         np.clip(x, 0.0, 1.0, out=v)

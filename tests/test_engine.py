@@ -14,6 +14,7 @@ cell sequences.
 """
 
 import csv
+import itertools
 import math
 import sys
 import threading
@@ -319,7 +320,7 @@ def _assert_kernel_matches(cset, x):
 
 
 #: Kernel worker counts: the serial walk, one per CPU of a 2-CPU machine,
-#: and rings of 3 and 5 workers, more than there are CPUs.
+#: and 3 and 5 workers, more than there are CPUs.
 WORKERS = [1, 2, 3, 5]
 
 
@@ -364,7 +365,7 @@ class TestBatchedKernel:
     @pytest.mark.parametrize("m, r_count", [(8, 3), (64, 40), (64, 1)])
     def test_aggregate_rows_are_aggregates(self, monkeypatch, m, r_count, block_elements,
                                            workers):
-        # a ring of at most one worker per full block: blocks of 2^12
+        # at most one kernel worker per full block: blocks of 2^12
         # entries give every call at least two, default ones leave the
         # calls of 1 and 3 samples on the calling thread
         monkeypatch.setattr(aggregation, "_workers", lambda: workers)
@@ -499,8 +500,9 @@ def _bounded(call, timeout=60.0):
 
 @pytest.fixture
 def helpers(monkeypatch):
-    """The kernel's helper threads, recorded as they start; ``fail_start``
-    names a helper (1, 2, ...) whose start raises instead."""
+    """The helper threads of ``aggregation._deal``, recorded as they start;
+    ``fail_start`` names a helper (1, 2, ...) whose start raises instead,
+    and each started helper sleeps ``late`` seconds before its first task."""
     started = []
 
     class Recorded(threading.Thread):
@@ -510,8 +512,13 @@ def helpers(monkeypatch):
             started.append(self)
             super().start()
 
-    helpers_state = SimpleNamespace(started=started, fail_start=None)
-    monkeypatch.setattr(aggregation, "threading", SimpleNamespace(Thread=Recorded))
+        def run(self):
+            time.sleep(helpers_state.late)
+            super().run()
+
+    helpers_state = SimpleNamespace(started=started, fail_start=None, late=0.0)
+    monkeypatch.setattr(aggregation, "threading",
+                        SimpleNamespace(Thread=Recorded, local=threading.local))
     return helpers_state
 
 
@@ -531,7 +538,8 @@ def _worker_case(monkeypatch, blocks=12, m=3, r_count=2):
 
 
 class TestKernelWorkers:
-    """The worker ring: hand-offs, errors and thread lifetimes."""
+    """The kernel's blocks dealt to workers: hand-offs, errors and thread
+    lifetimes."""
 
     @pytest.mark.parametrize("workers", [2, 3, 5])
     def test_helpers_start_only_for_a_second_full_block_and_all_end(self, monkeypatch,
@@ -616,25 +624,54 @@ class TestKernelWorkers:
     @pytest.mark.parametrize("workers", [2, 3, 5])
     def test_a_worker_without_a_buffer_releases_every_worker(self, monkeypatch, helpers,
                                                             workers):
-        # worker w's block buffer cannot be allocated: its first block, w,
-        # is the earliest to fail
+        # the k-th block buffer, on whichever thread allocates it, cannot be
+        # allocated: its block is the earliest to fail.  A worker that takes
+        # no block allocates none, so with fewer than k the call succeeds.
         cset, cells, _ = _worker_case(monkeypatch)
+        expected = _float_cumsum_averaged_weights(cset, cells)
         real_empty = np.empty
-        for failing in range(workers):
-            def empty(*args, failing=failing, **kwargs):
-                current = threading.current_thread()
-                w = helpers.started.index(current) + 1 if current in helpers.started else 0
-                if w == failing:
-                    raise MemoryError(f"worker {failing}")
+        for failing in range(1, workers + 1):
+            calls = itertools.count(1)  # next() is atomic across threads
+
+            def empty(*args, failing=failing, calls=calls, **kwargs):
+                if next(calls) == failing:
+                    raise MemoryError(f"buffer {failing}")
                 return real_empty(*args, **kwargs)
 
             monkeypatch.setattr(np, "empty", empty)
             helpers.started.clear()
-            with pytest.raises(MemoryError, match=f"^worker {failing}$"):
-                _bounded(lambda: _averaged_weights(cset, cells, workers))
+            try:
+                got = _bounded(lambda: _averaged_weights(cset, cells, workers))
+            except MemoryError as exc:
+                got = exc
             monkeypatch.setattr(np, "empty", real_empty)
+            if next(calls) > failing:  # the failing allocation was made
+                assert isinstance(got, MemoryError) and str(got) == f"buffer {failing}"
+            else:
+                assert failing > 1 and np.array_equal(got, expected)
             assert len(helpers.started) == workers - 1
             _assert_all_joined(helpers.started)
+
+    def test_a_late_helper_leaves_its_blocks_to_the_calling_thread(self, monkeypatch,
+                                                                   helpers):
+        # Blocks go to whichever worker is free: while the helper sleeps
+        # before its first task, the calling thread takes the blocks in turn.
+        # Dealt round-robin, the helper would hold every other block, 6 of 12.
+        cset, cells, step = _worker_case(monkeypatch)
+        real, takers = aggregation._normalize_log_rows, {}
+
+        def recorded(log_w, first_row=0):
+            takers[first_row] = threading.current_thread()
+            return real(log_w, first_row)
+
+        monkeypatch.setattr(aggregation, "_normalize_log_rows", recorded)
+        helpers.late = 0.2
+        got = _bounded(lambda: _averaged_weights(cset, cells, 2))
+        assert np.array_equal(got, _float_cumsum_averaged_weights(cset, cells))
+        calling = takers[0]  # the prior row is normalised on the calling thread
+        blocks = [takers[b * step + 1] for b in range(12)]
+        assert blocks.count(calling) > blocks.count(helpers.started[0])
+        _assert_all_joined(helpers.started)
 
     @pytest.mark.parametrize("fail_start", [1, 2, 4])
     def test_a_helper_that_cannot_start_releases_the_others(self, monkeypatch, helpers,
@@ -647,8 +684,8 @@ class TestKernelWorkers:
         _assert_all_joined(helpers.started)
 
     def test_stress_five_workers_with_constant_lock_hand_overs(self, monkeypatch, helpers):
-        # 100 blocks of 3 rows hand 200 carries round a ring of five workers;
-        # a lost, reordered or skipped carry changes the weights
+        # 100 blocks of 3 rows hand 200 carries from block to block on five
+        # workers; a lost, reordered or skipped carry changes the weights
         cset, cells, _ = _worker_case(monkeypatch, blocks=100, m=4)
         expected = _float_cumsum_averaged_weights(cset, cells)
         interval = sys.getswitchinterval()
@@ -723,7 +760,7 @@ class TestDeal:
         results = [None] * 2
         _bounded(lambda: aggregation._deal(
             2, lambda i: results.__setitem__(i, _averaged_weights(cset, cells))))
-        assert len(helpers.started) - before == 1  # the engine's helper, not the ring's
+        assert len(helpers.started) - before == 1  # the engine's helper, not the kernel's
         expected = _float_cumsum_averaged_weights(cset, cells)
         assert all(np.array_equal(r, expected) for r in results)
         _assert_all_joined(helpers.started)
@@ -858,8 +895,8 @@ class TestExactExpectation:
     M = 4 worst-case family tuned at n = 3 (32 cells), truth index 1: the
     mixture's KL, H and L1 risks and the selector's L1 risk.  The engine's
     20,000 replications at n = 2 span two kernel blocks, so on more than one
-    CPU the mixture's Monte Carlo means come through the kernel's worker
-    ring.  Two more truths lie off the candidates: the uniform density
+    CPU the mixture's Monte Carlo means come through the kernel's dealt
+    blocks.  Two more truths lie off the candidates: the uniform density
     written on the family's grid (a truth spec of its own; as a function it
     equals the zero word's member), and the mirror of candidate 1, whose
     bumps go down then up, which no member does.  The oracle inequality is
@@ -1043,6 +1080,20 @@ class TestSampleRows:
         finally:
             tracemalloc.stop()
         assert peak < rows.nbytes + 2**20
+
+    def test_a_draw_builds_its_guide_table_once(self, monkeypatch):
+        # 10^6 points are 62 chunks of 2^14; the table of their CDF is
+        # built once for all of them
+        d = _perturbation_candidates(64, 10**6, 2.0)[3]
+        real, built = densities._guide_table, []
+
+        def counted(left):
+            built.append(left.size)
+            return real(left)
+
+        monkeypatch.setattr(densities, "_guide_table", counted)
+        sample(d, 10**6, seed=1)
+        assert built == [d.values.size]
 
     @pytest.mark.parametrize("chunk", [2**16, 2**14, 1000])
     def test_samples_do_not_depend_on_the_chunk_size(self, monkeypatch, chunk):

@@ -539,7 +539,8 @@ class TestRateStudyBatches:
                 calls.append((cells.shape[1], cells.shape[0], free,
                               len(started) - before if free > 1 else None))
 
-        monkeypatch.setattr(aggregation, "threading", SimpleNamespace(Thread=Recorded))
+        monkeypatch.setattr(aggregation, "threading",
+                            SimpleNamespace(Thread=Recorded, local=threading.local))
         monkeypatch.setattr(aggregation.os, "sched_getaffinity", lambda pid: {0, 1, 2})
         monkeypatch.setattr(experiments, "_aggregate_rows", recorded_rows)
         return started, calls
@@ -550,7 +551,7 @@ class TestRateStudyBatches:
         # (M = 4).  The engine starts a helper per group past the first, up
         # to two, and a dealt group's kernel sees one worker.  Blocks of
         # 2^12 entries give the lone groups 5 (M = 8, n = 50), 1 and 2 full
-        # blocks of the ring, so they start 2, 0 and 1 kernel helpers.
+        # blocks, so they start 2, 0 and 1 kernel helpers.
         started, calls = self._recorded_helpers(monkeypatch)
         monkeypatch.setattr(experiments, "_GROUP_POINTS", 2400)
         monkeypatch.setattr(aggregation, "_BLOCK_ELEMENTS", 2**12)
@@ -564,20 +565,22 @@ class TestRateStudyBatches:
     def test_no_kernel_helper_outlives_a_failing_study(self, monkeypatch):
         started, calls = self._recorded_helpers(monkeypatch)
         monkeypatch.setattr(aggregation, "_BLOCK_ELEMENTS", 2**10)
-        real = aggregation._normalize_log_rows
+        real, failed = aggregation._normalize_log_rows, {}
 
         def failing(log_w, first_row=0):
             current = threading.current_thread()
             if current in started:
-                raise RuntimeError(f"helper {started.index(current) + 1} fails")
+                failed[first_row] = started.index(current) + 1
+                raise RuntimeError(f"helper {failed[first_row]} fails")
             return real(log_w, first_row)
 
         monkeypatch.setattr(aggregation, "_normalize_log_rows", failing)
-        # the first cell is one group, whose kernel walks on a ring of three
-        # workers; both helpers fail, and the error raised is the first
-        # failing block's, helper 1's
-        with pytest.raises(RuntimeError, match="^helper 1 fails$"):
+        # the first cell is one group, whose kernel's blocks are dealt to
+        # three workers; every block a helper takes fails, and the error
+        # raised is the first failing block's, whichever helper took it
+        with pytest.raises(RuntimeError, match="^helper [12] fails$") as got:
             run_rate_study(self._config())
+        assert str(got.value) == f"helper {failed[min(failed)]} fails"
         assert calls == [(50, 48, 3, 2)]
         assert not any(thread.is_alive() for thread in started)
 
