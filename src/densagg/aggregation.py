@@ -51,6 +51,11 @@ __all__ = [
 #: this large keep those hand-offs rare.
 _BLOCK_ELEMENTS = 2**17
 
+#: Sample points per segment of the weight kernel: each starts from the
+#: exact cell counts before it, so no row's log-likelihood is a running sum
+#: of more than 2^14 terms, and segments run on any worker.
+_SEGMENT_ROWS = 2**14
+
 #: Entries per chunk of each of the selector's work arrays, by rows or by
 #: (row, candidate) pairs: 2^15 doubles (256 KiB) stay in cache.
 _SELECT_ELEMENTS = 2**15
@@ -257,22 +262,20 @@ def _normalize_log_rows(log_w: np.ndarray, first_row: int = 0) -> np.ndarray:
 
 
 def _cumulative_log_likelihoods(log_table: np.ndarray, idx: np.ndarray, out: np.ndarray,
-                                carry) -> np.ndarray:
+                                carry: np.ndarray) -> np.ndarray:
     """One block of cumulative log-likelihood rows, (rows, R, M), in ``out[:rows]``.
 
     ``idx`` holds the block's cells, (rows, R).  Their log-likelihood terms
-    are gathered into ``out``; then ``carry()``, the cumulative
-    log-likelihood of the row before the block (R, M), is added into the
-    first term, and a cumulative sum runs down the block: per replication,
-    the additions of one ``cumsum`` over the whole sample, in the same
-    order.  ``carry`` is called after the gather, so a worker gathers its
-    block while the one before is still being summed.
+    are gathered into ``out``; then ``carry``, the cumulative log-likelihood
+    of the row before the block (R, M), is added into the first term, and a
+    cumulative sum runs down the block: per replication, the additions of
+    one ``cumsum`` over the block's segment, in the same order.
     """
     # The cells come from ``_cell_lookup`` or a checked trajectory, so
     # every index is in range; "clip" gathers straight into ``out``,
     # "raise" through a copy.
     terms = np.take(log_table, idx, axis=0, out=out[:idx.shape[0]], mode="clip")
-    terms[0] += carry()
+    terms[0] += carry
     chains = terms.reshape(terms.shape[0], -1)
     # A complex addition is one float addition per component, so paired
     # columns get the same additions in the same order in half the chains.
@@ -284,6 +287,15 @@ def _cumulative_log_likelihoods(log_table: np.ndarray, idx: np.ndarray, out: np.
     else:
         np.cumsum(chains, axis=0, out=chains)
     return terms
+
+
+def _counted_log_likelihoods(log_table: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``Σ_c counts[r, c] · log_table[c]`` (R, M), added in cell order: a
+    prefix's log-likelihood from its exact cell counts (R, cells), taken over
+    the seen cells so that no zero count meets a ``-inf``."""
+    products = np.zeros((*counts.shape, log_table.shape[1]))
+    np.multiply(counts[..., None], log_table, out=products, where=counts[..., None] > 0)
+    return products.sum(axis=1)
 
 
 #: ``busy`` is true on each thread of a :func:`_deal` call with several
@@ -306,10 +318,10 @@ def _deal(count: int, run, workers: int | None = None) -> None:
     """``run(i)`` for each task ``i < count``, dealt in order to ``workers``
     workers (by default ``_workers()``, never more than tasks), each taking
     the next task when done with its last: the calling thread, and a helper
-    thread started here for each other.  Once a task fails the workers take
-    no more; the error raised is the least failing ``i``'s, as in a loop, or
-    what stopped a helper from starting, once every started helper has
-    ended.  A lone task runs on the calling thread with every worker.
+    thread started here for each other.  Once a task fails or a helper cannot
+    start the workers take no more; the error raised is the start's, else the
+    least failing ``i``'s, as in a loop, once every started helper has ended.
+    A lone task runs on the calling thread with every worker.
     """
     tasks, errors = iter(range(count)), {}
     workers = max(1, min(_workers() if workers is None else workers, count))
@@ -331,6 +343,8 @@ def _deal(count: int, run, workers: int | None = None) -> None:
         for thread in threads:
             thread.start()
         work()
+    except BaseException as exc:  # a helper could not start
+        errors[-1] = exc
     finally:
         for thread in threads:
             if thread.ident is not None:
@@ -339,81 +353,64 @@ def _deal(count: int, run, workers: int | None = None) -> None:
         raise errors[min(errors)]
 
 
-class _Abandoned(Exception):
-    """A block's predecessor stopped, so its carries will never come."""
-
-
 def _averaged_weights(candidates: CandidateSet, cells: np.ndarray,
                       workers: int | None = None, visit=lambda k, rows: None) -> np.ndarray:
     """Column means of the weight rows, (R, M), for cell indices ``cells`` (R, n).
 
-    The rows are walked in blocks laid out (rows, R, M), of
-    ``_BLOCK_ELEMENTS // (R·M)`` rows each, dealt by :func:`_deal` to
+    The rows are cut into segments of ``_SEGMENT_ROWS`` sample points at
+    fixed absolute rows, each walked in blocks laid out (rows, R, M), of at
+    most ``_BLOCK_ELEMENTS // (R·M)`` rows.  Segment ``s`` starts from the
+    exact cell counts of the points before it, taken in a first pass
+    (:func:`_counted_log_likelihoods`; segment 0 from zeros and the prior
+    row), so segments share no state; :func:`_deal` deals them to
     ``workers`` workers (by default ``_workers()``, at most one per full
-    block, so a call of fewer than two full blocks starts no helper), each
-    with one block buffer for all its blocks.  Block ``b`` gathers its
-    cells, takes the two (R, M) carries of the block before it from
-    ``carries[b]`` and posts its own to ``carries[b + 1]``: the cumulative
-    log-likelihood, added into the block's first row before its cumulative
-    sum, and the running sum of weight rows, added into its first normalised
-    row before the column sum.  Every column thus gets the additions of one
-    cumulative sum and one column sum down the whole trajectory, in order,
-    so the result is bit-identical to the full-matrix computation at any
-    worker count, in O(block) memory per worker.
+    segment), each with one block buffer.  Within a segment each block's
+    first row gets the running log-likelihood before its cumulative sum and
+    the running sum of weight rows before its column sum; the segments' sums
+    are added in segment order.  So the result is the same bit for bit at
+    any worker count and group layout, in O(block) memory per worker.
 
     ``visit(k, rows)`` sees the prior row (``k = 0``) and then each
     normalised block, ``rows[0]`` being row ``k``, before the running sum is
-    added into it; at one worker the calls come in block order on the
-    calling thread.  A block is a view of its worker's buffer, which the
-    worker's next block overwrites.
-
-    A block that fails or is abandoned posts ``None`` in place of its
-    missing carry, which abandons the next block, and so on down the line.
-    Blocks are taken in order, so each waits only on earlier blocks that a
-    worker holds, and blocks before the earliest failure run to the end:
-    the error raised is the earliest failing block's, as in a serial walk.
+    added into it; at one worker the calls come in row order on the calling
+    thread.  A block is a view of its worker's buffer, which the worker's
+    next block overwrites.  Rows die for good, so the least failing
+    segment's error, which :func:`_deal` raises, is the earliest dead row's.
     """
-    shape = (cells.shape[0], candidates.size)
-    step = max(1, _BLOCK_ELEMENTS // (shape[0] * shape[1]))
-    blocks = -(-cells.shape[1] // step)
-    # Imported here, so that commands that never run the kernel do not pay
-    # its ~1.5 ms of import time.
-    from queue import SimpleQueue
-
-    carries = [SimpleQueue() for _ in range(blocks + 1)]
-    prior = _normalize_log_rows(np.zeros((1, *shape)))
+    (r_count, n), m = cells.shape, candidates.size
+    step = max(1, _BLOCK_ELEMENTS // (r_count * m))
+    segments = max(1, -(-n // _SEGMENT_ROWS))
+    width = candidates.log_table.shape[0]
+    offsets = width * np.arange(r_count)[:, None]
+    # intp sums, whatever integer dtype a trajectory's cells come in
+    counts = [np.bincount(np.add(cells[:, s * _SEGMENT_ROWS:(s + 1) * _SEGMENT_ROWS], offsets,
+                                 dtype=np.intp).ravel(), minlength=r_count * width)
+              for s in range(segments - 1)]
+    # ``before[s - 1]``: each replication's cell counts before segment s
+    before = np.cumsum(counts, axis=0).reshape(-1, r_count, width)
+    prior = _normalize_log_rows(np.zeros((1, r_count, m)))
     visit(0, prior)
-    carries[0].put(np.zeros(shape))
-    carries[0].put(prior[0])
+    sums = np.zeros((segments, r_count, m))
     own = threading.local()
 
-    def run(b):
-        def carry():
-            value = carries[b].get()
-            if value is None:
-                raise _Abandoned
-            return value
-
-        start = b * step
-        try:
+    def run(s):
+        start, stop = s * _SEGMENT_ROWS, min((s + 1) * _SEGMENT_ROWS, n)
+        carry, total = ((_counted_log_likelihoods(candidates.log_table, before[s - 1]), 0.0)
+                        if s else (0.0, prior[0]))
+        for k in range(start, stop, step):
             if not hasattr(own, "buffer"):
-                own.buffer = np.empty((min(step, cells.shape[1]), *shape))
+                own.buffer = np.empty((min(step, _SEGMENT_ROWS, n), r_count, m))
             terms = _cumulative_log_likelihoods(
-                candidates.log_table, cells[:, start:start + step].T, own.buffer, carry)
-            carries[b + 1].put(terms[-1].copy())
-            block = _normalize_log_rows(terms, start + 1)
-            visit(start + 1, block)
-            block[0] += carry()
-            carries[b + 1].put(block.sum(axis=0))
-        except BaseException:
-            carries[b + 1].put(None)
-            raise
+                candidates.log_table, cells[:, k:min(k + step, stop)].T, own.buffer, carry)
+            carry = terms[-1].copy()
+            block = _normalize_log_rows(terms, k + 1)
+            visit(k + 1, block)
+            block[0] += total
+            total = block.sum(axis=0)
+        sums[s] = total
 
-    # A helper costs a thread start, a few hundred microseconds on a 2-CPU
-    # Xeon: a call whose second block is a short tail ran slower with one.
-    _deal(blocks, run, min(_workers() if workers is None else workers, cells.shape[1] // step))
-    carries[blocks].get()
-    return carries[blocks].get() / (cells.shape[1] + 1)
+    _deal(segments, run, min(_workers() if workers is None else workers, n // _SEGMENT_ROWS))
+    return sums.sum(axis=0) / (n + 1)
 
 
 def _sample_cells(candidates: CandidateSet, x) -> np.ndarray:

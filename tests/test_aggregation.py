@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import densagg.aggregation as aggregation
 from densagg import (
     MASS_TOL,
     CandidateSet,
@@ -344,19 +345,35 @@ class TestPathwiseRegret:
     """The predictive mixtures' summed log loss is the Bayes mixture's
     (Barron 1987; Yang 2000; Catoni 2004), on every sample.
 
-    Tolerance, with ``u = 2^-53``, ``L`` the largest finite ``|log f_j(X_i)|``
-    and M candidates.  Each addition of the kernel's running log-likelihood
-    at row k rounds by at most ``u·k·L``, so over n rows the sums drift by at
-    most ``u·L·n²/2``.  The identity telescopes through the softmax
-    normalisers, so that drift reaches the left side at most twice: through
-    the rows' local errors and through the last normaliser.  The row-max
-    shift before the softmax rounds by at most ``2u·k·L`` per entry, which
-    adds at most ``u·L·n²``.  The softmax's exp, sum and division, the dot
-    product with ``f(X_{k+1})`` and the log put a relative error of at most
-    ``(2M + 8)·u`` on each predictive density.  Hence, with the factor 2 on
-    ``u·L·n²`` raised to 3 for second-order terms,
-    ``|gap| <= u·(3·L·n·(n + 1) + (2M + 8)·n)``; every other sum is exactly
-    rounded.
+    Tolerance, with ``u = 2^-53``, ``L`` the largest finite ``|log f_j(X_i)|``,
+    M candidates on C grid cells, and the kernel's segments of ``G = 2^14``
+    points.  The identity telescopes through the softmax normalisers, so
+    rounding reaches the left side through each row's inconsistency with
+    the row before it (its log-likelihood less the previous row's and the
+    new term), and once through the last row's own error.
+    - Inside a segment a row is the row before plus one term, rounded once:
+      at most ``u·k·L`` at row k, so at most ``u·L·n(n+1)/2`` over all rows.
+    - A segment that starts after point ``a`` begins at its exact-count
+      anchor ``Σ_c N_c·log f_c``: C products and C - 1 additions, which
+      round by at most ``u·C·a·L``.  Its first row is inconsistent with the
+      previous segment's last by both anchors' errors and by that segment's
+      own additions' errors; over the ``⌈n/G⌉ - 1`` starts these sum to at
+      most ``u·L·n²/2 + u·L·C·n·(n+G)/G``.
+    - Row k is its anchor plus at most G additions, so the last row is off
+      by at most ``u·L·n·(C + G)``, where one running sum was off by
+      ``u·L·n²/2``.
+    - The row-max shift before the softmax rounds by at most ``2u·k·L`` per
+      entry, which adds at most ``u·L·n(n+1)``.  The softmax's exp, sum and
+      division, the dot product with ``f(X_{k+1})`` and the log put a
+      relative error of at most ``(2M + 8)·u`` on each predictive density.
+    Hence, with the factor 2 on ``u·L·n(n+1)`` raised to 3 and the segment
+    terms doubled for second-order terms,
+    ``|gap| <= u·(3·L·n·(n + 1) + 2·L·n·(2C + G + C·n/G) + (2M + 8)·n)``;
+    every other sum is exactly rounded.  So the segments do not tighten
+    the worst case: each row's own additions still round at its magnitude
+    ``k·L``, and a segment start gives back the drift that the previous
+    segment dropped.  The one-running-sum kernel, whose worst case was
+    ``u·(3·L·n·(n + 1) + (2M + 8)·n)``, passes this tolerance too.
     """
 
     # n = 10^6 on the tuned families only, to keep the suite short; the
@@ -372,7 +389,9 @@ class TestPathwiseRegret:
         density = PiecewiseDensity.uniform() if truth is None else cands[truth]
         cells = cset.cell_indices(sample(density, n, seed=n + len(cands)))
         right, big = _bayes_log_loss(cset, cells)
-        tolerance = 2.0**-53 * (3 * big * n * (n + 1) + (2 * cset.size + 8) * n)
+        c, g = cset.log_table.shape[0], aggregation._SEGMENT_ROWS
+        tolerance = 2.0**-53 * (3 * big * n * (n + 1) + 2 * big * n * (2 * c + g + c * n / g)
+                                + (2 * cset.size + 8) * n)
         left = _summed_log_loss(cset, cells, 1)
         assert abs(left - right) <= tolerance
         # The rows are the same at any worker count, and so is their sum.

@@ -14,6 +14,7 @@ cell sequences.
 """
 
 import csv
+import functools
 import itertools
 import math
 import sys
@@ -55,6 +56,7 @@ from densagg import (
 from densagg.aggregation import (
     _BLOCK_ELEMENTS,
     _ROW_LOOP_WIDTH,
+    _SEGMENT_ROWS,
     _aggregate_rows,
     _averaged_weights,
     _mixture_values,
@@ -95,14 +97,17 @@ def _old_sample(density, n, seed):
     return np.clip(x, 0.0, 1.0)
 
 
-def _float_cumsum_weight_blocks(candidates, cells):
+def _float_cumsum_weight_blocks(candidates, cells, carry=None, first=0):
     """Yield ``(k, rows)``, the kernel's normalised blocks as they were before
     narrow blocks paired their columns: a float ``np.cumsum`` below 512
-    entries per row, one ``np.add`` per row above."""
+    entries per row, one ``np.add`` per row above.  Without ``carry`` the
+    walk starts at the prior row; with it, ``cells[:, 0]`` is sample point
+    ``first`` and ``carry`` the log-likelihood of the row before it."""
     width = cells.shape[0] * candidates.size
     step = max(1, _BLOCK_ELEMENTS // width)
-    carry = np.zeros((cells.shape[0], candidates.size))
-    yield 0, _normalize_log_rows(np.zeros((1, *carry.shape)))
+    if carry is None:
+        carry = np.zeros((cells.shape[0], candidates.size))
+        yield 0, _normalize_log_rows(np.zeros((1, *carry.shape)))
     for start in range(0, cells.shape[1], step):
         terms = candidates.log_table[cells[:, start:start + step].T]
         terms[0] += carry
@@ -112,26 +117,95 @@ def _float_cumsum_weight_blocks(candidates, cells):
         else:
             np.cumsum(terms, axis=0, out=terms)
         carry = terms[-1].copy()
-        yield start + 1, _normalize_log_rows(terms, start + 1)
+        yield first + start + 1, _normalize_log_rows(terms, first + start + 1)
 
 
-def _float_cumsum_averaged_weights(candidates, cells):
+def _column_sum(blocks):
+    """The column sum of the rows of ``blocks``, added in row order."""
     total = None
-    for _, block in _float_cumsum_weight_blocks(candidates, cells):
+    for _, block in blocks:
         if total is not None:
             block[0] += total
         total = block.sum(axis=0)
-    return total / (cells.shape[1] + 1)
+    return total
 
 
-def _float_cumsum_csv(candidates, cells, path):
-    """``WeightTrajectory.to_csv`` of one sample's cells over the blocks above."""
+def _float_cumsum_averaged_weights(candidates, cells):
+    return _column_sum(_float_cumsum_weight_blocks(candidates, cells)) / (cells.shape[1] + 1)
+
+
+def _float_cumsum_csv(candidates, cells, path, blocks=_float_cumsum_weight_blocks):
+    """``WeightTrajectory.to_csv`` of one sample's cells over ``blocks``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k"] + [f"w_{j + 1}" for j in range(candidates.size)])
-        for k, block in _float_cumsum_weight_blocks(candidates, cells[None]):
+        for k, block in blocks(candidates, cells[None]):
             for i, row in enumerate(block[:, 0], k):
                 writer.writerow([i] + [repr(float(v)) for v in row])
+
+
+def _exact_count_anchor(candidates, cells):
+    """``Σ_c N_c · log f_c`` per replication of ``cells`` (R, k), ``N_c`` the
+    count of cell ``c``, over the seen cells in cell order."""
+    anchor = np.zeros((cells.shape[0], candidates.size))
+    for r, row in enumerate(cells):
+        counts = np.bincount(row, minlength=candidates.log_table.shape[0])
+        for c in np.flatnonzero(counts):
+            anchor[r] += int(counts[c]) * candidates.log_table[c]
+    return anchor
+
+
+def _segments(candidates, cells):
+    """Yield the blocks of each segment of ``aggregation._SEGMENT_ROWS``
+    points: the first walked from the prior row, every other from the
+    exact-count anchor of the points before it."""
+    seg = aggregation._SEGMENT_ROWS
+    yield _float_cumsum_weight_blocks(candidates, cells[:, :seg])
+    for start in range(seg, cells.shape[1], seg):
+        yield _float_cumsum_weight_blocks(candidates, cells[:, start:start + seg],
+                                          _exact_count_anchor(candidates, cells[:, :start]),
+                                          start)
+
+
+def _segmented_weight_blocks(candidates, cells):
+    """Yield ``(k, rows)``, the segmented kernel's normalised blocks."""
+    for blocks in _segments(candidates, cells):
+        yield from blocks
+
+
+def _segmented_averaged_weights(candidates, cells):
+    """The segmented kernel's averaged weights: each segment's column sum,
+    the segments' sums added in segment order."""
+    sums = [_column_sum(blocks) for blocks in _segments(candidates, cells)]
+    return functools.reduce(np.add, sums) / (cells.shape[1] + 1)
+
+
+def _reference(n):
+    """The reference ``(blocks, averaged)`` for samples of ``n`` points: the
+    float cumsum over one segment, the segmented walk past it."""
+    if n > aggregation._SEGMENT_ROWS:
+        return _segmented_weight_blocks, _segmented_averaged_weights
+    return _float_cumsum_weight_blocks, _float_cumsum_averaged_weights
+
+
+def _reference_rows(candidates, cells):
+    """The reference weight rows of ``cells`` (R, n), (n+1, R, M)."""
+    blocks, _ = _reference(cells.shape[1])
+    return np.concatenate([rows for _, rows in blocks(candidates, cells)])
+
+
+def _visited_rows(candidates, cells, workers):
+    """The kernel's averaged weights, and the rows its ``visit`` receives,
+    (n+1, R, M), each checked to arrive once."""
+    rows = np.full((cells.shape[1] + 1, cells.shape[0], candidates.size), np.nan)
+
+    def visit(k, block):
+        assert np.isnan(rows[k:k + block.shape[0]]).all()
+        rows[k:k + block.shape[0]] = block  # the worker's buffer is reused
+
+    averaged = _averaged_weights(candidates, cells, workers, visit)
+    assert not np.isnan(rows).any()
+    return averaged, rows
 
 
 def _plain_max_normalize_log_rows(log_w, first_row=0):
@@ -361,15 +435,17 @@ class TestBatchedKernel:
             _averaged_weights(cset, cset.cell_indices(x), workers)
 
     @pytest.mark.parametrize("workers", WORKERS)
-    @pytest.mark.parametrize("block_elements", [_BLOCK_ELEMENTS, 2**12])
+    @pytest.mark.parametrize("block_elements, segment_rows",
+                             [(_BLOCK_ELEMENTS, _SEGMENT_ROWS), (2**12, 100)])
     @pytest.mark.parametrize("m, r_count", [(8, 3), (64, 40), (64, 1)])
     def test_aggregate_rows_are_aggregates(self, monkeypatch, m, r_count, block_elements,
-                                           workers):
-        # at most one kernel worker per full block: blocks of 2^12
-        # entries give every call at least two, default ones leave the
-        # calls of 1 and 3 samples on the calling thread
+                                           segment_rows, workers):
+        # at most one kernel worker per full segment: segments of 100
+        # points give every call four, of blocks of 2^12 entries; default
+        # ones leave every call of 400 points on the calling thread
         monkeypatch.setattr(aggregation, "_workers", lambda: workers)
         monkeypatch.setattr(aggregation, "_BLOCK_ELEMENTS", block_elements)
+        monkeypatch.setattr(aggregation, "_SEGMENT_ROWS", segment_rows)
         cands = _perturbation_candidates(m, 400, 2.0)
         cset = CandidateSet.from_densities(cands)
         seeds = [(5, r) for r in range(r_count)]
@@ -406,6 +482,10 @@ def _vanishing_family(m, rng):
 
 
 class TestKernelMatchesTheFloatCumsum:
+    """The kernel against the float cumsum over the first segment, and
+    against the segmented walk past it (six blocks, of up to 327,683 points:
+    21 segments at 2 entries per row)."""
+
     @pytest.mark.parametrize("workers", WORKERS)
     @pytest.mark.parametrize("width, r_count", KERNEL_WIDTHS)
     def test_weights_bit_identical(self, width, r_count, workers):
@@ -416,22 +496,12 @@ class TestKernelMatchesTheFloatCumsum:
         x = rng.uniform(0.0, 0.8, size=(r_count, n))
         x[:, n // 3] = 0.9  # candidate 0 dies part way through
         cells = cset.cell_indices(x)
-        seen = {}
-
-        def visit(k, rows):
-            assert k not in seen
-            seen[k] = rows.copy()  # the worker's buffer is reused
-
-        assert np.array_equal(_averaged_weights(cset, cells, workers, visit),
-                              _float_cumsum_averaged_weights(cset, cells))
-        expected = dict(_float_cumsum_weight_blocks(cset, cells))
-        assert seen.keys() == expected.keys()
-        for k, rows in expected.items():
-            assert np.array_equal(seen[k], rows)
+        averaged, rows = _visited_rows(cset, cells, workers)
+        assert np.array_equal(averaged, _reference(n)[1](cset, cells))
+        assert np.array_equal(rows, _reference_rows(cset, cells))
         if r_count == 1:
-            weights = np.concatenate([rows[:, 0] for rows in expected.values()])
-            assert np.array_equal(progressive_weights(cset, x[0]).weights, weights)
-            assert m == 1 or weights[-1, 0] == 0.0
+            assert np.array_equal(progressive_weights(cset, x[0]).weights, rows[:, 0])
+            assert m == 1 or rows[-1, 0, 0] == 0.0
 
     @pytest.mark.parametrize("m", [3, 64, 1024])
     def test_trajectory_is_walked_on_one_worker(self, monkeypatch, tmp_path, m):
@@ -443,23 +513,22 @@ class TestKernelMatchesTheFloatCumsum:
         monkeypatch.setattr(aggregation, "_BLOCK_ELEMENTS", 2**12)
         rng = np.random.default_rng(m)
         cset = _vanishing_family(m, rng)
-        n = 15 * max(1, 2**12 // m) + 3  # sixteen blocks, four workers
+        n = 15 * max(1, 2**12 // m) + 3  # sixteen blocks, four workers; two segments at m = 3
         x = rng.uniform(0.0, 0.8, size=n)
         x[n // 3] = 0.9  # candidate 0 dies part way through
         cells = cset.cell_indices(x)
         trajectory = progressive_weights(cset, x)
-        expected = np.concatenate([b[:, 0] for _, b in
-                                   _float_cumsum_weight_blocks(cset, cells[None])])
-        assert np.array_equal(trajectory.weights, expected)
+        assert np.array_equal(trajectory.weights, _reference_rows(cset, cells[None])[:, 0])
         trajectory.to_csv(tmp_path / "got.csv")
-        _float_cumsum_csv(cset, cells, tmp_path / "expected.csv")
+        _float_cumsum_csv(cset, cells, tmp_path / "expected.csv", _reference(n)[0])
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
     @pytest.mark.parametrize("workers", WORKERS)
     @pytest.mark.parametrize("width, r_count", KERNEL_WIDTHS)
     @pytest.mark.parametrize("at", [-1, 0, 1])
     def test_a_dead_row_on_a_block_boundary_fails_alike(self, width, r_count, at, workers):
-        # at -1 the first failing block is the calling thread's, from 0 on a helper's
+        # at 2 and 3 entries per row the dead row lies in segment 4 or 2, which
+        # any worker may take; at wider rows the sample is one segment
         m = width // r_count
         rng = np.random.default_rng(width + r_count)
         raw = rng.uniform(0.2, 3.0, size=(m, 5))
@@ -470,7 +539,7 @@ class TestKernelMatchesTheFloatCumsum:
         x[-1, step + at] = 0.9
         cells = cset.cell_indices(x)
         with pytest.raises(ValidationError) as expected:
-            _float_cumsum_averaged_weights(cset, cells)
+            _reference(cells.shape[1])[1](cset, cells)
         with pytest.raises(ValidationError) as got:
             _averaged_weights(cset, cells, workers)
         assert str(got.value) == str(expected.value)
@@ -502,12 +571,14 @@ def _bounded(call, timeout=60.0):
 def helpers(monkeypatch):
     """The helper threads of ``aggregation._deal``, recorded as they start;
     ``fail_start`` names a helper (1, 2, ...) whose start raises instead,
-    and each started helper sleeps ``late`` seconds before its first task."""
+    setting ``start_failed`` first, and each started helper sleeps ``late``
+    seconds before its first task."""
     started = []
 
     class Recorded(threading.Thread):
         def start(self):
             if len(started) + 1 == helpers_state.fail_start:
+                helpers_state.start_failed.set()
                 raise RuntimeError("can't start new thread")
             started.append(self)
             super().start()
@@ -516,7 +587,8 @@ def helpers(monkeypatch):
             time.sleep(helpers_state.late)
             super().run()
 
-    helpers_state = SimpleNamespace(started=started, fail_start=None, late=0.0)
+    helpers_state = SimpleNamespace(started=started, fail_start=None, late=0.0,
+                                    start_failed=threading.Event())
     monkeypatch.setattr(aggregation, "threading",
                         SimpleNamespace(Thread=Recorded, local=threading.local))
     return helpers_state
@@ -528,9 +600,11 @@ def _assert_all_joined(threads):
         assert not thread.is_alive()
 
 
-def _worker_case(monkeypatch, blocks=12, m=3, r_count=2):
-    """Cells (R, n) of ``blocks`` blocks of 3 rows, and their candidates."""
+def _worker_case(monkeypatch, blocks=12, m=3, r_count=2, segment_blocks=2):
+    """Cells (R, n) of ``blocks`` blocks of 3 rows, in segments of
+    ``segment_blocks`` blocks, and their candidates."""
     monkeypatch.setattr(aggregation, "_BLOCK_ELEMENTS", 3 * r_count * m)
+    monkeypatch.setattr(aggregation, "_SEGMENT_ROWS", 3 * segment_blocks)
     rng = np.random.default_rng(blocks * 100 + m)
     cset = _vanishing_family(m, rng)
     x = rng.uniform(0.0, 0.8, size=(r_count, 3 * blocks))
@@ -538,30 +612,31 @@ def _worker_case(monkeypatch, blocks=12, m=3, r_count=2):
 
 
 class TestKernelWorkers:
-    """The kernel's blocks dealt to workers: hand-offs, errors and thread
-    lifetimes."""
+    """The kernel's segments dealt to workers: errors and thread lifetimes.
+    Segments of two blocks of 3 rows stand in for segments of 2^14 points."""
 
     @pytest.mark.parametrize("workers", [2, 3, 5])
-    def test_helpers_start_only_for_a_second_full_block_and_all_end(self, monkeypatch,
-                                                                    helpers, workers):
-        cset, cells, step = _worker_case(monkeypatch)
-        expected = _float_cumsum_averaged_weights(cset, cells)
+    def test_helpers_start_only_for_a_second_full_segment_and_all_end(self, monkeypatch,
+                                                                      helpers, workers):
+        cset, cells, _ = _worker_case(monkeypatch)
+        expected = _segmented_averaged_weights(cset, cells)
         assert np.array_equal(_bounded(lambda: _averaged_weights(cset, cells, workers)),
                               expected)
         assert len(helpers.started) == workers - 1
         _assert_all_joined(helpers.started)
-        # no block, one, or a full one and a tail: the calling thread alone
-        for n in (0, 1, step, 2 * step - 1):
+        # no segment, one, or a full one and a tail: the calling thread alone
+        segment = aggregation._SEGMENT_ROWS
+        for n in (0, 1, segment, 2 * segment - 1):
             got = _averaged_weights(cset, cells[:, :n], workers)
-            assert np.array_equal(got, _float_cumsum_averaged_weights(cset, cells[:, :n]))
+            assert np.array_equal(got, _segmented_averaged_weights(cset, cells[:, :n]))
         assert len(helpers.started) == workers - 1
 
     @pytest.mark.parametrize("workers", [2, 3, 5])
     @pytest.mark.parametrize("stage", ["cumulative sum", "softmax"])
     def test_an_error_on_any_worker_releases_every_worker(self, monkeypatch, helpers,
                                                           workers, stage):
-        # a failure before its block posts the cumulative carry, or between
-        # the two carries, on each worker in turn and on a second-round block
+        # a failure in a block's cumulative sum or in its softmax, in the
+        # first or the second block of a segment, on each worker in turn
         cset, cells, step = _worker_case(monkeypatch)
         real_sum = aggregation._cumulative_log_likelihoods
         real_softmax = aggregation._normalize_log_rows
@@ -590,11 +665,13 @@ class TestKernelWorkers:
             _assert_all_joined(helpers.started)
 
     @pytest.mark.parametrize("workers", [2, 3, 5])
-    def test_a_later_block_failing_first_in_time_loses(self, monkeypatch, helpers, workers):
-        # Every candidate vanishes on the last cell; a point there in block 2
-        # kills every row from there on.  Block 2's softmax is held back, so
-        # block 3 fails first in time; the error is still block 2's.
-        cset, cells, step = _worker_case(monkeypatch)
+    def test_a_later_segment_failing_first_in_time_loses(self, monkeypatch, helpers,
+                                                          workers):
+        # Every candidate vanishes on the last cell; a point there in
+        # segment 2 (one block) kills every row from there on, and every
+        # later segment from its exact-count start.  Segment 2's softmax is
+        # held back, so segment 3 fails first in time; the error is still 2's.
+        cset, cells, step = _worker_case(monkeypatch, segment_blocks=1)
         cells = cells.copy()
         raw = cset.values.copy()
         raw[:, 4] = 0.0
@@ -625,10 +702,11 @@ class TestKernelWorkers:
     def test_a_worker_without_a_buffer_releases_every_worker(self, monkeypatch, helpers,
                                                             workers):
         # the k-th block buffer, on whichever thread allocates it, cannot be
-        # allocated: its block is the earliest to fail.  A worker that takes
-        # no block allocates none, so with fewer than k the call succeeds.
+        # allocated: its segment is the only one to fail.  A worker that
+        # takes no segment allocates none, so with fewer than k the call
+        # succeeds.
         cset, cells, _ = _worker_case(monkeypatch)
-        expected = _float_cumsum_averaged_weights(cset, cells)
+        expected = _segmented_averaged_weights(cset, cells)
         real_empty = np.empty
         for failing in range(1, workers + 1):
             calls = itertools.count(1)  # next() is atomic across threads
@@ -654,9 +732,10 @@ class TestKernelWorkers:
 
     def test_a_late_helper_leaves_its_blocks_to_the_calling_thread(self, monkeypatch,
                                                                    helpers):
-        # Blocks go to whichever worker is free: while the helper sleeps
-        # before its first task, the calling thread takes the blocks in turn.
-        # Dealt round-robin, the helper would hold every other block, 6 of 12.
+        # Segments go to whichever worker is free: while the helper sleeps
+        # before its first task, the calling thread takes the segments in
+        # turn.  Dealt round-robin, the helper would hold every other
+        # segment, 6 of the 12 blocks.
         cset, cells, step = _worker_case(monkeypatch)
         real, takers = aggregation._normalize_log_rows, {}
 
@@ -667,7 +746,7 @@ class TestKernelWorkers:
         monkeypatch.setattr(aggregation, "_normalize_log_rows", recorded)
         helpers.late = 0.2
         got = _bounded(lambda: _averaged_weights(cset, cells, 2))
-        assert np.array_equal(got, _float_cumsum_averaged_weights(cset, cells))
+        assert np.array_equal(got, _segmented_averaged_weights(cset, cells))
         calling = takers[0]  # the prior row is normalised on the calling thread
         blocks = [takers[b * step + 1] for b in range(12)]
         assert blocks.count(calling) > blocks.count(helpers.started[0])
@@ -684,10 +763,11 @@ class TestKernelWorkers:
         _assert_all_joined(helpers.started)
 
     def test_stress_five_workers_with_constant_lock_hand_overs(self, monkeypatch, helpers):
-        # 100 blocks of 3 rows hand 200 carries from block to block on five
-        # workers; a lost, reordered or skipped carry changes the weights
+        # 100 blocks of 3 rows in 50 segments on five workers; a segment
+        # that read another's state, or sums added out of order, would
+        # change the weights
         cset, cells, _ = _worker_case(monkeypatch, blocks=100, m=4)
-        expected = _float_cumsum_averaged_weights(cset, cells)
+        expected = _segmented_averaged_weights(cset, cells)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -734,6 +814,27 @@ class TestDeal:
         assert sorted(ran) == [0, 1, 2, 3]
         _assert_all_joined(helpers.started)
 
+    @pytest.mark.parametrize("fail_start", [1, 2])
+    def test_a_helper_that_cannot_start_stops_the_started_ones(self, monkeypatch, helpers,
+                                                               fail_start):
+        # Of three workers, helper ``fail_start`` cannot start.  A started
+        # helper ends its task once the start has failed and takes no other,
+        # the calling thread takes none, and the start's error is raised.
+        monkeypatch.setattr(aggregation, "_workers", lambda: 3)
+        helpers.fail_start = fail_start
+        ran = []
+
+        def run(i):
+            ran.append(i)
+            assert helpers.start_failed.wait(10)
+            time.sleep(0.01)  # the calling thread records the failure meanwhile
+
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            _bounded(lambda: aggregation._deal(200, run))
+        assert len(helpers.started) == fail_start - 1
+        assert len(ran) <= len(helpers.started)
+        _assert_all_joined(helpers.started)
+
     @pytest.mark.parametrize("fails", [False, True])
     def test_dealt_tasks_see_one_worker_and_a_lone_task_sees_all(self, monkeypatch,
                                                                  helpers, fails):
@@ -761,7 +862,7 @@ class TestDeal:
         _bounded(lambda: aggregation._deal(
             2, lambda i: results.__setitem__(i, _averaged_weights(cset, cells))))
         assert len(helpers.started) - before == 1  # the engine's helper, not the kernel's
-        expected = _float_cumsum_averaged_weights(cset, cells)
+        expected = _segmented_averaged_weights(cset, cells)
         assert all(np.array_equal(r, expected) for r in results)
         _assert_all_joined(helpers.started)
 
@@ -787,9 +888,10 @@ def _decimal_averaged_weights(cset, cells):
 
 #: Largest distance, in units in the last place of the 40-digit reference
 #: rounded to a double, allowed between the kernel's averaged weights and
-#: their definition at n = 300.  The rounding of the log terms and of the
-#: cumulative sums puts the kernel 1, 14, 53 and 89 ulps from it at M = 2,
-#: 3, 4 and 5, at every worker count.
+#: their definition at n = 300.  The rounding of the log terms, of the
+#: exact-count anchors and of the cumulative sums puts the kernel, in
+#: segments of 40 points, 1, 5, 15 and 28 ulps from it at M = 2, 3, 4 and 5,
+#: at every worker count (1, 14, 53 and 89 in one segment).
 DECIMAL_ULPS = 256
 
 
@@ -797,8 +899,10 @@ class TestKernelMatchesTheDefinition:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_averaged_weights_within_ulps_of_decimal(self, monkeypatch, m, workers):
-        # blocks of 4 rows, so 300 points cross 75 blocks
+        # blocks of 4 rows and segments of 40, so 300 points cross 75
+        # blocks in 8 segments
         monkeypatch.setattr(aggregation, "_BLOCK_ELEMENTS", 4 * 2 * m)
+        monkeypatch.setattr(aggregation, "_SEGMENT_ROWS", 40)
         rng = np.random.default_rng(m)
         cset = _vanishing_family(m, rng)
         x = rng.uniform(0.0, 1.0, size=(2, 300))
@@ -846,17 +950,81 @@ class TestBlockBufferReuse:
         x = rng.uniform(0.0, 0.8, size=(r_count, n))
         x[:, n // 3] = 0.9  # candidate 0 dies part way through
         cells = cset.cell_indices(x)
-        assert np.array_equal(_averaged_weights(cset, cells),
-                              _float_cumsum_averaged_weights(cset, cells))
+        blocks, averaged = _reference(n)  # segmented past 2^14 points
+        assert np.array_equal(_averaged_weights(cset, cells), averaged(cset, cells))
         if r_count > 1:
             return
         trajectory = progressive_weights(cset, x[0])
-        expected = np.concatenate([b[:, 0] for _, b in
-                                   _float_cumsum_weight_blocks(cset, cells)])
-        assert np.array_equal(trajectory.weights, expected)
+        assert np.array_equal(trajectory.weights, _reference_rows(cset, cells)[:, 0])
         trajectory.to_csv(tmp_path / "got.csv")
-        _float_cumsum_csv(cset, cells[0], tmp_path / "expected.csv")
+        _float_cumsum_csv(cset, cells[0], tmp_path / "expected.csv", blocks)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+
+def _longdouble_averaged_weights(cset, cells, block=2**15):
+    """The averaged weights of one sample's cells in ``np.longdouble``, fed
+    the float64 ``log_table``: row ``k``'s log-likelihood is the exact-count
+    ``Σ_c N_c(k) · log f_c`` up to 80-bit rounding, then the softmax and the
+    column mean."""
+    table = cset.log_table.astype(np.longdouble)
+    carry = np.zeros(cset.size, dtype=np.longdouble)
+    total = np.full(cset.size, 1 / np.longdouble(cset.size))  # the prior row
+    for start in range(0, cells.size, block):
+        rows = np.cumsum(table[cells[start:start + block]], axis=0) + carry
+        carry = rows[-1].copy()
+        rows = np.exp(rows - rows.max(axis=1, keepdims=True))
+        total += (rows / rows.sum(axis=1, keepdims=True)).sum(axis=0)
+    return total / (cells.size + 1)
+
+
+#: Largest relative distance allowed between the kernel's averaged weights
+#: and ``_longdouble_averaged_weights`` at n = 10^6 and M = 8.  Each row's
+#: log-likelihood is its segment's exact-count anchor plus at most 2^14
+#: float additions, so its rounding does not grow with n: the kernel reads
+#: 4.3e-15 and 3.9e-15 at seeds 1 and 7, where one running sum over all
+#: rows read 1.8e-13 and 1.6e-13.
+LONGDOUBLE_RTOL = 2e-14
+
+
+class TestSegments:
+    """Segments of 2^14 points, each started from the exact cell counts
+    before it."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_bytes_do_not_depend_on_the_workers_or_the_replications(self, monkeypatch,
+                                                                     workers):
+        # two full segments and a tail, three samples together and each alone
+        monkeypatch.setattr(aggregation, "_workers", lambda: workers)
+        cands = _perturbation_candidates(64, 1000, 2.0)
+        cset = CandidateSet.from_densities(cands)
+        x = _sample_rows(cands[1], 2 * _SEGMENT_ROWS + 5, [(9, r) for r in range(3)])
+        cells = cset.cell_indices(x)
+        assert np.array_equal(_averaged_weights(cset, cells),
+                              _segmented_averaged_weights(cset, cells))
+        rows = _aggregate_rows(cset, cells)
+        for row, points in zip(rows, x):
+            assert np.array_equal(row, aggregate(cset, points).values)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.uint64])
+    def test_trajectory_cells_of_any_integer_dtype(self, dtype):
+        # the count pass offsets each replication's cells; uint64 cells plus
+        # intp offsets would promote to float, which bincount refuses
+        rng = np.random.default_rng(4)
+        cset = _vanishing_family(3, rng)
+        traj = progressive_weights(cset, rng.uniform(0.0, 0.8, size=_SEGMENT_ROWS + 5))
+        other = WeightTrajectory(cset, traj.cells.astype(dtype), traj.averaged)
+        assert np.array_equal(other.weights, traj.weights)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 2.0**-60,
+                        reason="needs an extended-precision longdouble")
+    def test_long_samples_are_close_to_the_exact_count_weights(self):
+        n = 10**6
+        cands = _perturbation_candidates(8, n, 2.0)
+        cset = CandidateSet.from_densities(cands)
+        cells = cset.cell_indices(sample(cands[1], n, seed=1))
+        expected = _longdouble_averaged_weights(cset, cells)
+        got = _averaged_weights(cset, cells[None])[0]
+        assert np.all(np.abs(got - expected) <= LONGDOUBLE_RTOL * expected)
 
 
 # ---------------------------------------------------------------------------

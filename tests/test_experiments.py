@@ -500,9 +500,11 @@ class TestRateStudyBatches:
             (tmp_path / f"{name}.json").write_text(json.dumps(result.fit_dict()))
             return [(tmp_path / f"{name}.{ext}").read_bytes() for ext in ("csv", "json")]
 
+        # segments of 20 points give every call at least two full ones, so
+        # the kernel of a lone group starts a helper for each worker past
+        # the first; blocks of 2^10 entries give them several blocks each
+        monkeypatch.setattr(aggregation, "_SEGMENT_ROWS", 20)
         expected = run("default")
-        # blocks of 2^10 entries give most calls several full blocks, so the
-        # kernel starts a helper for each worker past the first
         monkeypatch.setattr(aggregation, "_BLOCK_ELEMENTS", 2**10)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # threads hand the lock over as often as they can
@@ -549,22 +551,24 @@ class TestRateStudyBatches:
         # Groups of 2400 points: at n = 50 each cell is one group, at n = 100
         # the M = 8 cell is two, at n = 200 the cells are four (M = 8) and two
         # (M = 4).  The engine starts a helper per group past the first, up
-        # to two, and a dealt group's kernel sees one worker.  Blocks of
-        # 2^12 entries give the lone groups 5 (M = 8, n = 50), 1 and 2 full
-        # blocks, so they start 2, 0 and 1 kernel helpers.
+        # to two, and a dealt group's kernel sees one worker.  Segments of
+        # 30 points give the lone groups 1 (n = 50) and 3 (n = 100) full
+        # segments, so they start 0, 0 and 2 kernel helpers.
         started, calls = self._recorded_helpers(monkeypatch)
         monkeypatch.setattr(experiments, "_GROUP_POINTS", 2400)
         monkeypatch.setattr(aggregation, "_BLOCK_ELEMENTS", 2**12)
+        monkeypatch.setattr(aggregation, "_SEGMENT_ROWS", 30)
         run_rate_study(self._config())
         assert sorted(calls, key=repr) == sorted(
-            [(50, 48, 3, 2), (50, 24, 3, 0), (100, 24, 3, 1)]
+            [(50, 48, 3, 0), (50, 24, 3, 0), (100, 24, 3, 2)]
             + [(100, 24, 1, None)] * 2 + [(200, 12, 1, None)] * 6, key=repr)
-        assert len(started) == (1 + 2 + 1) + (2 + 0 + 1)
+        assert len(started) == (1 + 2 + 1) + (0 + 0 + 2)
         assert not any(thread.is_alive() for thread in started)
 
     def test_no_kernel_helper_outlives_a_failing_study(self, monkeypatch):
         started, calls = self._recorded_helpers(monkeypatch)
         monkeypatch.setattr(aggregation, "_BLOCK_ELEMENTS", 2**10)
+        monkeypatch.setattr(aggregation, "_SEGMENT_ROWS", 10)
         real, failed = aggregation._normalize_log_rows, {}
 
         def failing(log_w, first_row=0):
@@ -575,9 +579,9 @@ class TestRateStudyBatches:
             return real(log_w, first_row)
 
         monkeypatch.setattr(aggregation, "_normalize_log_rows", failing)
-        # the first cell is one group, whose kernel's blocks are dealt to
-        # three workers; every block a helper takes fails, and the error
-        # raised is the first failing block's, whichever helper took it
+        # the first cell is one group, whose kernel's five segments are
+        # dealt to three workers; every block a helper takes fails, and the
+        # error raised is the first failing segment's, whichever helper took it
         with pytest.raises(RuntimeError, match="^helper [12] fails$") as got:
             run_rate_study(self._config())
         assert str(got.value) == f"helper {failed[min(failed)]} fails"

@@ -3,8 +3,10 @@
 ``_oracle_progressive_weights`` is the (n+1)×M implementation the stream
 replaced, kept verbatim in substance: one ``log`` per sample point, one
 ``cumsum`` and one softmax over the whole matrix, then the column mean.
-The stream must reproduce its averaged vector and every weight row
-bit for bit, and fail with the same message where it fails.
+Up to one kernel segment of 2^14 points the stream must reproduce its
+averaged vector and every weight row bit for bit; past it, those of the
+segmented reference in ``test_engine``, whose segments start from exact
+cell counts.  Either way it fails with the oracle's message where it fails.
 """
 
 import tracemalloc
@@ -22,7 +24,8 @@ from densagg import (
     aggregate,
     progressive_weights,
 )
-from densagg.aggregation import _BLOCK_ELEMENTS
+from densagg.aggregation import _BLOCK_ELEMENTS, _SEGMENT_ROWS
+from test_engine import _reference_rows, _segmented_averaged_weights
 
 
 def _oracle_progressive_weights(cset: CandidateSet, x):
@@ -52,12 +55,23 @@ def _oracle_progressive_weights(cset: CandidateSet, x):
     return w, w.mean(axis=0)
 
 
+def _expected(cset, x):
+    """The oracle's weights and averaged vector, or its error; past one
+    kernel segment, the segmented reference's weights."""
+    weights, averaged = _oracle_progressive_weights(cset, x)
+    if len(x) > _SEGMENT_ROWS:
+        cells = cset.cell_indices(x)[None]
+        weights = _reference_rows(cset, cells)[:, 0]
+        averaged = _segmented_averaged_weights(cset, cells)[0]
+    return weights, averaged
+
+
 def _step(m: int) -> int:
     return max(1, _BLOCK_ELEMENTS // m)
 
 
 def _assert_matches_oracle(cset, x):
-    weights, averaged = _oracle_progressive_weights(cset, x)
+    weights, averaged = _expected(cset, x)
     traj = progressive_weights(cset, x)
     assert traj.n_steps == len(x) and traj.n_candidates == cset.size
     assert np.array_equal(traj.averaged, averaged)
@@ -98,7 +112,7 @@ class TestStreamMatchesFullMatrix:
     def test_bit_identical_on_random_families(self, case):
         cset, x = case
         try:
-            weights, averaged = _oracle_progressive_weights(cset, x)
+            weights, averaged = _expected(cset, x)
         except ValidationError as exc:
             with pytest.raises(ValidationError) as info:
                 progressive_weights(cset, x)
