@@ -158,7 +158,7 @@ class CandidateSet:
         return self.log_table[self.cell_indices(x)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightTrajectory:
     """Simplex weight vectors after each sample prefix.
 
@@ -166,20 +166,21 @@ class WeightTrajectory:
     points (row 0 is the all-equal prior); ``averaged`` is the column mean
     over all ``n + 1`` rows, i.e. the mixing vector the aggregate uses.
 
-    Built by :func:`progressive_weights`, which stores only ``averaged``
-    and the sample's shared-grid cell indices.  :func:`progressive_weights`
-    stores ``cells`` in the narrowest unsigned dtype that holds the grid's
-    cells (``uint8`` up to 256 cells), so never subtract from them; any
-    integer dtype is accepted.  The (n+1)×M ``weights`` matrix is
-    computed on first access, by the same block kernel at one worker;
-    :meth:`to_csv` streams its blocks without keeping the matrix.  The
-    kernel's gather does not check its indices, so ``cells`` are checked
-    here.
+    A trajectory stores its candidates and the sample's shared-grid cells,
+    copied unless read-only, and computes ``averaged`` from them on
+    construction, in O(block) memory.  :func:`progressive_weights` stores
+    ``cells`` in the narrowest unsigned dtype that holds the grid's cells
+    (``uint8`` up to 256 cells), so never subtract from them; any integer
+    dtype is accepted and checked, since the kernel's gather does not check
+    its indices.  The (n+1)×M ``weights`` matrix is computed on first
+    access, by the same kernel at one worker; :meth:`to_csv` streams its
+    blocks without keeping the matrix.  Trajectories are equal when their
+    candidates and cell values are, whatever the cells' dtype.
     """
 
     candidates: CandidateSet
     cells: np.ndarray
-    averaged: np.ndarray
+    averaged: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         cells, width = np.asarray(self.cells), self.candidates.values.shape[1]
@@ -187,6 +188,21 @@ class WeightTrajectory:
                 and (cells.size == 0 or (cells.min() >= 0 and cells.max() < width))):
             raise ValidationError(
                 f"trajectory cells must be a 1-D integer array of grid cells in [0, {width})")
+        if cells.flags.writeable:  # a copy the caller cannot change under ``averaged``
+            cells = cells.copy()
+            cells.setflags(write=False)
+        averaged = _averaged_weights(self.candidates, cells[None])[0]
+        averaged.setflags(write=False)
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "averaged", averaged)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.candidates == other.candidates and np.array_equal(self.cells, other.cells)
+
+    def __hash__(self):
+        return hash(self.candidates)
 
     @property
     def n_steps(self) -> int:
@@ -364,16 +380,17 @@ def _averaged_weights(candidates: CandidateSet, cells: np.ndarray,
     (:func:`_counted_log_likelihoods`; segment 0 from zeros and the prior
     row), so segments share no state; :func:`_deal` deals them to
     ``workers`` workers (by default ``_workers()``, at most one per full
-    segment), each with one block buffer.  Within a segment each block's
-    first row gets the running log-likelihood before its cumulative sum and
-    the running sum of weight rows before its column sum; the segments' sums
-    are added in segment order.  So the result is the same bit for bit at
-    any worker count and group layout, in O(block) memory per worker.
+    segment), and each segment allocates one block buffer.  Within a
+    segment each block's first row gets the running log-likelihood before
+    its cumulative sum and the running sum of weight rows before its column
+    sum; the segments' sums are added in segment order.  So the result is
+    the same bit for bit at any worker count and group layout, in O(block)
+    memory per worker.
 
     ``visit(k, rows)`` sees the prior row (``k = 0``) and then each
     normalised block, ``rows[0]`` being row ``k``, before the running sum is
     added into it; at one worker the calls come in row order on the calling
-    thread.  A block is a view of its worker's buffer, which the worker's
+    thread.  A block is a view of its segment's buffer, which the segment's
     next block overwrites.  Rows die for good, so the least failing
     segment's error, which :func:`_deal` raises, is the earliest dead row's.
     """
@@ -391,17 +408,15 @@ def _averaged_weights(candidates: CandidateSet, cells: np.ndarray,
     prior = _normalize_log_rows(np.zeros((1, r_count, m)))
     visit(0, prior)
     sums = np.zeros((segments, r_count, m))
-    own = threading.local()
 
     def run(s):
         start, stop = s * _SEGMENT_ROWS, min((s + 1) * _SEGMENT_ROWS, n)
         carry, total = ((_counted_log_likelihoods(candidates.log_table, before[s - 1]), 0.0)
                         if s else (0.0, prior[0]))
+        buffer = np.empty((min(step, stop - start), r_count, m))
         for k in range(start, stop, step):
-            if not hasattr(own, "buffer"):
-                own.buffer = np.empty((min(step, _SEGMENT_ROWS, n), r_count, m))
             terms = _cumulative_log_likelihoods(
-                candidates.log_table, cells[:, k:min(k + step, stop)].T, own.buffer, carry)
+                candidates.log_table, cells[:, k:min(k + step, stop)].T, buffer, carry)
             carry = terms[-1].copy()
             block = _normalize_log_rows(terms, k + 1)
             visit(k + 1, block)
@@ -431,14 +446,11 @@ def progressive_weights(candidates: CandidateSet, x) -> WeightTrajectory:
     max-shifted softmax.  Equivalently, row ``k`` is proportional to
     ``exp(-k * empirical_kl(f_j, x[:k]))``.
 
-    Only ``averaged`` is computed here, streamed in O(block) memory by
-    :func:`_averaged_weights`.
+    Only ``averaged`` is computed here, by :class:`WeightTrajectory`.
     """
     cells = _sample_cells(candidates, x)
-    averaged = _averaged_weights(candidates, cells[None])[0]
-    for arr in (cells, averaged):
-        arr.setflags(write=False)
-    return WeightTrajectory(candidates, cells, averaged)
+    cells.setflags(write=False)
+    return WeightTrajectory(candidates, cells)
 
 
 def _mixture_values(candidates: CandidateSet, weights: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -537,11 +537,20 @@ def _selector_estimator(cset: CandidateSet):
 class RateStudyResult:
     """Worst-case excess risks and the fitted log-log rate.  A rate row passes
     exactly when it enters the fit, so ``n_fit`` and ``dropped`` count the
-    report's passing and failing rows."""
+    report's passing and failing rows.  ``slope`` and ``intercept`` are fitted
+    on construction, a line through ``(log bound, log mean_risk)`` of the
+    passing rows; a report with fewer than two is refused."""
 
     report: RiskReport
-    slope: float
-    intercept: float
+    slope: float = field(init=False)
+    intercept: float = field(init=False)
+
+    def __post_init__(self):
+        fit = [(math.log(r.bound), math.log(r.mean_risk)) for r in self.report.rows if r.passed]
+        if len(fit) < 2:
+            raise ValidationError("rate study has fewer than two usable cells; cannot fit a slope")
+        for name, value in zip(("slope", "intercept"), np.polyfit(*np.array(fit).T, 1)):
+            object.__setattr__(self, name, float(value))
 
     @property
     def n_fit(self) -> int:
@@ -609,14 +618,7 @@ def run_rate_study(config: ExperimentConfig) -> RateStudyResult:
             # the truth is a family member, so the oracle risk is 0
             rows.append(_risk_row("rate", config, m, n, worst_mean, worst_se,
                                   0.0, math.log(m) / n, passed=valid))
-    fit = [(math.log(r.bound), math.log(r.mean_risk)) for r in rows if r.passed]
-    if len(fit) < 2:
-        raise ValidationError(
-            "rate study has fewer than two usable cells; cannot fit a slope"
-        )
-    slope, intercept = np.polyfit(*np.array(fit).T, 1)
-    return RateStudyResult(
-        report=RiskReport(tuple(rows)), slope=float(slope), intercept=float(intercept))
+    return RateStudyResult(RiskReport(tuple(rows)))
 
 
 def run_lowerbound_audit(family_size: int, sample_size: int, bound: float) -> AuditReport:

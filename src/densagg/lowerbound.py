@@ -542,16 +542,6 @@ class AuditReport:
         for i, dist in enumerate(_pair_distances(w, self.words._weights)):
             yield f"hellinger_separation[pair=({i},", later[i + 1:], 1, dist
 
-    def _failing(self):
-        """Per kind, whether each class fails, as a bool array; ``None`` when
-        no check can fail: no KL class fails, and no separation class at
-        distance ``ceil(D/8)`` or more, where every pair of a separated set
-        lies."""
-        kl, sep = (np.array([not e[2] for e in t]) for t in (self.kl_classes, self.sep_classes))
-        if not kl.any() and not sep[_separation_floor(self.family.n_bumps):].any():
-            return None
-        return kl, sep
-
     @cached_property
     def checks(self) -> tuple[AuditCheck, ...]:
         # object arrays, so that one gather per row picks the entries
@@ -565,13 +555,14 @@ class AuditReport:
 
     @cached_property
     def n_failed(self) -> int:
-        """How many checks fail, counted from the class verdicts in one walk,
-        or 0 without one when :meth:`_failing` says none can; :meth:`save`
-        counts them in its own walk and leaves the count here."""
-        failing = self._failing()
-        if failing is None:
+        """How many checks fail, counted from the class verdicts in one walk
+        of the pairs, or 0 without one when no check can fail: no KL class
+        fails, and no separation class at distance ``ceil(D/8)`` or more,
+        where every pair of a separated set lies."""
+        kl, sep = (np.array([not e[2] for e in t]) for t in (self.kl_classes, self.sep_classes))
+        if not kl.any() and not sep[_separation_floor(self.family.n_bumps):].any():
             return 0
-        return sum(int(np.count_nonzero(failing[kind][classes]))
+        return sum(int(np.count_nonzero((kl, sep)[kind][classes]))
                    for _, _, kind, classes in self._rows())
 
     @property
@@ -583,9 +574,7 @@ class AuditReport:
         """Yield the report's JSON text, ``json.dumps(report, indent=2) + "\\n"``
         byte for byte, in chunks (the header, one per row of words, the footer),
         never built whole; ``report`` holds the header keys, ``"checks"`` (a
-        record per check, in :attr:`checks` order) and ``"all_pass"``.  The
-        failing checks are counted in the same walk, for the footer and
-        :attr:`n_failed`."""
+        record per check, in :attr:`checks` order) and ``"all_pass"``."""
         header = {
             "M": self.family.family_size,
             "n": self.sample_size,
@@ -601,7 +590,6 @@ class AuditReport:
             verdict = [f',\n      "pass": {json.dumps(v)}\n    }}' for v in (False, True)]
             tails.append(np.array([bound + json.dumps(achieved) + verdict[passed]
                                    for _, achieved, passed in table], dtype=object))
-        failing, n_failed = self._failing(), 0
         head = ',\n    {\n      "name": "'
         # the header's closing "\n}" gives way to the checks; the first
         # record (a KL check: there is always one word) drops its comma
@@ -614,12 +602,7 @@ class AuditReport:
             parts[2::3] = entries
             text = "".join(parts)
             yield text[1:] if k == 0 else text
-            if failing is not None:
-                n_failed += int(np.count_nonzero(failing[kind][classes]))
-        # cached_property reads the instance dict, which a frozen dataclass
-        # leaves writable
-        self.__dict__.setdefault("n_failed", n_failed)
-        yield f'\n  ],\n  "all_pass": {json.dumps(n_failed == 0)}\n}}\n'
+        yield f'\n  ],\n  "all_pass": {json.dumps(self.all_pass)}\n}}\n'
 
     def to_dict(self) -> dict:
         """The report as :meth:`save` writes it, parsed."""

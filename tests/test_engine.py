@@ -702,9 +702,9 @@ class TestKernelWorkers:
     def test_a_worker_without_a_buffer_releases_every_worker(self, monkeypatch, helpers,
                                                             workers):
         # the k-th block buffer, on whichever thread allocates it, cannot be
-        # allocated: its segment is the only one to fail.  A worker that
-        # takes no segment allocates none, so with fewer than k the call
-        # succeeds.
+        # allocated: its segment is the only one to fail.  Each segment
+        # allocates its own buffer, so with fewer than k allocations the
+        # call succeeds.
         cset, cells, _ = _worker_case(monkeypatch)
         expected = _segmented_averaged_weights(cset, cells)
         real_empty = np.empty
@@ -1012,7 +1012,8 @@ class TestSegments:
         rng = np.random.default_rng(4)
         cset = _vanishing_family(3, rng)
         traj = progressive_weights(cset, rng.uniform(0.0, 0.8, size=_SEGMENT_ROWS + 5))
-        other = WeightTrajectory(cset, traj.cells.astype(dtype), traj.averaged)
+        other = WeightTrajectory(cset, traj.cells.astype(dtype))
+        assert np.array_equal(other.averaged, traj.averaged)
         assert np.array_equal(other.weights, traj.weights)
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps > 2.0**-60,
@@ -1530,9 +1531,10 @@ class TestCompactCells:
         rng = np.random.default_rng(width)
         cset = _family(rng.uniform(0.2, 3.0, size=(64, width)))
         traj = progressive_weights(cset, rng.random(3000))
-        wide = WeightTrajectory(cset, traj.cells.astype(np.intp), traj.averaged)
+        wide = WeightTrajectory(cset, traj.cells.astype(np.intp))
         assert traj.cells.dtype == dtype
         assert np.array_equal(traj.averaged, _averaged_weights(cset, wide.cells[None])[0])
+        assert np.array_equal(traj.averaged, wide.averaged)
         assert np.array_equal(traj.weights, wide.weights)
         traj.to_csv(tmp_path / "compact.csv")
         wide.to_csv(tmp_path / "wide.csv")

@@ -73,11 +73,25 @@ def test_derived_values_are_read_not_passed():
     words = densagg.build_separated_set(family.n_bumps, 16)
     report = densagg.audit_hypotheses(family, words, 1000)
     row = densagg.RiskRow("rate", 16, 1000, 5, 1.0, 0.1, 0.25, 1.0, True)
+    steeper = replace(row, mean_risk=math.exp(2.0), bound=math.exp(1.0))
     result = densagg.RateStudyResult(
-        densagg.RiskReport((row, replace(row, passed=False), row)), 1.0, 0.0)
+        densagg.RiskReport((row, replace(row, passed=False), steeper)))
+    cset = densagg.CandidateSet([0.0, 0.5, 1.0], [[1.5, 0.5], [0.5, 1.5]])
+    traj = densagg.progressive_weights(cset, [0.25, 0.75, 0.25])
+    # fields() lists init=False fields too: the constructor takes those with f.init
     for record, derived in ((family, {"n_bumps"}), (report, {"kl_classes", "sep_classes"}),
-                            (row, {"excess"}), (result, {"n_fit", "dropped"})):
-        assert not derived & {f.name for f in fields(record)}
+                            (row, {"excess"}),
+                            (result, {"n_fit", "dropped", "slope", "intercept"}),
+                            (traj, {"averaged", "weights"})):
+        assert not derived & {f.name for f in fields(record) if f.init}
+    assert [f.name for f in fields(traj) if f.init] == ["candidates", "cells"]
+    assert [f.name for f in fields(result) if f.init] == ["report"]
+    with pytest.raises(TypeError):
+        densagg.RateStudyResult(result.report, 7.0, 0.0)
+    with pytest.raises(densagg.ValidationError, match="fewer than two usable cells"):
+        densagg.RateStudyResult(densagg.RiskReport((row, replace(steeper, passed=False))))
+    assert result.slope == pytest.approx(2.0) and result.intercept == pytest.approx(0.0, abs=1e-12)
+    assert densagg.WeightTrajectory(cset, traj.cells) == traj
     assert family.n_bumps == densagg.min_bump_count(16) == 32
     assert [e[0] for e in report.kl_classes] == [math.log(16) / 16.0] * 33
     assert len(report.sep_classes) == 33 and report.sep_classes[0][1] == 0.0
