@@ -1,11 +1,12 @@
 """Progressive-mixture aggregation and minimum-distance selection.
 
-Weight arithmetic is carried out in the log domain throughout, so long
-samples and vanishing likelihoods are handled without under/overflow: a
-candidate that assigns zero likelihood to any observed prefix point has
-weight exactly 0 from that row onward.  The batched forms, which take R
-samples as cells of shape (R, n), act on each sample exactly as on it
-alone, so batched and one-sample results are equal bit for bit.
+Weight rows are running products of likelihood ratios where a count bound
+proves that none underflows, else log-domain softmaxes, so long samples and
+vanishing likelihoods are handled without under/overflow: a candidate that
+assigns zero likelihood to any observed prefix point has weight exactly 0
+from that row onward.  The batched forms, which take R samples as cells of
+shape (R, n), act on each sample exactly as on it alone, so batched and
+one-sample results are equal bit for bit.
 """
 
 from __future__ import annotations
@@ -64,12 +65,15 @@ _SELECT_ELEMENTS = 2**15
 #: below; they decide only how many candidates are scored in full.
 _PROBES = 16
 
-#: Blocks whose cumulative sum has at least this many columns (R·M/2
-#: complex ones when R·M is even, else R·M) take it as one vector
-#: ``np.add`` per row, which is the faster of the two from about here on
-#: (README gives the timings); narrower ones take ``np.cumsum(axis=0)``.
-#: Both perform the same additions.
+#: Blocks whose running product or sum has at least this many columns
+#: (lanes·M, or lanes·M/2 complex ones for an even log-domain sum) take it as
+#: one ``np.multiply`` or ``np.add`` per row, the faster from about here on
+#: (README gives the timings); narrower ones take ``np.cumprod`` or
+#: ``np.cumsum``.  Both perform the same operations in the same order.
 _ROW_LOOP_WIDTH = 512
+
+#: A product lane keeps some candidate above ``2^-_PRODUCT_BITS`` (:func:`_lane_starts`).
+_PRODUCT_BITS = 900
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,14 +84,16 @@ class CandidateSet:
     the shared refinement once up front makes every downstream operation
     (likelihood evaluation, mixing, comparison sets) a plain array op.
     ``log_table[c, j]`` is ``log values[j, c]`` (``-inf`` where a candidate
-    vanishes), laid out cells × M so that one sample point's
-    log-likelihoods are one contiguous row.  Two sets are equal when their
-    grids and values are.
+    vanishes) and ``ratio_table[c, j]`` is ``values[j, c] / max_i values[i,
+    c]`` (0 where every candidate vanishes), laid out cells × M so that one
+    sample point's terms are one contiguous row.  Two sets are equal when
+    their grids and values are.
     """
 
     grid: np.ndarray
     values: np.ndarray
     log_table: np.ndarray = field(init=False, repr=False)
+    ratio_table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float).copy()
@@ -103,11 +109,12 @@ class CandidateSet:
         _check_density_rows(vals, np.diff(grid), "candidate")
         with np.errstate(divide="ignore"):
             log_table = np.ascontiguousarray(np.log(vals).T)
-        for arr in (grid, vals, log_table):
+        top = vals.max(axis=0)[:, None]
+        ratio_table = np.divide(vals.T, top, out=np.zeros_like(log_table), where=top > 0)
+        for name, arr in [("grid", grid), ("values", vals), ("log_table", log_table),
+                          ("ratio_table", ratio_table)]:
             arr.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "log_table", log_table)
+            object.__setattr__(self, name, arr)
 
     def __eq__(self, other):
         return _arrays_equal(self, other, ("grid", "values"))
@@ -136,6 +143,13 @@ class CandidateSet:
         grid = _union_grid([f.breakpoints for f in densities])
         vals = np.stack([_values_on(f, grid) for f in densities])
         return cls(grid, vals)
+
+    @cached_property
+    def _log_ratios(self) -> np.ndarray:
+        """``log ratio_table`` by ``math.log``, whose bits, unlike ``np.log``'s,
+        do not move with numpy's SIMD target: the lane form rule reads it."""
+        return np.reshape([math.log(v) if v else -math.inf for v in self.ratio_table.flat],
+                          self.ratio_table.shape)
 
     @property
     def size(self) -> int:
@@ -167,14 +181,16 @@ class WeightTrajectory:
     over all ``n + 1`` rows, i.e. the mixing vector the aggregate uses.
 
     A trajectory stores its candidates and the sample's shared-grid cells,
-    copied unless read-only, and computes ``averaged`` from them on
-    construction, in O(block) memory.  :func:`progressive_weights` stores
-    ``cells`` in the narrowest unsigned dtype that holds the grid's cells
-    (``uint8`` up to 256 cells), so never subtract from them; any integer
-    dtype is accepted and checked, since the kernel's gather does not check
-    its indices.  The (n+1)×M ``weights`` matrix is computed on first
-    access, by the same kernel at one worker; :meth:`to_csv` streams its
-    blocks without keeping the matrix.  Trajectories are equal when their
+    copied unless no writable array can reach them (they and each array
+    they view are read-only, the last owning its memory), and computes
+    ``averaged`` from them on construction, in O(block) memory.
+    :func:`progressive_weights` stores ``cells`` in the narrowest unsigned
+    dtype that holds the grid's cells (``uint8`` up to 256 cells), so never
+    subtract from them; any integer dtype is accepted and checked, since the
+    kernel's gather does not check its indices.  The (n+1)×M ``weights``
+    matrix is computed on first access, by the same kernel at one worker,
+    one lane at a time in row order; :meth:`to_csv` streams its blocks
+    without keeping the matrix.  Trajectories are equal when their
     candidates and cell values are, whatever the cells' dtype.
     """
 
@@ -188,7 +204,10 @@ class WeightTrajectory:
                 and (cells.size == 0 or (cells.min() >= 0 and cells.max() < width))):
             raise ValidationError(
                 f"trajectory cells must be a 1-D integer array of grid cells in [0, {width})")
-        if cells.flags.writeable:  # a copy the caller cannot change under ``averaged``
+        owner = cells
+        while not owner.flags.writeable and isinstance(owner.base, np.ndarray):
+            owner = owner.base
+        if owner.flags.writeable or owner.base is not None:  # a copy no caller can change
             cells = cells.copy()
             cells.setflags(write=False)
         averaged = _averaged_weights(self.candidates, cells[None])[0]
@@ -216,8 +235,8 @@ class WeightTrajectory:
     def weights(self) -> np.ndarray:
         w = np.empty((self.n_steps + 1, self.n_candidates))
 
-        def visit(k, block):
-            w[k:k + block.shape[0]] = block[:, 0]
+        def visit(r, k, rows):
+            w[k:k + rows.shape[0]] = rows
 
         _averaged_weights(self.candidates, self.cells[None], 1, visit)
         w.setflags(write=False)
@@ -229,8 +248,8 @@ class WeightTrajectory:
             writer = csv.writer(fh)
             writer.writerow(["k"] + [f"w_{j + 1}" for j in range(self.n_candidates)])
 
-            def visit(k, block):
-                for i, row in enumerate(block[:, 0], k):
+            def visit(r, k, rows):
+                for i, row in enumerate(rows, k):
                     writer.writerow([i] + [repr(float(v)) for v in row])
 
             _averaged_weights(self.candidates, self.cells[None], 1, visit)
@@ -277,41 +296,89 @@ def _normalize_log_rows(log_w: np.ndarray, first_row: int = 0) -> np.ndarray:
     return log_w
 
 
-def _cumulative_log_likelihoods(log_table: np.ndarray, idx: np.ndarray, out: np.ndarray,
-                                carry: np.ndarray) -> np.ndarray:
-    """One block of cumulative log-likelihood rows, (rows, R, M), in ``out[:rows]``.
+def _block_rows(table: np.ndarray, idx: np.ndarray, out: np.ndarray, carry: np.ndarray,
+                product: bool) -> np.ndarray:
+    """One block of running rows, (rows, lanes, M), in ``out[:rows]``.
 
-    ``idx`` holds the block's cells, (rows, R).  Their log-likelihood terms
-    are gathered into ``out``; then ``carry``, the cumulative log-likelihood
-    of the row before the block (R, M), is added into the first term, and a
-    cumulative sum runs down the block: per replication, the additions of
-    one ``cumsum`` over the block's segment, in the same order.
+    ``idx`` holds the block's cells, (rows, lanes).  Their terms are gathered
+    from ``table`` into ``out``; then ``carry``, the running row before the
+    block (lanes, M), is multiplied into the first term and a running product
+    runs down the block (``product``: ratios), or it is added and a running
+    sum runs (logs): per lane, one ``cumprod`` or ``cumsum``'s operations.
     """
     # The cells come from ``_cell_lookup`` or a checked trajectory, so
     # every index is in range; "clip" gathers straight into ``out``,
     # "raise" through a copy.
-    terms = np.take(log_table, idx, axis=0, out=out[:idx.shape[0]], mode="clip")
-    terms[0] += carry
+    terms = np.take(table, idx, axis=0, out=out[:idx.shape[0]], mode="clip")
     chains = terms.reshape(terms.shape[0], -1)
-    # A complex addition is one float addition per component, so paired
-    # columns get the same additions in the same order in half the chains.
-    if chains.shape[1] % 2 == 0:
-        chains = chains.view(np.complex128)
+    if product:
+        terms[0] *= carry
+        step, running = np.multiply, np.cumprod
+    else:
+        terms[0] += carry
+        # A complex addition is one float addition per component, so paired
+        # columns get the same additions in the same order in half the chains.
+        if chains.shape[1] % 2 == 0:
+            chains = chains.view(np.complex128)
+        step, running = np.add, np.cumsum
     if chains.shape[1] >= _ROW_LOOP_WIDTH:
         for prev, row in zip(chains, chains[1:]):
-            np.add(prev, row, out=row)
+            step(prev, row, out=row)
     else:
-        np.cumsum(chains, axis=0, out=chains)
+        running(chains, axis=0, out=chains)
     return terms
 
 
-def _counted_log_likelihoods(log_table: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """``Σ_c counts[r, c] · log_table[c]`` (R, M), added in cell order: a
-    prefix's log-likelihood from its exact cell counts (R, cells), taken over
-    the seen cells so that no zero count meets a ``-inf``."""
-    products = np.zeros((*counts.shape, log_table.shape[1]))
-    np.multiply(counts[..., None], log_table, out=products, where=counts[..., None] > 0)
-    return products.sum(axis=1)
+def _counted_log_likelihoods(table: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``Σ_c counts[c] · table[c]`` (M,) in cell order over the cells seen, so no
+    ``-inf`` meets a zero count: with ``log_table``, a prefix's log-likelihood."""
+    seen = np.flatnonzero(counts)
+    return (counts[seen, None] * table[seen]).sum(axis=0)
+
+
+def _lane_starts(candidates: CandidateSet, cells: np.ndarray):
+    """Each lane's form and start row, for cells (R, n): ``(product,
+    start)``, (segments, R) and (segments, R, M).
+
+    Lane ``(s, r)`` is segment ``s`` of replication ``r``.  A product lane
+    starts from ones (``s = 0``) or from the softmax of the exact-count
+    log-likelihood of the points before it (:func:`_counted_log_likelihoods`),
+    a log lane from zeros or from that log-likelihood.  A lane is a product
+    lane when some candidate ``j`` has ``a_j + Σ_c N_c · log ratio_table[c,
+    j] >= -_PRODUCT_BITS · ln 2``: ``N`` are the lane's cell counts and
+    ``a_j``, a lower bound on the log of its start row, is 0 at ``s = 0``,
+    else ``L_j - max_i L_i - log M`` for ``L`` the same sum over the counts
+    before the lane.  No ratio exceeds 1, so that candidate's product, and
+    with it every row sum, stays above ``2^-_PRODUCT_BITS``: no row dies, and
+    an entry that underflows to 0 had a weight below 2^-174.  A lane
+    passing with ``len · min_c log ratio_table[c, j]`` for the sum needs no
+    count.  The rule reads only the lane's cells, sums in a fixed order
+    without BLAS and takes ``math.log``'s logs: no form depends on the batch,
+    the workers or the SIMD target.
+    """
+    (r_count, n), m = cells.shape, candidates.size
+    logs, floor = candidates._log_ratios, -_PRODUCT_BITS * math.log(2)
+    segments = max(1, -(-n // _SEGMENT_ROWS))
+    product, start = np.zeros((segments, r_count), dtype=bool), np.zeros((segments, r_count, m))
+    before = np.zeros((r_count, logs.shape[0]), dtype=np.intp)
+    for s in range(segments):
+        lanes = cells[:, s * _SEGMENT_ROWS:(s + 1) * _SEGMENT_ROWS]
+        ll = lift = np.zeros((r_count, m))
+        with np.errstate(invalid="ignore"):  # NaN where every candidate is dead
+            if s:
+                ll = np.stack([_counted_log_likelihoods(candidates.log_table, b) for b in before])
+                lift = np.stack([_counted_log_likelihoods(logs, b) for b in before])
+                lift -= lift.max(axis=1, keepdims=True) + math.log(m)
+            safe = (lift + lanes.shape[1] * logs.min(axis=0)).max(axis=1) >= floor
+            if s < segments - 1 or not safe.all():  # intp, whatever dtype the cells have
+                own = np.stack([np.bincount(row.astype(np.intp), minlength=logs.shape[0])
+                                for row in lanes])
+                for r in np.flatnonzero(~safe):
+                    safe[r] = (lift[r] + _counted_log_likelihoods(logs, own[r])).max() >= floor
+                before += own
+        product[s], start[s] = safe, ll
+        start[s, safe] = _normalize_log_rows(ll[None, safe])[0] if s else 1.0
+    return product, start
 
 
 #: ``busy`` is true on each thread of a :func:`_deal` call with several
@@ -370,61 +437,73 @@ def _deal(count: int, run, workers: int | None = None) -> None:
 
 
 def _averaged_weights(candidates: CandidateSet, cells: np.ndarray,
-                      workers: int | None = None, visit=lambda k, rows: None) -> np.ndarray:
+                      workers: int | None = None, visit=None) -> np.ndarray:
     """Column means of the weight rows, (R, M), for cell indices ``cells`` (R, n).
 
-    The rows are cut into segments of ``_SEGMENT_ROWS`` sample points at
-    fixed absolute rows, each walked in blocks laid out (rows, R, M), of at
-    most ``_BLOCK_ELEMENTS // (R·M)`` rows.  Segment ``s`` starts from the
-    exact cell counts of the points before it, taken in a first pass
-    (:func:`_counted_log_likelihoods`; segment 0 from zeros and the prior
-    row), so segments share no state; :func:`_deal` deals them to
+    The rows are cut into lanes, each one replication's segment of
+    ``_SEGMENT_ROWS`` points at fixed absolute rows, started from the exact
+    cell counts before it in the form :func:`_lane_starts` gives it, so lanes
+    share no state.  Lanes of one form walk side by side in blocks laid out
+    (rows, lanes, M), of at most ``_BLOCK_ELEMENTS // (lanes·M)`` rows
+    (:func:`_block_rows`), each row divided by its sum or, in the log form,
+    normalised by :func:`_normalize_log_rows`.  Product lanes of one length
+    are cut into one chunk per worker, log lanes into one per segment;
+    :func:`_deal` deals the chunks in order of their first segment to
     ``workers`` workers (by default ``_workers()``, at most one per full
-    segment), and each segment allocates one block buffer.  Within a
-    segment each block's first row gets the running log-likelihood before
-    its cumulative sum and the running sum of weight rows before its column
-    sum; the segments' sums are added in segment order.  So the result is
-    the same bit for bit at any worker count and group layout, in O(block)
+    segment), and each chunk allocates one block buffer.  Within a lane each
+    block's first row gets the running row before its running product or
+    sum, and the running sum of weight rows before its column sum; the
+    lanes' sums are added in segment order.  So the result is the same bit
+    for bit at any worker count, chunking and group layout, in O(block)
     memory per worker.
 
-    ``visit(k, rows)`` sees the prior row (``k = 0``) and then each
-    normalised block, ``rows[0]`` being row ``k``, before the running sum is
-    added into it; at one worker the calls come in row order on the calling
-    thread.  A block is a view of its segment's buffer, which the segment's
-    next block overwrites.  Rows die for good, so the least failing
-    segment's error, which :func:`_deal` raises, is the earliest dead row's.
+    ``visit(r, k, rows)`` sees replication ``r``'s prior row (``k = 0``) and
+    then each of its normalised blocks, ``rows[0]`` being row ``k``, before
+    the running sum is added into it; with ``visit`` each product lane is a
+    chunk of its own, so at one worker every replication's rows come in row
+    order on the calling thread.  ``rows`` is a view of its chunk's buffer,
+    which the chunk's next block overwrites.  Product lanes have no dead row
+    and rows die for good, so the least failing chunk's error, which
+    :func:`_deal` raises, is the earliest dead row's.
     """
     (r_count, n), m = cells.shape, candidates.size
-    step = max(1, _BLOCK_ELEMENTS // (r_count * m))
-    segments = max(1, -(-n // _SEGMENT_ROWS))
-    width = candidates.log_table.shape[0]
-    offsets = width * np.arange(r_count)[:, None]
-    # intp sums, whatever integer dtype a trajectory's cells come in
-    counts = [np.bincount(np.add(cells[:, s * _SEGMENT_ROWS:(s + 1) * _SEGMENT_ROWS], offsets,
-                                 dtype=np.intp).ravel(), minlength=r_count * width)
-              for s in range(segments - 1)]
-    # ``before[s - 1]``: each replication's cell counts before segment s
-    before = np.cumsum(counts, axis=0).reshape(-1, r_count, width)
-    prior = _normalize_log_rows(np.zeros((1, r_count, m)))
-    visit(0, prior)
+    product, start = _lane_starts(candidates, cells)
+    segments, flat = product.shape[0], cells.ravel()
+    workers = max(1, min(_workers() if workers is None else workers, n // _SEGMENT_ROWS))
     sums = np.zeros((segments, r_count, m))
+    sums[0] = 1.0 / m  # the prior row
+    for r in range(r_count if visit else 0):
+        visit(r, 0, sums[0, r:r + 1])
+    chunks, lanes, logs = [], np.argwhere(product), np.argwhere(~product)  # (s, r) rows
+    for group in np.split(lanes, [np.searchsorted(lanes[:, 0], segments - 1)]):
+        size = 1 if visit else max(1, -(-len(group) // workers))  # full segments, then the last
+        chunks += [(True, *group[i:i + size].T) for i in range(0, len(group), size)]
+    chunks += [(False, *group.T) for group in
+               np.split(logs, np.flatnonzero(np.diff(logs[:, 0])) + 1) if group.size]
+    chunks.sort(key=lambda chunk: chunk[1][0])
 
-    def run(s):
-        start, stop = s * _SEGMENT_ROWS, min((s + 1) * _SEGMENT_ROWS, n)
-        carry, total = ((_counted_log_likelihoods(candidates.log_table, before[s - 1]), 0.0)
-                        if s else (0.0, prior[0]))
-        buffer = np.empty((min(step, stop - start), r_count, m))
-        for k in range(start, stop, step):
-            terms = _cumulative_log_likelihoods(
-                candidates.log_table, cells[:, k:min(k + step, stop)].T, buffer, carry)
-            carry = terms[-1].copy()
-            block = _normalize_log_rows(terms, k + 1)
-            visit(k + 1, block)
+    def run(i):
+        is_product, ss, rs = chunks[i]
+        first, length = ss[0] * _SEGMENT_ROWS, min(_SEGMENT_ROWS, n - ss[0] * _SEGMENT_ROWS)
+        starts, step = rs * n + ss * _SEGMENT_ROWS, max(1, _BLOCK_ELEMENTS // (rs.size * m))
+        table = candidates.ratio_table if is_product else candidates.log_table
+        carry, total = start[ss, rs], sums[ss, rs]
+        buffer = np.empty((min(step, length), rs.size, m))
+        for k in range(0, length, step):
+            idx = flat[np.add.outer(np.arange(k, min(k + step, length)), starts)]
+            block = _block_rows(table, idx, buffer, carry, is_product)
+            carry = block[-1].copy()
+            if is_product:
+                block /= block.sum(axis=-1, keepdims=True)
+            else:
+                _normalize_log_rows(block, first + k + 1)
+            for lane in range(rs.size if visit else 0):
+                visit(rs[lane], ss[lane] * _SEGMENT_ROWS + k + 1, block[:, lane])
             block[0] += total
             total = block.sum(axis=0)
-        sums[s] = total
+        sums[ss, rs] = total
 
-    _deal(segments, run, min(_workers() if workers is None else workers, n // _SEGMENT_ROWS))
+    _deal(len(chunks), run, workers)
     return sums.sum(axis=0) / (n + 1)
 
 
@@ -442,15 +521,16 @@ def progressive_weights(candidates: CandidateSet, x) -> WeightTrajectory:
     """Likelihood-proportional weight vectors after every sample prefix.
 
     Row ``k`` is proportional to ``Π_{i<=k} f_j(X_i)`` (row 0 equals
-    ``1/M``), computed as a cumulative sum of log likelihoods followed by a
+    ``1/M``), computed as a running product of likelihood ratios or, where
+    that could underflow, a cumulative sum of log likelihoods followed by a
     max-shifted softmax.  Equivalently, row ``k`` is proportional to
     ``exp(-k * empirical_kl(f_j, x[:k]))``.
 
     Only ``averaged`` is computed here, by :class:`WeightTrajectory`.
     """
-    cells = _sample_cells(candidates, x)
-    cells.setflags(write=False)
-    return WeightTrajectory(candidates, cells)
+    owner = _sample_cells(candidates, x).base  # the lookup's buffer, of which the cells are a view
+    owner.setflags(write=False)
+    return WeightTrajectory(candidates, owner)
 
 
 def _mixture_values(candidates: CandidateSet, weights: np.ndarray) -> np.ndarray:

@@ -307,6 +307,29 @@ class TestProgressiveWeights:
             assert np.array_equal(other.averaged, traj.averaged)
             assert np.array_equal(other.weights, traj.weights)
 
+    def test_a_read_only_view_of_a_writable_array_is_copied(self):
+        # the base can change under the view, and ``averaged`` with it
+        cset = CandidateSet([0.0, 0.5, 1.0], [[1.5, 0.5], [0.5, 1.5]])
+        base = np.zeros(3, dtype=np.intp)
+        view = base[:]
+        view.setflags(write=False)
+        traj = WeightTrajectory(cset, view)
+        base[:] = 1
+        own = WeightTrajectory(cset, [0, 0, 0])
+        assert np.array_equal(traj.cells, own.cells)
+        assert np.array_equal(traj.averaged, own.averaged) and own.averaged[0] > 0.5
+        assert np.array_equal(traj.weights, own.weights)
+
+    def test_cells_no_writable_array_reaches_are_kept(self):
+        owner = np.array([0, 1, 1])
+        owner.setflags(write=False)
+        view = owner[1:]
+        assert WeightTrajectory(two_candidates(), owner).cells is owner
+        assert WeightTrajectory(two_candidates(), view).cells is view
+        # progressive_weights hands over its lookup's own buffer, uncopied
+        traj = progressive_weights(two_candidates(), [0.25, 0.75])
+        assert traj.cells.base is None and not traj.cells.flags.writeable
+
 
 def _separated_family(m, eps):
     """Candidate ``j`` puts mass ``1 - eps`` on its own ``1/m`` of [0, 1]."""
@@ -342,9 +365,9 @@ def _summed_log_loss(cset, cells, workers):
     n = cells.size
     losses = {}
 
-    def visit(k, rows):
+    def visit(r, k, rows):
         stop = min(k + rows.shape[0], n)
-        predictive = (rows[:stop - k, 0] * cset.values.T[cells[k:stop]]).sum(axis=1)
+        predictive = (rows[:stop - k] * cset.values.T[cells[k:stop]]).sum(axis=1)
         losses[k] = (-np.log(predictive)).tolist()
 
     _averaged_weights(cset, cells[None], workers, visit)

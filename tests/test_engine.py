@@ -97,17 +97,14 @@ def _old_sample(density, n, seed):
     return np.clip(x, 0.0, 1.0)
 
 
-def _float_cumsum_weight_blocks(candidates, cells, carry=None, first=0):
-    """Yield ``(k, rows)``, the kernel's normalised blocks as they were before
-    narrow blocks paired their columns: a float ``np.cumsum`` below 512
-    entries per row, one ``np.add`` per row above.  Without ``carry`` the
-    walk starts at the prior row; with it, ``cells[:, 0]`` is sample point
-    ``first`` and ``carry`` the log-likelihood of the row before it."""
+def _float_cumsum_weight_blocks(candidates, cells, carry, first):
+    """Yield ``(k, rows)``, the log-domain kernel's normalised blocks as
+    they were before narrow blocks paired their columns: a float
+    ``np.cumsum`` below 512 entries per row, one ``np.add`` per row above.
+    ``cells[:, 0]`` is sample point ``first`` and ``carry`` the
+    log-likelihood of the row before it."""
     width = cells.shape[0] * candidates.size
     step = max(1, _BLOCK_ELEMENTS // width)
-    if carry is None:
-        carry = np.zeros((cells.shape[0], candidates.size))
-        yield 0, _normalize_log_rows(np.zeros((1, *carry.shape)))
     for start in range(0, cells.shape[1], step):
         terms = candidates.log_table[cells[:, start:start + step].T]
         terms[0] += carry
@@ -118,30 +115,6 @@ def _float_cumsum_weight_blocks(candidates, cells, carry=None, first=0):
             np.cumsum(terms, axis=0, out=terms)
         carry = terms[-1].copy()
         yield first + start + 1, _normalize_log_rows(terms, first + start + 1)
-
-
-def _column_sum(blocks):
-    """The column sum of the rows of ``blocks``, added in row order."""
-    total = None
-    for _, block in blocks:
-        if total is not None:
-            block[0] += total
-        total = block.sum(axis=0)
-    return total
-
-
-def _float_cumsum_averaged_weights(candidates, cells):
-    return _column_sum(_float_cumsum_weight_blocks(candidates, cells)) / (cells.shape[1] + 1)
-
-
-def _float_cumsum_csv(candidates, cells, path, blocks=_float_cumsum_weight_blocks):
-    """``WeightTrajectory.to_csv`` of one sample's cells over ``blocks``."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k"] + [f"w_{j + 1}" for j in range(candidates.size)])
-        for k, block in blocks(candidates, cells[None]):
-            for i, row in enumerate(block[:, 0], k):
-                writer.writerow([i] + [repr(float(v)) for v in row])
 
 
 def _exact_count_anchor(candidates, cells):
@@ -155,43 +128,65 @@ def _exact_count_anchor(candidates, cells):
     return anchor
 
 
-def _segments(candidates, cells):
-    """Yield the blocks of each segment of ``aggregation._SEGMENT_ROWS``
-    points: the first walked from the prior row, every other from the
-    exact-count anchor of the points before it."""
+def _product_rows(candidates, cells, carry):
+    """One product lane's weight rows, (n, M), row by row: the raw row before
+    (``carry`` before the first) times the point's ``ratio_table`` row,
+    divided by its sum (``np.cumprod`` multiplies down the rows in order)."""
+    raw = candidates.ratio_table[cells]
+    raw[0] *= carry
+    np.cumprod(raw, axis=0, out=raw)
+    return raw / raw.sum(axis=1, keepdims=True)
+
+
+def _lanes(candidates, cells):
+    """Yield ``(s, rs, k, rows)`` segment by segment: the reference weight
+    rows (rows, len(rs), M) of segment ``s`` of replications ``rs``, ``rows[0]``
+    being row ``k``, in the form ``aggregation._lane_starts`` gives each lane.
+    Product lanes are walked one at a time by ``_product_rows``, from ones or
+    from the softmax of their exact-count anchor; a segment's log lanes
+    together by the float cumsum from that anchor, which fails at the
+    earliest dead row."""
+    product, _ = aggregation._lane_starts(candidates, cells)
     seg = aggregation._SEGMENT_ROWS
-    yield _float_cumsum_weight_blocks(candidates, cells[:, :seg])
-    for start in range(seg, cells.shape[1], seg):
-        yield _float_cumsum_weight_blocks(candidates, cells[:, start:start + seg],
-                                          _exact_count_anchor(candidates, cells[:, :start]),
-                                          start)
-
-
-def _segmented_weight_blocks(candidates, cells):
-    """Yield ``(k, rows)``, the segmented kernel's normalised blocks."""
-    for blocks in _segments(candidates, cells):
-        yield from blocks
-
-
-def _segmented_averaged_weights(candidates, cells):
-    """The segmented kernel's averaged weights: each segment's column sum,
-    the segments' sums added in segment order."""
-    sums = [_column_sum(blocks) for blocks in _segments(candidates, cells)]
-    return functools.reduce(np.add, sums) / (cells.shape[1] + 1)
-
-
-def _reference(n):
-    """The reference ``(blocks, averaged)`` for samples of ``n`` points: the
-    float cumsum over one segment, the segmented walk past it."""
-    if n > aggregation._SEGMENT_ROWS:
-        return _segmented_weight_blocks, _segmented_averaged_weights
-    return _float_cumsum_weight_blocks, _float_cumsum_averaged_weights
+    for s, start in enumerate(range(0, cells.shape[1], seg)):
+        lanes = cells[:, start:start + seg]
+        anchor = _exact_count_anchor(candidates, cells[:, :start])
+        logs = np.flatnonzero(~product[s])
+        if logs.size:
+            blocks = _float_cumsum_weight_blocks(candidates, lanes[logs], anchor[logs], start)
+            yield s, logs, start + 1, np.concatenate([rows for _, rows in blocks])
+        for r in np.flatnonzero(product[s]):
+            carry = _normalize_log_rows(anchor[None, r])[0] if s else 1.0
+            yield s, [r], start + 1, _product_rows(candidates, lanes[r], carry)[:, None]
 
 
 def _reference_rows(candidates, cells):
     """The reference weight rows of ``cells`` (R, n), (n+1, R, M)."""
-    blocks, _ = _reference(cells.shape[1])
-    return np.concatenate([rows for _, rows in blocks(candidates, cells)])
+    rows = np.full((cells.shape[1] + 1, cells.shape[0], candidates.size), 1.0 / candidates.size)
+    for _, rs, k, block in _lanes(candidates, cells):
+        rows[k:k + block.shape[0], rs] = block
+    return rows
+
+
+def _reference_averaged(candidates, cells):
+    """The reference averaged weights: each lane's rows added in row order
+    to the prior row (segment 0) or to zeros, the lanes' sums added in
+    segment order."""
+    sums = [np.full((cells.shape[0], candidates.size), 1.0 / candidates.size)]
+    for s, rs, _, block in _lanes(candidates, cells):
+        if s == len(sums):
+            sums.append(np.zeros_like(sums[0]))
+        sums[s][rs] = np.concatenate([sums[s][None, rs], block]).sum(axis=0)
+    return functools.reduce(np.add, sums) / (cells.shape[1] + 1)
+
+
+def _reference_csv(candidates, cells, path):
+    """``WeightTrajectory.to_csv`` of one sample's reference rows."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["k"] + [f"w_{j + 1}" for j in range(candidates.size)])
+        for i, row in enumerate(_reference_rows(candidates, cells[None])[:, 0]):
+            writer.writerow([i] + [repr(float(v)) for v in row])
 
 
 def _visited_rows(candidates, cells, workers):
@@ -199,9 +194,9 @@ def _visited_rows(candidates, cells, workers):
     (n+1, R, M), each checked to arrive once."""
     rows = np.full((cells.shape[1] + 1, cells.shape[0], candidates.size), np.nan)
 
-    def visit(k, block):
-        assert np.isnan(rows[k:k + block.shape[0]]).all()
-        rows[k:k + block.shape[0]] = block  # the worker's buffer is reused
+    def visit(r, k, block):
+        assert np.isnan(rows[k:k + block.shape[0], r]).all()
+        rows[k:k + block.shape[0], r] = block  # the worker's buffer is reused
 
     averaged = _averaged_weights(candidates, cells, workers, visit)
     assert not np.isnan(rows).any()
@@ -497,7 +492,7 @@ class TestKernelMatchesTheFloatCumsum:
         x[:, n // 3] = 0.9  # candidate 0 dies part way through
         cells = cset.cell_indices(x)
         averaged, rows = _visited_rows(cset, cells, workers)
-        assert np.array_equal(averaged, _reference(n)[1](cset, cells))
+        assert np.array_equal(averaged, _reference_averaged(cset, cells))
         assert np.array_equal(rows, _reference_rows(cset, cells))
         if r_count == 1:
             assert np.array_equal(progressive_weights(cset, x[0]).weights, rows[:, 0])
@@ -520,7 +515,7 @@ class TestKernelMatchesTheFloatCumsum:
         trajectory = progressive_weights(cset, x)
         assert np.array_equal(trajectory.weights, _reference_rows(cset, cells[None])[:, 0])
         trajectory.to_csv(tmp_path / "got.csv")
-        _float_cumsum_csv(cset, cells, tmp_path / "expected.csv", _reference(n)[0])
+        _reference_csv(cset, cells, tmp_path / "expected.csv")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
     @pytest.mark.parametrize("workers", WORKERS)
@@ -539,7 +534,7 @@ class TestKernelMatchesTheFloatCumsum:
         x[-1, step + at] = 0.9
         cells = cset.cell_indices(x)
         with pytest.raises(ValidationError) as expected:
-            _reference(cells.shape[1])[1](cset, cells)
+            _reference_averaged(cset, cells)
         with pytest.raises(ValidationError) as got:
             _averaged_weights(cset, cells, workers)
         assert str(got.value) == str(expected.value)
@@ -619,7 +614,7 @@ class TestKernelWorkers:
     def test_helpers_start_only_for_a_second_full_segment_and_all_end(self, monkeypatch,
                                                                       helpers, workers):
         cset, cells, _ = _worker_case(monkeypatch)
-        expected = _segmented_averaged_weights(cset, cells)
+        expected = _reference_averaged(cset, cells)
         assert np.array_equal(_bounded(lambda: _averaged_weights(cset, cells, workers)),
                               expected)
         assert len(helpers.started) == workers - 1
@@ -628,36 +623,28 @@ class TestKernelWorkers:
         segment = aggregation._SEGMENT_ROWS
         for n in (0, 1, segment, 2 * segment - 1):
             got = _averaged_weights(cset, cells[:, :n], workers)
-            assert np.array_equal(got, _segmented_averaged_weights(cset, cells[:, :n]))
+            assert np.array_equal(got, _reference_averaged(cset, cells[:, :n]))
         assert len(helpers.started) == workers - 1
 
     @pytest.mark.parametrize("workers", [2, 3, 5])
-    @pytest.mark.parametrize("stage", ["cumulative sum", "softmax"])
+    @pytest.mark.parametrize("form", ["product", "log"])
     def test_an_error_on_any_worker_releases_every_worker(self, monkeypatch, helpers,
-                                                          workers, stage):
-        # a failure in a block's cumulative sum or in its softmax, in the
-        # first or the second block of a segment, on each worker in turn
-        cset, cells, step = _worker_case(monkeypatch)
-        real_sum = aggregation._cumulative_log_likelihoods
-        real_softmax = aggregation._normalize_log_rows
+                                                          workers, form):
+        # a failure in the first, second, ... block that any worker starts,
+        # as running products or in the log domain (no lane is proven safe)
+        cset, cells, _ = _worker_case(monkeypatch)
+        if form == "log":
+            monkeypatch.setattr(aggregation, "_PRODUCT_BITS", -1)
+        real = aggregation._block_rows
         for failing in range(workers + 1):
-            start = failing * step
-            first = cells[:, start:].ctypes.data
+            calls = itertools.count()  # next() is atomic across threads
 
-            def cumulative(log_table, idx, out, carry, first=first, failing=failing):
-                if idx.ctypes.data == first:
+            def block_rows(*args, failing=failing, calls=calls):
+                if next(calls) == failing:
                     raise RuntimeError(f"block {failing}")
-                return real_sum(log_table, idx, out, carry)
+                return real(*args)
 
-            def softmax(log_w, first_row=0, start=start, failing=failing):
-                if first_row == start + 1:
-                    raise RuntimeError(f"block {failing}")
-                return real_softmax(log_w, first_row)
-
-            if stage == "cumulative sum":
-                monkeypatch.setattr(aggregation, "_cumulative_log_likelihoods", cumulative)
-            else:
-                monkeypatch.setattr(aggregation, "_normalize_log_rows", softmax)
+            monkeypatch.setattr(aggregation, "_block_rows", block_rows)
             helpers.started.clear()
             with pytest.raises(RuntimeError, match=f"^block {failing}$"):
                 _bounded(lambda: _averaged_weights(cset, cells, workers))
@@ -706,7 +693,7 @@ class TestKernelWorkers:
         # allocates its own buffer, so with fewer than k allocations the
         # call succeeds.
         cset, cells, _ = _worker_case(monkeypatch)
-        expected = _segmented_averaged_weights(cset, cells)
+        expected = _reference_averaged(cset, cells)
         real_empty = np.empty
         for failing in range(1, workers + 1):
             calls = itertools.count(1)  # next() is atomic across threads
@@ -732,24 +719,22 @@ class TestKernelWorkers:
 
     def test_a_late_helper_leaves_its_blocks_to_the_calling_thread(self, monkeypatch,
                                                                    helpers):
-        # Segments go to whichever worker is free: while the helper sleeps
-        # before its first task, the calling thread takes the segments in
-        # turn.  Dealt round-robin, the helper would hold every other
-        # segment, 6 of the 12 blocks.
-        cset, cells, step = _worker_case(monkeypatch)
-        real, takers = aggregation._normalize_log_rows, {}
+        # Chunks go to whichever worker is free: while the helper sleeps
+        # before its first task, the calling thread takes the chunks in
+        # turn.  Dealt round-robin, the helper would hold every other chunk.
+        cset, cells, _ = _worker_case(monkeypatch)
+        real, takers = aggregation._block_rows, []
 
-        def recorded(log_w, first_row=0):
-            takers[first_row] = threading.current_thread()
-            return real(log_w, first_row)
+        def recorded(*args):
+            takers.append(threading.current_thread())
+            return real(*args)
 
-        monkeypatch.setattr(aggregation, "_normalize_log_rows", recorded)
+        monkeypatch.setattr(aggregation, "_block_rows", recorded)
         helpers.late = 0.2
         got = _bounded(lambda: _averaged_weights(cset, cells, 2))
-        assert np.array_equal(got, _segmented_averaged_weights(cset, cells))
-        calling = takers[0]  # the prior row is normalised on the calling thread
-        blocks = [takers[b * step + 1] for b in range(12)]
-        assert blocks.count(calling) > blocks.count(helpers.started[0])
+        assert np.array_equal(got, _reference_averaged(cset, cells))
+        helper = helpers.started[0]
+        assert len(takers) - takers.count(helper) > takers.count(helper)
         _assert_all_joined(helpers.started)
 
     @pytest.mark.parametrize("fail_start", [1, 2, 4])
@@ -767,7 +752,7 @@ class TestKernelWorkers:
         # that read another's state, or sums added out of order, would
         # change the weights
         cset, cells, _ = _worker_case(monkeypatch, blocks=100, m=4)
-        expected = _segmented_averaged_weights(cset, cells)
+        expected = _reference_averaged(cset, cells)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -862,7 +847,7 @@ class TestDeal:
         _bounded(lambda: aggregation._deal(
             2, lambda i: results.__setitem__(i, _averaged_weights(cset, cells))))
         assert len(helpers.started) - before == 1  # the engine's helper, not the kernel's
-        expected = _segmented_averaged_weights(cset, cells)
+        expected = _reference_averaged(cset, cells)
         assert all(np.array_equal(r, expected) for r in results)
         _assert_all_joined(helpers.started)
 
@@ -950,14 +935,13 @@ class TestBlockBufferReuse:
         x = rng.uniform(0.0, 0.8, size=(r_count, n))
         x[:, n // 3] = 0.9  # candidate 0 dies part way through
         cells = cset.cell_indices(x)
-        blocks, averaged = _reference(n)  # segmented past 2^14 points
-        assert np.array_equal(_averaged_weights(cset, cells), averaged(cset, cells))
+        assert np.array_equal(_averaged_weights(cset, cells), _reference_averaged(cset, cells))
         if r_count > 1:
             return
         trajectory = progressive_weights(cset, x[0])
         assert np.array_equal(trajectory.weights, _reference_rows(cset, cells)[:, 0])
         trajectory.to_csv(tmp_path / "got.csv")
-        _float_cumsum_csv(cset, cells[0], tmp_path / "expected.csv", blocks)
+        _reference_csv(cset, cells[0], tmp_path / "expected.csv")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
 
@@ -1000,7 +984,7 @@ class TestSegments:
         x = _sample_rows(cands[1], 2 * _SEGMENT_ROWS + 5, [(9, r) for r in range(3)])
         cells = cset.cell_indices(x)
         assert np.array_equal(_averaged_weights(cset, cells),
-                              _segmented_averaged_weights(cset, cells))
+                              _reference_averaged(cset, cells))
         rows = _aggregate_rows(cset, cells)
         for row, points in zip(rows, x):
             assert np.array_equal(row, aggregate(cset, points).values)
@@ -1026,6 +1010,163 @@ class TestSegments:
         expected = _longdouble_averaged_weights(cset, cells)
         got = _averaged_weights(cset, cells[None])[0]
         assert np.all(np.abs(got - expected) <= LONGDOUBLE_RTOL * expected)
+
+
+def _all_log_lane_starts(candidates, cells):
+    """``aggregation._lane_starts`` with every lane in the log domain, from
+    its exact-count anchor: the walk before lanes could be products."""
+    seg = aggregation._SEGMENT_ROWS
+    start = np.stack([_exact_count_anchor(candidates, cells[:, :s])
+                      for s in range(0, max(1, cells.shape[1]), seg)])
+    return np.zeros(start.shape[:2], dtype=bool), start
+
+
+def _best_time(call, repeat=5):
+    best = math.inf
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+@st.composite
+def tiny_ratio_cases(draw):
+    """Families of 2 to 4 candidates on up to 4 cells whose likelihood
+    ratios reach down to 1e-300, zeros included, and samples of up to 150
+    points (four 40-point lanes) drawn with skewed cell frequencies."""
+    m, width = draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    level = st.sampled_from([0.0, 1e-300, 1e-200, 1e-30, 1e-5, 0.01, 0.5, 1.0, 2.0])
+    raw = np.array(draw(st.lists(st.lists(level, min_size=width, max_size=width),
+                                 min_size=m, max_size=m)))
+    raw[raw.max(axis=1) == 0.0, 0] = 1.0
+    r_count, n = draw(st.sampled_from([1, 2, 3])), draw(st.integers(0, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = np.stack([rng.choice(width, size=n, p=rng.dirichlet(np.full(width, 0.5)))
+                      for _ in range(r_count)])
+    return _family(raw), cells
+
+
+def _alternating_family(d, third):
+    """Two candidates that swap the lead between the halves of [0, 1], whose
+    ratio is ``d / (1 - d)`` in each one's weaker half, and a uniform third."""
+    values = [[2 - 2 * d, 2 * d], [2 * d, 2 - 2 * d]] + ([[1.0, 1.0]] if third else [])
+    return CandidateSet([0.0, 0.5, 1.0], values)
+
+
+class TestProductLanes:
+    """Lanes walked as running products of likelihood ratios, where a count
+    bound proves that no row can underflow, and in the log domain
+    elsewhere."""
+
+    def test_a_candidate_that_comes_back_is_not_lost(self):
+        # 1,100 points at 0.25 take candidate 1 down to 2^-1100 of candidate
+        # 0, and the last point kills candidate 0.  As a product candidate 1
+        # underflows to 0 and the last row would be dead; the lane's count
+        # bound sends it to the log domain, which keeps it.
+        cset = CandidateSet([0.0, 0.5, 1.0], [[2.0, 0.0], [1.0, 1.0]])
+        x = np.array([0.25] * 1100 + [0.75])
+        cells = cset.cell_indices(x)[None]
+        assert not aggregation._lane_starts(cset, cells)[0].any()
+        traj = progressive_weights(cset, x)
+        assert traj.weights[-1].tolist() == [0.0, 1.0]
+        assert np.array_equal(traj.averaged, _reference_averaged(cset, cells)[0])
+        with pytest.MonkeyPatch.context() as mp, np.errstate(invalid="ignore"):
+            mp.setattr(aggregation, "_PRODUCT_BITS", math.inf)  # every lane a product
+            assert np.isnan(progressive_weights(cset, x).weights[-1]).all()
+
+    @pytest.mark.parametrize("d", [1e-5, 1e-30, 1e-300])
+    @pytest.mark.parametrize("third", [False, True])
+    def test_alternating_lead_tables_keep_the_log_walk(self, monkeypatch, d, third):
+        # every lane takes the log domain, so the bytes are the log walk's,
+        # and the form rule costs at most as much again as that walk
+        cset = _alternating_family(d, third)
+        x = np.random.default_rng(0).random(10**5)
+        cells = cset.cell_indices(x)[None]
+        assert not aggregation._lane_starts(cset, cells)[0].any()
+        got = progressive_weights(cset, x).averaged
+        assert np.array_equal(got, _reference_averaged(cset, cells)[0])
+        ruled = _best_time(lambda: _averaged_weights(cset, cells, 1))
+        monkeypatch.setattr(aggregation, "_lane_starts", _all_log_lane_starts)
+        assert np.array_equal(_averaged_weights(cset, cells, 1)[0], got)
+        assert ruled <= 2 * _best_time(lambda: _averaged_weights(cset, cells, 1))
+
+    def test_product_lanes_match_the_row_by_row_reference(self):
+        # two full segments and a tail of each of three samples, all
+        # products, on the family LONGDOUBLE_RTOL is stated for (tuned to
+        # n = 10^6; tuned to this n, both forms read up to 2.1e-14 to 2.4e-14)
+        n = 2 * _SEGMENT_ROWS + 5
+        cands = _perturbation_candidates(8, 10**6, 2.0)
+        cset = CandidateSet.from_densities(cands)
+        cells = cset.cell_indices(_sample_rows(cands[1], n, [(3, r) for r in range(3)]))
+        assert aggregation._lane_starts(cset, cells)[0].all()
+        averaged, rows = _visited_rows(cset, cells, 2)
+        assert np.array_equal(averaged, _reference_averaged(cset, cells))
+        assert np.array_equal(rows, _reference_rows(cset, cells))
+        if np.finfo(np.longdouble).eps <= 2.0**-60:  # an extended-precision longdouble
+            for got, row in zip(averaged, cells):
+                expected = _longdouble_averaged_weights(cset, row)
+                assert np.all(np.abs(got - expected) <= LONGDOUBLE_RTOL * expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(tiny_ratio_cases())
+    def test_product_lanes_are_within_a_bound_of_the_log_walk(self, case):
+        # Bound, with u = 2^-53, L the largest finite |log f|, C cells, M
+        # candidates and lanes of G = 40 points: a log-domain row's
+        # log-likelihood is its anchor (C products of at most n·L) plus at
+        # most G additions of running sums up to n·L, so each weight is off
+        # by at most about 2·u·n·L·(C + G) relative, plus the softmax's few
+        # ulps; a product row is off by the same anchor error and at most G
+        # roundings.  Entries below 2^-1022 of a row whose sum exceeds
+        # 2^-900 weigh less than 2^-122 and are off by less than 2^-160.
+        cset, cells = case
+        n = cells.shape[1]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(aggregation, "_SEGMENT_ROWS", 40)
+            product = aggregation._lane_starts(cset, cells)[0]
+            try:
+                got, rows = _visited_rows(cset, cells, 1)
+            except ValidationError as exc:
+                got = exc
+            mp.setattr(aggregation, "_PRODUCT_BITS", -1)  # no lane is a product
+            try:
+                expected, log_rows = _visited_rows(cset, cells, 1)
+            except ValidationError as exc:
+                assert str(got) == str(exc)  # rows die in log lanes only
+                return
+        finite = np.abs(cset.log_table[np.isfinite(cset.log_table)])
+        tol = 2.0**-53 * (4 * n * (finite.max() + 1) * (cset.log_table.shape[0] + 40)
+                          + 8 * cset.size + 32)
+        lane = np.zeros(rows.shape[:2], dtype=bool)
+        lane[1:] = np.repeat(product, 40, axis=0)[:n]
+        assert np.all(np.abs(rows[lane].sum(axis=-1) - 1.0) <= 1e-12)  # no dead row
+        gap = np.abs(rows - log_rows)[lane]
+        assert np.all(gap <= tol * np.maximum(rows, log_rows)[lane] + 2.0**-140)
+        assert np.all(np.abs(got - expected) <= tol * np.maximum(got, expected) + 2.0**-140)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_batch_of_both_forms_gives_each_row_its_bytes_alone(self, monkeypatch,
+                                                                  workers):
+        # lanes of 40 points; a sample that keeps to one half of [0, 1] walks
+        # as products, one that visits both halves often in the log domain
+        monkeypatch.setattr(aggregation, "_SEGMENT_ROWS", 40)
+        monkeypatch.setattr(aggregation, "_workers", lambda: workers)
+        cset = _alternating_family(1e-30, False)
+        rng = np.random.default_rng(8)
+        left = [1.0, 0.0, 0.5, 0.97, 0.5, 1.0]
+        x = np.stack([np.where(rng.random(130) < p, 0.25, 0.75) for p in left])
+        x[4, :80] = 0.25  # products, then the log domain
+        cells = cset.cell_indices(x)
+        product = aggregation._lane_starts(cset, cells)[0]
+        assert product.any() and not product.all() and product[:, 4].any()
+        averaged, rows = _visited_rows(cset, cells, workers)
+        for r in range(cells.shape[0]):
+            alone, alone_rows = _visited_rows(cset, cells[r:r + 1], 1)
+            assert averaged[r].tobytes() == alone[0].tobytes()
+            assert rows[:, r].tobytes() == alone_rows[:, 0].tobytes()
+        assert np.array_equal(averaged, _reference_averaged(cset, cells))
+        assert np.array_equal(_aggregate_rows(cset, cells), np.stack(
+            [aggregate(cset, row).values for row in x]))
 
 
 # ---------------------------------------------------------------------------

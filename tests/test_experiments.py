@@ -569,22 +569,23 @@ class TestRateStudyBatches:
         started, calls = self._recorded_helpers(monkeypatch)
         monkeypatch.setattr(aggregation, "_BLOCK_ELEMENTS", 2**10)
         monkeypatch.setattr(aggregation, "_SEGMENT_ROWS", 10)
-        real, failed = aggregation._normalize_log_rows, {}
+        real, failed = aggregation._block_rows, set()
 
-        def failing(log_w, first_row=0):
+        def failing(*args):
             current = threading.current_thread()
             if current in started:
-                failed[first_row] = started.index(current) + 1
-                raise RuntimeError(f"helper {failed[first_row]} fails")
-            return real(log_w, first_row)
+                failed.add(started.index(current) + 1)
+                raise RuntimeError(f"helper {started.index(current) + 1} fails")
+            return real(*args)
 
-        monkeypatch.setattr(aggregation, "_normalize_log_rows", failing)
-        # the first cell is one group, whose kernel's five segments are
-        # dealt to three workers; every block a helper takes fails, and the
-        # error raised is the first failing segment's, whichever helper took it
+        monkeypatch.setattr(aggregation, "_block_rows", failing)
+        # the first cell is one group, whose kernel's lanes, five segments of
+        # 48 replications, are dealt in six chunks to three workers; every
+        # block a helper takes fails, and the error raised is a helper's
+        # (which chunk's error wins is TestDeal's to check)
         with pytest.raises(RuntimeError, match="^helper [12] fails$") as got:
             run_rate_study(self._config())
-        assert str(got.value) == f"helper {failed[min(failed)]} fails"
+        assert str(got.value) in {f"helper {h} fails" for h in failed}
         assert calls == [(50, 48, 3, 2)]
         assert not any(thread.is_alive() for thread in started)
 

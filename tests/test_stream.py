@@ -3,9 +3,10 @@
 ``_oracle_progressive_weights`` is the (n+1)×M implementation the stream
 replaced, kept verbatim in substance: one ``log`` per sample point, one
 ``cumsum`` and one softmax over the whole matrix, then the column mean.
-Up to one kernel segment of 2^14 points the stream must reproduce its
-averaged vector and every weight row bit for bit; past it, those of the
-segmented reference in ``test_engine``, whose segments start from exact
+On a sample of up to one kernel segment of 2^14 points that the kernel
+walks in the log domain, the stream must reproduce its averaged vector and
+every weight row bit for bit; past it, or as a running product, those of
+the lane reference in ``test_engine``, whose segments start from exact
 cell counts.  Either way it fails with the oracle's message where it fails.
 """
 
@@ -25,7 +26,7 @@ from densagg import (
     progressive_weights,
 )
 from densagg.aggregation import _BLOCK_ELEMENTS, _SEGMENT_ROWS
-from test_engine import _reference_rows, _segmented_averaged_weights
+from test_engine import _reference_rows, _reference_averaged
 
 
 def _oracle_progressive_weights(cset: CandidateSet, x):
@@ -57,12 +58,12 @@ def _oracle_progressive_weights(cset: CandidateSet, x):
 
 def _expected(cset, x):
     """The oracle's weights and averaged vector, or its error; past one
-    kernel segment, the segmented reference's weights."""
+    kernel segment or on a product lane, the lane reference's weights."""
     weights, averaged = _oracle_progressive_weights(cset, x)
-    if len(x) > _SEGMENT_ROWS:
-        cells = cset.cell_indices(x)[None]
+    cells = cset.cell_indices(x)[None]
+    if len(x) > _SEGMENT_ROWS or aggregation._lane_starts(cset, cells)[0].any():
         weights = _reference_rows(cset, cells)[:, 0]
-        averaged = _segmented_averaged_weights(cset, cells)[0]
+        averaged = _reference_averaged(cset, cells)[0]
     return weights, averaged
 
 
