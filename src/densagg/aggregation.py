@@ -528,9 +528,9 @@ def progressive_weights(candidates: CandidateSet, x) -> WeightTrajectory:
 
     Only ``averaged`` is computed here, by :class:`WeightTrajectory`.
     """
-    owner = _sample_cells(candidates, x).base  # the lookup's buffer, of which the cells are a view
-    owner.setflags(write=False)
-    return WeightTrajectory(candidates, owner)
+    cells = _sample_cells(candidates, x)
+    cells.setflags(write=False)
+    return WeightTrajectory(candidates, cells)
 
 
 def _mixture_values(candidates: CandidateSet, weights: np.ndarray) -> np.ndarray:

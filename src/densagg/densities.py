@@ -221,7 +221,7 @@ def _cell_lookup(edges: np.ndarray, x, dtype=np.intp) -> np.ndarray:
     flat = out.reshape(-1)
     for i, count in _chunk_cells(edges, pts.reshape(-1)):
         flat[i:i + count.size] = count
-    return out[()]  # a scalar for a scalar point, as from np.searchsorted
+    return out if out.ndim else out[()]  # a scalar for a scalar point, as np.searchsorted
 
 
 def _chunk_cells(edges: np.ndarray, flat: np.ndarray):

@@ -1,14 +1,15 @@
 """The replication-batched engine against the one-sample functions.
 
 Every batched layer must reproduce its one-sample counterpart bit for bit:
-the weight kernel on (rows, R, M) blocks, row sampling, row mixtures and
-row losses.  The one-sample functions are themselves checked here against
+the weight kernel on (rows, lanes, M) blocks, row sampling, row mixtures
+and row losses.  The one-sample functions are themselves checked here against
 frozen copies of the code they replaced (``_old_sample``, ``_old_kl`` and
 friends), and the three harnesses against a frozen copy of the
 replication loops they replaced (``_old_*_experiment``), report row by
 report row.  The weight kernel gives the same bits at every worker count,
-and its averaged weights lie within a stated number of ulps of their
-definition computed in 40-digit decimal.  At tiny n the engine's KL, H and
+its lanes those of a row-by-row product or of the log-domain walk, as
+the form rule decides, and its averaged weights lie within a stated
+number of ulps of their definition computed in 40-digit decimal.  At tiny n the engine's KL, H and
 L1 risks are also checked against their exact values, finite sums over
 cell sequences.
 """
@@ -477,9 +478,10 @@ def _vanishing_family(m, rng):
 
 
 class TestKernelMatchesTheFloatCumsum:
-    """The kernel against the float cumsum over the first segment, and
-    against the segmented walk past it (six blocks, of up to 327,683 points:
-    21 segments at 2 entries per row)."""
+    """The kernel against the lane reference: the row-by-row product on
+    product lanes, the float cumsum on log-domain lanes, each lane past the
+    first started from its exact-count anchor (six blocks, of up to 327,683
+    points: 21 segments at 2 entries per row)."""
 
     @pytest.mark.parametrize("workers", WORKERS)
     @pytest.mark.parametrize("width, r_count", KERNEL_WIDTHS)
@@ -873,10 +875,12 @@ def _decimal_averaged_weights(cset, cells):
 
 #: Largest distance, in units in the last place of the 40-digit reference
 #: rounded to a double, allowed between the kernel's averaged weights and
-#: their definition at n = 300.  The rounding of the log terms, of the
-#: exact-count anchors and of the cumulative sums puts the kernel, in
-#: segments of 40 points, 1, 5, 15 and 28 ulps from it at M = 2, 3, 4 and 5,
-#: at every worker count (1, 14, 53 and 89 in one segment).
+#: their definition at n = 300.  The rounding of the ratios, of the
+#: exact-count anchors and of the running products puts the kernel, whose
+#: lanes here are all products, in segments of 40 points, 1, 6, 6 and 4
+#: ulps from it at M = 2, 3, 4 and 5, at every worker count (1, 11, 5 and 5
+#: in one segment); the log-domain walk read 1, 5, 15 and 28 (1, 14, 53
+#: and 89).
 DECIMAL_ULPS = 256
 
 
