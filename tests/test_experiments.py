@@ -569,23 +569,36 @@ class TestRateStudyBatches:
         started, calls = self._recorded_helpers(monkeypatch)
         monkeypatch.setattr(aggregation, "_BLOCK_ELEMENTS", 2**10)
         monkeypatch.setattr(aggregation, "_SEGMENT_ROWS", 10)
-        real, failed = aggregation._block_rows, set()
+        real, deal = aggregation._block_rows, aggregation._deal
+        chunk, failed, both = threading.local(), {}, threading.Barrier(2, timeout=2)
+
+        def tagged_deal(count, run, workers=None):
+            def tagged(i):
+                chunk.i = i
+                return run(i)
+            return deal(count, tagged, workers)
 
         def failing(*args):
             current = threading.current_thread()
             if current in started:
-                failed.add(started.index(current) + 1)
-                raise RuntimeError(f"helper {started.index(current) + 1} fails")
+                failed[chunk.i] = started.index(current) + 1
+                try:  # so that, as a rule, both helpers have taken a chunk
+                    both.wait()
+                except threading.BrokenBarrierError:
+                    pass
+                raise RuntimeError(f"helper {failed[chunk.i]} fails on chunk {chunk.i}")
             return real(*args)
 
+        monkeypatch.setattr(aggregation, "_deal", tagged_deal)
         monkeypatch.setattr(aggregation, "_block_rows", failing)
         # the first cell is one group, whose kernel's lanes, five segments of
         # 48 replications, are dealt in six chunks to three workers; every
-        # block a helper takes fails, and the error raised is a helper's
-        # (which chunk's error wins is TestDeal's to check)
-        with pytest.raises(RuntimeError, match="^helper [12] fails$") as got:
+        # block a helper takes fails once both have taken one, and the error
+        # raised is the least failing chunk's, whichever helper took it
+        with pytest.raises(RuntimeError, match="^helper [12] fails on chunk [0-5]$") as got:
             run_rate_study(self._config())
-        assert str(got.value) in {f"helper {h} fails" for h in failed}
+        least = min(failed)
+        assert str(got.value) == f"helper {failed[least]} fails on chunk {least}"
         assert calls == [(50, 48, 3, 2)]
         assert not any(thread.is_alive() for thread in started)
 
