@@ -270,17 +270,17 @@ def empirical_kl(f: PiecewiseDensity, x) -> float:
     return float(-np.mean(np.log(vals)))
 
 
-def _normalize_log_rows(log_w: np.ndarray, first_row: int = 0) -> np.ndarray:
-    """Softmax over the last axis that is exact about zeros, in place.
+def _exp_log_rows(log_w: np.ndarray, first_row: int = 0) -> np.ndarray:
+    """``exp`` of each row less its max over the last axis, in place: weight
+    rows up to their sums, exact about zeros.
 
-    ``log_w`` is (rows, M) or (rows, R, M); it is overwritten by its weight
-    rows and returned.  Each row is shifted by its max before
-    exponentiation; ``-inf`` entries come out as exactly 0.  The max is
-    seeded with its identity, ``-inf``, which spares the reduction a copy of
-    each row's first entry and changes no weight.  A row whose max is
-    ``-inf`` (every candidate at zero likelihood) has no normalizer and is
-    an error; ``first_row`` is the trajectory row index of ``log_w[0]``, for
-    the message.
+    ``log_w`` is (rows, M) or (rows, R, M); it is overwritten and returned.
+    ``-inf`` entries come out as exactly 0 and each row's largest as 1.  The
+    max is seeded with its identity, ``-inf``, which spares the reduction a
+    copy of each row's first entry and changes no weight.  A row whose max is
+    ``-inf`` (every candidate at zero likelihood) has no normalizer and is an
+    error; ``first_row`` is the trajectory row index of ``log_w[0]``, for the
+    message.
     """
     row_max = log_w.max(axis=-1, initial=-np.inf)
     dead = ~np.isfinite(row_max)
@@ -291,9 +291,7 @@ def _normalize_log_rows(log_w: np.ndarray, first_row: int = 0) -> np.ndarray:
             "weights are undefined"
         )
     np.subtract(log_w, row_max[..., None], out=log_w)
-    np.exp(log_w, out=log_w)
-    log_w /= log_w.sum(axis=-1, keepdims=True)
-    return log_w
+    return np.exp(log_w, out=log_w)
 
 
 def _block_rows(table: np.ndarray, idx: np.ndarray, out: np.ndarray, carry: np.ndarray,
@@ -341,7 +339,7 @@ def _lane_starts(candidates: CandidateSet, cells: np.ndarray):
     start)``, (segments, R) and (segments, R, M).
 
     Lane ``(s, r)`` is segment ``s`` of replication ``r``.  A product lane
-    starts from ones (``s = 0``) or from the softmax of the exact-count
+    starts from ones (``s = 0``) or from :func:`_exp_log_rows` of the exact
     log-likelihood of the points before it (:func:`_counted_log_likelihoods`),
     a log lane from zeros or from that log-likelihood.  A lane is a product
     lane when some candidate ``j`` has ``a_j + Σ_c N_c · log ratio_table[c,
@@ -377,7 +375,7 @@ def _lane_starts(candidates: CandidateSet, cells: np.ndarray):
                     safe[r] = (lift[r] + _counted_log_likelihoods(logs, own[r])).max() >= floor
                 before += own
         product[s], start[s] = safe, ll
-        start[s, safe] = _normalize_log_rows(ll[None, safe])[0] if s else 1.0
+        start[s, safe] = _exp_log_rows(ll[None, safe])[0] if s else 1.0
     return product, start
 
 
@@ -445,26 +443,27 @@ def _averaged_weights(candidates: CandidateSet, cells: np.ndarray,
     cell counts before it in the form :func:`_lane_starts` gives it, so lanes
     share no state.  Lanes of one form walk side by side in blocks laid out
     (rows, lanes, M), of at most ``_BLOCK_ELEMENTS // (lanes·M)`` rows
-    (:func:`_block_rows`), each row divided by its sum or, in the log form,
-    normalised by :func:`_normalize_log_rows`.  Product lanes of one length
-    are cut into one chunk per worker, log lanes into one per segment;
+    (:func:`_block_rows`; the log form then takes :func:`_exp_log_rows`), each
+    row weighted by the reciprocal of its sum.  Product lanes of one length are
+    cut into one chunk per worker, log lanes into one per segment;
     :func:`_deal` deals the chunks in order of their first segment to
     ``workers`` workers (by default ``_workers()``, at most one per full
     segment), and each chunk allocates one block buffer.  Within a lane each
-    block's first row gets the running row before its running product or
-    sum, and the running sum of weight rows before its column sum; the
-    lanes' sums are added in segment order.  So the result is the same bit
-    for bit at any worker count, chunking and group layout, in O(block)
-    memory per worker.
+    block's first row gets the running row before its running product or sum.
+    Its row sums are ``einsum``'s, and one ``einsum`` adds each row times the
+    reciprocal of its sum to the running sum of weight rows, which the buffer
+    holds as a leading row of weight 1, so every column is added in row order
+    whatever the blocks; the lanes' sums are added in segment order.  So the
+    result is the same bit for bit at any worker count, chunking and group
+    layout, in O(block) memory per worker.
 
     ``visit(r, k, rows)`` sees replication ``r``'s prior row (``k = 0``) and
-    then each of its normalised blocks, ``rows[0]`` being row ``k``, before
-    the running sum is added into it; with ``visit`` each product lane is a
-    chunk of its own, so at one worker every replication's rows come in row
-    order on the calling thread.  ``rows`` is a view of its chunk's buffer,
-    which the chunk's next block overwrites.  Product lanes have no dead row
-    and rows die for good, so the least failing chunk's error, which
-    :func:`_deal` raises, is the earliest dead row's.
+    then each block of its weight rows, ``rows[0]`` being row ``k``, which only
+    ``visit`` has built; with ``visit`` each product lane is a chunk of its
+    own, so at one worker every replication's rows come in row order on the
+    calling thread.  Product lanes have no dead row and rows die for good, so
+    the least failing chunk's error, which :func:`_deal` raises, is the
+    earliest dead row's.
     """
     (r_count, n), m = cells.shape, candidates.size
     product, start = _lane_starts(candidates, cells)
@@ -487,21 +486,24 @@ def _averaged_weights(candidates: CandidateSet, cells: np.ndarray,
         first, length = ss[0] * _SEGMENT_ROWS, min(_SEGMENT_ROWS, n - ss[0] * _SEGMENT_ROWS)
         starts, step = rs * n + ss * _SEGMENT_ROWS, max(1, _BLOCK_ELEMENTS // (rs.size * m))
         table = candidates.ratio_table if is_product else candidates.log_table
-        carry, total = start[ss, rs], sums[ss, rs]
-        buffer = np.empty((min(step, length), rs.size, m))
+        carry, size = start[ss, rs], min(step, length) + 1
+        buffer, scale = np.empty((size, rs.size, m)), np.ones((size, rs.size))
+        buffer[0] = sums[ss, rs]
         for k in range(0, length, step):
             idx = flat[np.add.outer(np.arange(k, min(k + step, length)), starts)]
-            block = _block_rows(table, idx, buffer, carry, is_product)
-            carry = block[-1].copy()
-            if is_product:
-                block /= block.sum(axis=-1, keepdims=True)
-            else:
-                _normalize_log_rows(block, first + k + 1)
-            for lane in range(rs.size if visit else 0):
-                visit(rs[lane], ss[lane] * _SEGMENT_ROWS + k + 1, block[:, lane])
-            block[0] += total
-            total = block.sum(axis=0)
-        sums[ss, rs] = total
+            block = _block_rows(table, idx, buffer[1:], carry, is_product)
+            carry, rows = block[-1].copy(), block.shape[0] + 1
+            if not is_product:
+                _exp_log_rows(block, first + k + 1)
+            # einsum without ``optimize`` calls no BLAS: its loops are numpy's
+            # baseline SIMD code, in a fixed order on every CPU
+            np.divide(1.0, np.einsum("klm->kl", block), out=scale[1:rows])
+            if visit:
+                weights = block * scale[1:rows, :, None]
+                for lane in range(rs.size):
+                    visit(rs[lane], ss[lane] * _SEGMENT_ROWS + k + 1, weights[:, lane])
+            buffer[0] = np.einsum("kl,klm->lm", scale[:rows], buffer[:rows])
+        sums[ss, rs] = buffer[0]
 
     _deal(len(chunks), run, workers)
     return sums.sum(axis=0) / (n + 1)

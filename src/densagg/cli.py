@@ -59,52 +59,57 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, with the arguments of ``command`` only
+    (of all when None): no call parses another's, and building them all takes
+    about a millisecond."""
     parser = _Parser(
         prog="densagg",
         description="Aggregate step densities, select candidates, and certify risk bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("aggregate", help="progressive-mixture density from files")
-    p.add_argument("--candidates", required=True, help="JSON array of densities")
-    p.add_argument("--sample", required=True, help="text file, one float per line")
-    p.add_argument("--out", required=True, help="output density JSON")
-    p.add_argument("--weights-out", help="optional weight-trajectory CSV")
-    p.add_argument("--A", type=float, help="optional sup bound to validate candidates against")
-    p.set_defaults(func=_cmd_aggregate)
+    def add(name, help, **defaults):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(**defaults)
+        return p if command in (None, name) else None
 
-    p = sub.add_parser("yatracos", help="minimum-distance candidate selection")
-    p.add_argument("--candidates", required=True, help="JSON array of densities")
-    p.add_argument("--sample", required=True, help="text file, one float per line")
-    p.add_argument("--out", required=True, help="output JSON with the selected index")
-    p.add_argument("--A", type=float, help="optional sup bound to validate candidates against")
-    p.set_defaults(func=_cmd_yatracos)
+    if p := add("aggregate", "progressive-mixture density from files", func=_cmd_aggregate):
+        p.add_argument("--candidates", required=True, help="JSON array of densities")
+        p.add_argument("--sample", required=True, help="text file, one float per line")
+        p.add_argument("--out", required=True, help="output density JSON")
+        p.add_argument("--weights-out", help="optional weight-trajectory CSV")
+        p.add_argument("--A", type=float, help="optional sup bound to validate candidates against")
 
-    p = sub.add_parser("lowerbound-audit", help="audit the worst-case family for (M, n, A)")
-    p.add_argument("--M", type=int, required=True, help="family size")
-    p.add_argument("--n", type=int, required=True, help="sample size")
-    p.add_argument("--A", type=float, required=True, help="sup bound")
-    p.add_argument("--out", required=True, help="output audit-report JSON")
-    p.add_argument("--set-out", help="optional separated-set dump (one 0/1 word per line)")
-    p.set_defaults(func=_cmd_lowerbound_audit)
+    if p := add("yatracos", "minimum-distance candidate selection", func=_cmd_yatracos):
+        p.add_argument("--candidates", required=True, help="JSON array of densities")
+        p.add_argument("--sample", required=True, help="text file, one float per line")
+        p.add_argument("--out", required=True, help="output JSON with the selected index")
+        p.add_argument("--A", type=float, help="optional sup bound to validate candidates against")
+
+    if p := add("lowerbound-audit", "audit the worst-case family for (M, n, A)",
+                func=_cmd_lowerbound_audit):
+        p.add_argument("--M", type=int, required=True, help="family size")
+        p.add_argument("--n", type=int, required=True, help="sample size")
+        p.add_argument("--A", type=float, required=True, help="sup bound")
+        p.add_argument("--out", required=True, help="output audit-report JSON")
+        p.add_argument("--set-out", help="optional separated-set dump (one 0/1 word per line)")
 
     for name, runner in (
         ("oracle-exp", run_oracle_experiment),
         ("yatracos-exp", run_yatracos_experiment),
     ):
-        p = sub.add_parser(name, help=f"run the {name.replace('-exp', '')} experiment")
+        if p := add(name, f"run the {name.replace('-exp', '')} experiment",
+                    func=_cmd_experiment, runner=runner):
+            p.add_argument("--config", required=True, help="experiment config JSON")
+            p.add_argument("--out", required=True, help="output report CSV")
+            p.add_argument("--seed", type=int, help="override the config seed")
+
+    if p := add("rate-study", "fit the excess-risk rate across (M, n)", func=_cmd_rate_study):
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--out", required=True, help="output report CSV")
+        p.add_argument("--fit-out", required=True, help="output JSON with slope/intercept")
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.set_defaults(func=_cmd_experiment, runner=runner)
-
-    p = sub.add_parser("rate-study", help="fit the excess-risk rate across (M, n)")
-    p.add_argument("--config", required=True, help="experiment config JSON")
-    p.add_argument("--out", required=True, help="output report CSV")
-    p.add_argument("--fit-out", required=True, help="output JSON with slope/intercept")
-    p.add_argument("--seed", type=int, help="override the config seed")
-    p.set_defaults(func=_cmd_rate_study)
 
     return parser
 
@@ -180,7 +185,9 @@ def _cmd_rate_study(ns) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the subcommand comes first; a leading option (top-level help) needs all
+    parser = _build_parser(argv[0] if argv and not argv[0].startswith("-") else None)
     try:
         ns = parser.parse_args(argv)
     except _UsageError as exc:

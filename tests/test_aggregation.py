@@ -35,7 +35,7 @@ from densagg.aggregation import (
     _BLOCK_ELEMENTS,
     _ROW_LOOP_WIDTH,
     _averaged_weights,
-    _normalize_log_rows,
+    _exp_log_rows,
 )
 from densagg.experiments import _perturbation_candidates
 
@@ -260,7 +260,7 @@ class TestProgressiveWeights:
         log_w = rng.normal(size=(9, 4)) * 30.0
         shifted = log_w + rng.normal(size=(9, 1)) * 50.0
         np.testing.assert_allclose(
-            _normalize_log_rows(shifted), _normalize_log_rows(log_w), atol=1e-13
+            _exp_log_rows(shifted), _exp_log_rows(log_w), atol=1e-13
         )
 
     def test_trajectory_csv(self, tmp_path):

@@ -472,6 +472,10 @@ class TestBadInputExits1:
         assert err.startswith(f"error: {bad}") and err.count("\n") == 1
 
 
+_COMMANDS = ["aggregate", "yatracos", "lowerbound-audit", "oracle-exp", "yatracos-exp",
+             "rate-study"]
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv",
@@ -492,6 +496,39 @@ class TestUsageErrors:
             main(["--help"])
         assert exc.value.code == 0
         assert "aggregate" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--help"], ["-h"], ["--he"], ["--help", "aggregate"], ["-x", "aggregate"],
+        ["--", "aggregate"], ["frobnicate"], ["frobnicate", "--help"], ["aggregate", "--bogus"],
+        ["aggregate", "--candidates"], ["yatracos", "--A", "two"],
+        ["lowerbound-audit", "--M", "four", "--n", "1", "--A", "2", "--out", "x.json"],
+        ["yatracos-exp", "--config", "c.json", "--out", "o.csv", "--seed", "1.5"],
+        ["rate-study", "--config", "c.json", "--out", "o.csv"],
+        *([name] for name in _COMMANDS), *([name, "--help"] for name in _COMMANDS),
+    ])
+    def test_help_and_usage_errors_match_a_full_build(self, argv, capsys, monkeypatch):
+        # a call builds only its own subcommand's arguments, or all of them
+        # when its first token is an option; nothing it prints may change
+        def run():
+            try:
+                return main(list(argv))
+            except SystemExit as exc:
+                return f"SystemExit({exc.code})"
+
+        got = run(), *capsys.readouterr()
+        full = cli._build_parser
+        monkeypatch.setattr(cli, "_build_parser", lambda command=None: full())
+        assert (run(), *capsys.readouterr()) == got
+        assert got[0] in (1, "SystemExit(0)")
+
+    def test_a_subcommand_builds_no_other_arguments(self):
+        parser = cli._build_parser("rate-study")
+        subparsers = next(a for a in parser._actions if a.dest == "command").choices
+        assert list(subparsers) == list(_COMMANDS)
+        for name, sub in subparsers.items():
+            dests = [a.dest for a in sub._actions if a.dest != "help"]
+            assert dests == (["config", "out", "fit_out", "seed"] if name == "rate-study"
+                             else [])
 
 
 def _mostly(valid, junk):

@@ -60,8 +60,8 @@ from densagg.aggregation import (
     _SEGMENT_ROWS,
     _aggregate_rows,
     _averaged_weights,
+    _exp_log_rows,
     _mixture_values,
-    _normalize_log_rows,
     _select_cells,
 )
 from densagg.cli import main
@@ -98,12 +98,18 @@ def _old_sample(density, n, seed):
     return np.clip(x, 0.0, 1.0)
 
 
+def _scaled_rows(raw):
+    """Each row of ``raw`` (over its last axis) times the reciprocal of its
+    ``einsum`` sum: the kernel's one normalisation rule."""
+    return raw * (1.0 / np.einsum("...m->...", raw))[..., None]
+
+
 def _float_cumsum_weight_blocks(candidates, cells, carry, first):
-    """Yield ``(k, rows)``, the log-domain kernel's normalised blocks as
-    they were before narrow blocks paired their columns: a float
-    ``np.cumsum`` below 512 entries per row, one ``np.add`` per row above.
-    ``cells[:, 0]`` is sample point ``first`` and ``carry`` the
-    log-likelihood of the row before it."""
+    """Yield ``(k, rows)``, the log-domain kernel's blocks of weight rows
+    as they were before narrow blocks paired their columns: a float
+    ``np.cumsum`` below 512 entries per row, one ``np.add`` per row above,
+    then ``_exp_log_rows`` and ``_scaled_rows``.  ``cells[:, 0]`` is sample
+    point ``first`` and ``carry`` the log-likelihood of the row before it."""
     width = cells.shape[0] * candidates.size
     step = max(1, _BLOCK_ELEMENTS // width)
     for start in range(0, cells.shape[1], step):
@@ -115,7 +121,7 @@ def _float_cumsum_weight_blocks(candidates, cells, carry, first):
         else:
             np.cumsum(terms, axis=0, out=terms)
         carry = terms[-1].copy()
-        yield first + start + 1, _normalize_log_rows(terms, first + start + 1)
+        yield first + start + 1, _scaled_rows(_exp_log_rows(terms, first + start + 1))
 
 
 def _exact_count_anchor(candidates, cells):
@@ -131,12 +137,12 @@ def _exact_count_anchor(candidates, cells):
 
 def _product_rows(candidates, cells, carry):
     """One product lane's weight rows, (n, M), row by row: the raw row before
-    (``carry`` before the first) times the point's ``ratio_table`` row,
-    divided by its sum (``np.cumprod`` multiplies down the rows in order)."""
+    (``carry`` before the first) times the point's ``ratio_table`` row
+    (``np.cumprod`` multiplies down the rows in order), then ``_scaled_rows``."""
     raw = candidates.ratio_table[cells]
     raw[0] *= carry
     np.cumprod(raw, axis=0, out=raw)
-    return raw / raw.sum(axis=1, keepdims=True)
+    return _scaled_rows(raw)
 
 
 def _lanes(candidates, cells):
@@ -144,7 +150,7 @@ def _lanes(candidates, cells):
     rows (rows, len(rs), M) of segment ``s`` of replications ``rs``, ``rows[0]``
     being row ``k``, in the form ``aggregation._lane_starts`` gives each lane.
     Product lanes are walked one at a time by ``_product_rows``, from ones or
-    from the softmax of their exact-count anchor; a segment's log lanes
+    from ``_exp_log_rows`` of their exact-count anchor; a segment's log lanes
     together by the float cumsum from that anchor, which fails at the
     earliest dead row."""
     product, _ = aggregation._lane_starts(candidates, cells)
@@ -157,7 +163,7 @@ def _lanes(candidates, cells):
             blocks = _float_cumsum_weight_blocks(candidates, lanes[logs], anchor[logs], start)
             yield s, logs, start + 1, np.concatenate([rows for _, rows in blocks])
         for r in np.flatnonzero(product[s]):
-            carry = _normalize_log_rows(anchor[None, r])[0] if s else 1.0
+            carry = _exp_log_rows(anchor[None, r])[0] if s else 1.0
             yield s, [r], start + 1, _product_rows(candidates, lanes[r], carry)[:, None]
 
 
@@ -171,8 +177,8 @@ def _reference_rows(candidates, cells):
 
 def _reference_averaged(candidates, cells):
     """The reference averaged weights: each lane's rows added in row order
-    to the prior row (segment 0) or to zeros, the lanes' sums added in
-    segment order."""
+    (a sum over the outer axis) to the prior row (segment 0) or to zeros,
+    the lanes' sums added in segment order."""
     sums = [np.full((cells.shape[0], candidates.size), 1.0 / candidates.size)]
     for s, rs, _, block in _lanes(candidates, cells):
         if s == len(sums):
@@ -204,8 +210,8 @@ def _visited_rows(candidates, cells, workers):
     return averaged, rows
 
 
-def _plain_max_normalize_log_rows(log_w, first_row=0):
-    """``_normalize_log_rows`` before its row max was seeded with ``-inf``."""
+def _plain_max_exp_log_rows(log_w, first_row=0):
+    """``_exp_log_rows`` before its row max was seeded with ``-inf``."""
     row_max = log_w.max(axis=-1)
     dead = ~np.isfinite(row_max)
     if np.any(dead):
@@ -215,9 +221,7 @@ def _plain_max_normalize_log_rows(log_w, first_row=0):
             "weights are undefined"
         )
     np.subtract(log_w, row_max[..., None], out=log_w)
-    np.exp(log_w, out=log_w)
-    log_w /= log_w.sum(axis=-1, keepdims=True)
-    return log_w
+    return np.exp(log_w, out=log_w)
 
 
 def _old_cells(f, g):
@@ -658,8 +662,9 @@ class TestKernelWorkers:
                                                           workers):
         # Every candidate vanishes on the last cell; a point there in
         # segment 2 (one block) kills every row from there on, and every
-        # later segment from its exact-count start.  Segment 2's softmax is
-        # held back, so segment 3 fails first in time; the error is still 2's.
+        # later segment from its exact-count start.  Segment 2's dead-row
+        # check is held back, so segment 3 fails first in time; the error is
+        # still 2's.
         cset, cells, step = _worker_case(monkeypatch, segment_blocks=1)
         cells = cells.copy()
         raw = cset.values.copy()
@@ -669,7 +674,7 @@ class TestKernelWorkers:
         with pytest.raises(ValidationError) as serial:
             _averaged_weights(cset, cells, 1)
         assert "on the first 8 sample points;" in str(serial.value)
-        real, failed = aggregation._normalize_log_rows, []
+        real, failed = aggregation._exp_log_rows, []
 
         def slow(log_w, first_row=0):
             if first_row == 2 * step + 1:
@@ -680,7 +685,7 @@ class TestKernelWorkers:
                 failed.append(first_row)
                 raise
 
-        monkeypatch.setattr(aggregation, "_normalize_log_rows", slow)
+        monkeypatch.setattr(aggregation, "_exp_log_rows", slow)
         with pytest.raises(ValidationError) as got:
             _bounded(lambda: _averaged_weights(cset, cells, workers))
         assert str(got.value) == str(serial.value)
@@ -877,10 +882,11 @@ def _decimal_averaged_weights(cset, cells):
 #: rounded to a double, allowed between the kernel's averaged weights and
 #: their definition at n = 300.  The rounding of the ratios, of the
 #: exact-count anchors and of the running products puts the kernel, whose
-#: lanes here are all products, in segments of 40 points, 1, 6, 6 and 4
-#: ulps from it at M = 2, 3, 4 and 5, at every worker count (1, 11, 5 and 5
-#: in one segment); the log-domain walk read 1, 5, 15 and 28 (1, 14, 53
-#: and 89).
+#: lanes here are all products, in segments of 40 points, 1, 4, 6 and 4
+#: ulps from it at M = 2, 3, 4 and 5, at every worker count (1, 11, 5 and 7
+#: in one segment; 1, 6, 6 and 4, and 1, 11, 5 and 5, when rows were divided
+#: by their sums); the log-domain walk read 1, 5, 15 and 28 (1, 14, 53 and
+#: 89).
 DECIMAL_ULPS = 256
 
 
@@ -909,16 +915,46 @@ class TestIdentitySeededMax:
     def test_weights_and_errors_equal_the_plain_max(self, case):
         log_w, first_row = case
         try:
-            expected = _plain_max_normalize_log_rows(log_w.copy(), first_row)
+            expected = _plain_max_exp_log_rows(log_w.copy(), first_row)
         except ValidationError as exc:
             with pytest.raises(ValidationError) as got:
-                _normalize_log_rows(log_w.copy(), first_row)
+                _exp_log_rows(log_w.copy(), first_row)
             assert str(got.value) == str(exc)
             dead = np.all(log_w == -np.inf, axis=-1).reshape(log_w.shape[0], -1)
             k = first_row + int(np.argmax(dead.any(axis=1)))
             assert f"on the first {k} sample points;" in str(got.value)
             return
-        assert _normalize_log_rows(log_w.copy(), first_row).tobytes() == expected.tobytes()
+        assert _exp_log_rows(log_w.copy(), first_row).tobytes() == expected.tobytes()
+
+
+#: (rows, lanes, M) of the einsum guard: every combination of up to 2^22
+#: entries (a kernel block holds at most 2^17 and the running-sum row).
+EINSUM_SHAPES = [s for s in itertools.product([1, 7, 2048], [1, 3, 163], [2, 3, 7, 64, 70])
+                 if math.prod(s) <= 2**22]
+
+
+class TestEinsumOrder:
+    """The kernel's report bytes rest on the order of its two ``einsum``
+    calls: a numpy whose einsum reassociates them, or fuses a multiply and
+    an add, fails here rather than silently in the bytes."""
+
+    @pytest.mark.parametrize("rows, lanes, m", EINSUM_SHAPES)
+    def test_row_sums_and_the_weighted_column_sum_keep_their_order(self, rows, lanes, m):
+        # values over many binades, so that another order rounds differently
+        rng = np.random.default_rng(rows * 1000 + lanes * 100 + m)
+        block = rng.random((rows + 1, lanes, m)) ** 8
+        sums = np.einsum("klm->kl", block)
+        pairs = list(itertools.product(range(rows + 1), range(lanes)))
+        if len(pairs) > 4096:  # a few thousand one-row calls of each kind
+            pairs = [pairs[0], pairs[-1]] + [pairs[i] for i in rng.choice(len(pairs), 4096)]
+        for k, lane in pairs:
+            assert sums[k, lane] == np.einsum("m->", block[k, lane])
+        # row 0, at weight 1, is the running sum the rows are added to
+        weights = np.concatenate([np.ones((1, lanes)), 1.0 / sums[1:]])
+        total = np.zeros((lanes, m))
+        for k in range(rows + 1):
+            total = total + block[k] * weights[k][:, None]
+        assert np.einsum("kl,klm->lm", weights, block).tobytes() == total.tobytes()
 
 
 #: (M, R): every block after the prior reuses one buffer per kernel call,
@@ -1075,7 +1111,7 @@ class TestProductLanes:
         traj = progressive_weights(cset, x)
         assert traj.weights[-1].tolist() == [0.0, 1.0]
         assert np.array_equal(traj.averaged, _reference_averaged(cset, cells)[0])
-        with pytest.MonkeyPatch.context() as mp, np.errstate(invalid="ignore"):
+        with pytest.MonkeyPatch.context() as mp, np.errstate(divide="ignore", invalid="ignore"):
             mp.setattr(aggregation, "_PRODUCT_BITS", math.inf)  # every lane a product
             assert np.isnan(progressive_weights(cset, x).weights[-1]).all()
 
@@ -1168,6 +1204,31 @@ class TestProductLanes:
         assert np.array_equal(averaged, _reference_averaged(cset, cells))
         assert np.array_equal(_aggregate_rows(cset, cells), np.stack(
             [aggregate(cset, row).values for row in x]))
+
+    @pytest.mark.parametrize("m", [3, 5, 7, 9, 13, 33])
+    @pytest.mark.parametrize("form", ["product", "log"])
+    def test_odd_m_bytes_do_not_depend_on_the_layout(self, monkeypatch, m, form):
+        # Odd rows give einsum's row sums a tail past its vector lanes.  Four
+        # samples of 2,500 points in five lanes of 500 each: every worker
+        # count, each sample alone, the batch split in two and three block
+        # sizes (from a few rows a block to one block a lane) read the same
+        # bytes as the lane reference.
+        monkeypatch.setattr(aggregation, "_SEGMENT_ROWS", 500)
+        if form == "log":
+            monkeypatch.setattr(aggregation, "_PRODUCT_BITS", -1)  # no lane is a product
+        rng = np.random.default_rng(m)
+        cset = _family(rng.uniform(0.8, 1.2, size=(m, 5)))
+        cells = cset.cell_indices(rng.random((4, 2500)))
+        assert aggregation._lane_starts(cset, cells)[0].all() == (form == "product")
+        expected = _reference_averaged(cset, cells)
+        for block_elements in (2**12, 2**15, 2**17):
+            monkeypatch.setattr(aggregation, "_BLOCK_ELEMENTS", block_elements)
+            for workers in WORKERS:
+                assert _averaged_weights(cset, cells, workers).tobytes() == expected.tobytes()
+            alone = [_averaged_weights(cset, cells[r:r + 1], 2) for r in range(4)]
+            split = [_averaged_weights(cset, cells[:1], 3), _averaged_weights(cset, cells[1:], 3)]
+            for got in (alone, split):
+                assert np.concatenate(got).tobytes() == expected.tobytes()
 
 
 class TestFormRuleCost:

@@ -1,8 +1,10 @@
 """The streamed progressive mixture against the full-matrix computation.
 
 ``_oracle_progressive_weights`` is the (n+1)×M implementation the stream
-replaced, kept verbatim in substance: one ``log`` per sample point, one
-``cumsum`` and one softmax over the whole matrix, then the column mean.
+replaced, kept in substance: one ``log`` per sample point, one ``cumsum``
+and one softmax over the whole matrix, then the column mean.  Its softmax
+takes the kernel's normalisation rule, each row times the reciprocal of
+its ``einsum`` sum, and the column sum adds the rows in row order.
 On a sample of up to one kernel segment of 2^14 points that the kernel
 walks in the log domain, the stream must reproduce its averaged vector and
 every weight row bit for bit; past it, or as a running product, those of
@@ -53,7 +55,7 @@ def _oracle_progressive_weights(cset: CandidateSet, x):
         )
     with np.errstate(invalid="ignore"):
         w = np.exp(log_w - row_max[:, None])
-    w /= w.sum(axis=1, keepdims=True)
+    w *= (1.0 / np.einsum("km->k", w))[:, None]
     return w, w.mean(axis=0)
 
 
@@ -78,7 +80,8 @@ def _oracle_product_rtol(cset, x):
     4u relative), so it is off by at most ``e_k = u·Σ_{i<=k} (|S_i| + 4|t_i|)``
     per candidate; the softmax then is off by ``2·max_j e_k + u·max_j |S_k -
     max S_k|`` plus (M + 8)u.  A product row is k ratios (each rounded once)
-    multiplied in k roundings and divided by its sum: (2k + M + 2)u."""
+    multiplied in k roundings, then scaled by the reciprocal of its sum (M - 1
+    roundings in the sum, two more): (2k + M + 1)u, within (2k + M + 2)u."""
     idx = cset.cell_indices(x)
     with np.errstate(divide="ignore"):
         terms = np.log(cset.values[:, idx].T)
